@@ -53,7 +53,6 @@ from .lipschitz import (
     cond_a_constant,
     cond_b_constant,
     cond_c_constant,
-    majorant_eval,
     majorant_from_config,
     poisson_kernel,
     poisson_kernel_mean,

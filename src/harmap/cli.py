@@ -40,16 +40,14 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import Grid, QuadratureSpec
+from .grids import Grid, QuadratureSpec, disk_sample
 from .lipschitz import (
-    Majorant,
     PowerMajorant,
     chord_interpolation_bound,
     cond_a_constant,
     cond_b_constant,
     cond_c_constant,
     majorant_from_config,
-    majorant_label,
     regularity_check,
     verify_hl_equivalence,
 )
@@ -63,9 +61,9 @@ from .report import (
     write_json_lines,
 )
 from .verify import (
-    DiskDomain,
     FuzzSpec,
     GenerationFailed,
+    _gradient_sample,
     builtin_maps,
     fuzz_corpus,
     verify_area_overlap,
@@ -78,18 +76,6 @@ from .verify import (
 
 __all__ = ["main", "entry", "SuiteConfig", "ConfigError", "default_config", "run_config"]
 
-SUITE_NAMES = (
-    "three-circles",
-    "area-overlap",
-    "hardy-area",
-    "coeff-bound",
-    "gradient-bound",
-    "isoperimetric",
-    "lipschitz-16",
-    "hl-17",
-    "majorant-regularity",
-)
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -98,6 +84,135 @@ EXIT_GENERATION = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Suite runners
+# ---------------------------------------------------------------------------
+
+
+def _lipschitz_16(f: HarmonicMap, cfg: SuiteConfig, q: QuadratureSpec):
+    reports = []
+    for omega in cfg.majorants:
+        c1 = cond_a_constant(f, omega, cfg.grid)
+        c2 = cond_b_constant(f, omega)
+        c3 = cond_c_constant(f, omega)
+        reports.append(
+            make_report(
+                f"cond-b-vs-a[{omega.label()}]", c2, math.pi * c1, slack=1e-6,
+                details={"C1": c1, "C2": c2, "C3": c3},
+            )
+        )
+    rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x43484F52)))
+    n = 10_000
+    z = disk_sample(rng, n, 0.999)
+    w = disk_sample(rng, n, 0.999)
+    t = rng.uniform(1e-9, 1.0 - 1e-9, n)
+    lhs, rhs = chord_interpolation_bound(z, w, t)
+    k = int(np.argmin(lhs - rhs))
+    reports.append(
+        make_report(
+            "chord-distance-bound", float(lhs[k]), float(rhs[k]), slack=1e-12,
+            orientation="ge", witnesses=[(complex(z[k]), float(t[k]))],
+        )
+    )
+    return reports
+
+
+def _hl_17(f: HarmonicMap, cfg: SuiteConfig, q: QuadratureSpec):
+    reports = []
+    for omega in cfg.majorants:
+        for rep in verify_hl_equivalence(f, omega, cfg.grid):
+            rep.name = f"{rep.name}[{omega.label()}]"
+            reports.append(rep)
+    return reports
+
+
+def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
+    if exact is None:  # no closed form: the row records the empirical constant
+        return make_report(name, value, value, slack=0.0, details=details)
+    if math.isinf(exact):  # the claim is divergence: pass iff no constant exists
+        ok = value is None
+        return make_report(name, 0.0, 0.0, slack=0.0, force_fail=not ok,
+                           details={"divergent": 1.0 if ok else 0.0})
+    return make_report(name, value, exact, slack=0.05 * exact,
+                       force_fail=value < exact * 0.95, details=details)
+
+
+def _run_majorant_regularity(cfg: SuiteConfig):
+    """Map-independent regularity rows. Majorants with closed-form constants
+    (the power family: 1/alpha and 1/(1-alpha)) are compared against them at
+    5% tolerance; the others record their empirical constants."""
+    reports = []
+    for omega in cfg.majorants:
+        rep = regularity_check(omega, delta0=1.0)
+        head, tail = omega.exact_regularity() or (None, None)
+        reports.append(
+            _regularity_row(f"majorant-head-integral[{omega.label()}]", rep.c_eq2, head, {})
+        )
+        reports.append(
+            _regularity_row(f"majorant-tail-integral[{omega.label()}]", rep.c_eq3, tail,
+                            {"truncation": rep.c_eq3_truncation})
+        )
+    return reports
+
+
+# Suite name -> (runner, per_map). A per-map runner takes (map, config, task
+# quadrature) and runs once per map; a global one takes the config and runs
+# once per campaign.
+SUITES = {
+    "three-circles": (
+        lambda f, cfg, q: [verify_three_circles(f, r1, r) for r1, r in cfg.three_circles_pairs],
+        True,
+    ),
+    "area-overlap": (lambda f, cfg, q: [verify_area_overlap(f, q=q, grid=cfg.grid)], True),
+    "hardy-area": (lambda f, cfg, q: [verify_hardy_area(f, q, cfg.grid)], True),
+    "coeff-bound": (lambda f, cfg, q: verify_coeff_bound(f, q, cfg.grid), True),
+    "gradient-bound": (
+        lambda f, cfg, q: verify_gradient_bound(
+            f, _gradient_sample(q, cfg.gradient_sample_count), q, cfg.grid
+        ),
+        True,
+    ),
+    "isoperimetric": (
+        lambda f, cfg, q: [verify_isoperimetric(f, r, q) for r in cfg.isoperimetric_radii],
+        True,
+    ),
+    "lipschitz-16": (_lipschitz_16, True),
+    "hl-17": (_hl_17, True),
+    "majorant-regularity": (_run_majorant_regularity, False),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+
+def _output_fields(out) -> dict:
+    if not isinstance(out, dict) or set(out) - {"path", "format"}:
+        raise ValueError('must be an object with optional "path" and "format"')
+    return {field: str(out[key]) for key, field in
+            (("path", "output_path"), ("format", "output_format")) if key in out}
+
+
+# Config key -> parser of its JSON value. The key names the SuiteConfig
+# field, except "maps" (map_files) and "output" (output_path, output_format).
+_CONFIG_PARSERS = {
+    "suites": tuple,
+    "maps": tuple,
+    "include_builtin": bool,
+    "fuzz": lambda v: None if v is None else FuzzSpec.from_json_dict(v),
+    "quadrature": lambda v: QuadratureSpec(**v),
+    "grid": lambda v: Grid(**v),
+    "majorants": lambda v: tuple(majorant_from_config(m) for m in v),
+    "three_circles_pairs": lambda v: tuple((float(p[0]), float(p[1])) for p in v),
+    "isoperimetric_radii": lambda v: tuple(float(r) for r in v),
+    "gradient_sample_count": int,
+    "seed": int,
+    "output": _output_fields,
+}
 
 
 @dataclass
@@ -119,6 +234,7 @@ class SuiteConfig:
     output_format: str = "json"
 
     def validate(self) -> None:
+        """Refuse, before any work starts, every value a suite would reject."""
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {unknown}")
@@ -128,47 +244,36 @@ class SuiteConfig:
             raise ConfigError("at least one map source is required")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format: {self.output_format!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in 64 unsigned bits")
+        if self.gradient_sample_count < 1:
+            raise ConfigError("gradient_sample_count must be >= 1")
+        for r1, r in self.three_circles_pairs:
+            if not 0.0 < r1 <= r < 1.0:
+                raise ConfigError(f"three_circles_pairs: need 0 < r1 <= r < 1, got {[r1, r]}")
+        for r in self.isoperimetric_radii:
+            if not 0.0 < r <= 1.0 - 1e-9:
+                raise ConfigError(f"isoperimetric_radii: need 0 < r <= 1 - 1e-9, got {r}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuiteConfig":
-        known = {
-            "suites", "maps", "include_builtin", "fuzz", "quadrature", "grid",
-            "majorants", "three_circles_pairs", "isoperimetric_radii",
-            "gradient_sample_count", "seed", "output",
-        }
-        bad = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ConfigError("the configuration must be a JSON object")
+        bad = set(obj) - set(_CONFIG_PARSERS)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         kwargs: dict = {}
-        if "suites" in obj:
-            kwargs["suites"] = tuple(obj["suites"])
-        if "maps" in obj:
-            kwargs["map_files"] = tuple(obj["maps"])
-        if "include_builtin" in obj:
-            kwargs["include_builtin"] = bool(obj["include_builtin"])
-        if obj.get("fuzz") is not None:
-            kwargs["fuzz"] = FuzzSpec.from_json_dict(obj["fuzz"])
-        if "quadrature" in obj:
-            kwargs["quadrature"] = QuadratureSpec(**obj["quadrature"])
-        if "grid" in obj:
-            kwargs["grid"] = Grid(**obj["grid"])
-        if "majorants" in obj:
-            kwargs["majorants"] = tuple(majorant_from_config(m) for m in obj["majorants"])
-        if "three_circles_pairs" in obj:
-            kwargs["three_circles_pairs"] = tuple(
-                (float(p[0]), float(p[1])) for p in obj["three_circles_pairs"]
-            )
-        if "isoperimetric_radii" in obj:
-            kwargs["isoperimetric_radii"] = tuple(float(r) for r in obj["isoperimetric_radii"])
-        if "gradient_sample_count" in obj:
-            kwargs["gradient_sample_count"] = int(obj["gradient_sample_count"])
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        out = obj.get("output", {})
-        if "path" in out:
-            kwargs["output_path"] = str(out["path"])
-        if "format" in out:
-            kwargs["output_format"] = str(out["format"])
+        for key, value in obj.items():
+            try:
+                parsed = _CONFIG_PARSERS[key](value)
+            except KeyError as exc:
+                raise ConfigError(f"{key}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+            if key == "output":
+                kwargs.update(parsed)
+            else:
+                kwargs["map_files" if key == "maps" else key] = parsed
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -188,7 +293,7 @@ def default_config(seed: int = 42, output_path: str = "harmap-reports.jsonl",
 
 
 # ---------------------------------------------------------------------------
-# Suite runners
+# Campaign
 # ---------------------------------------------------------------------------
 
 
@@ -212,118 +317,13 @@ def _task_quadrature(cfg: SuiteConfig, index: int) -> QuadratureSpec:
     return replace(cfg.quadrature, seed=mix)
 
 
-def _run_suite_on_map(suite: str, map_id: str, f: HarmonicMap, cfg: SuiteConfig, index: int):
-    q = _task_quadrature(cfg, index)
-    grid = cfg.grid
-    reports = []
-    if suite == "three-circles":
-        for r1, r in cfg.three_circles_pairs:
-            reports.append(verify_three_circles(f, r1, r))
-    elif suite == "area-overlap":
-        reports.append(verify_area_overlap(f, DiskDomain(), DiskDomain(), q, grid=grid))
-    elif suite == "hardy-area":
-        reports.append(verify_hardy_area(f, q, grid))
-    elif suite == "coeff-bound":
-        reports.extend(verify_coeff_bound(f, q, grid))
-    elif suite == "gradient-bound":
-        sample = None
-        if cfg.gradient_sample_count != 64:
-            rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x47524144)))
-            r = 0.95 * np.sqrt(rng.random(cfg.gradient_sample_count))
-            sample = r * np.exp(2j * np.pi * rng.random(cfg.gradient_sample_count))
-        reports.extend(verify_gradient_bound(f, sample, q, grid))
-    elif suite == "isoperimetric":
-        for r in cfg.isoperimetric_radii:
-            reports.append(verify_isoperimetric(f, r, q))
-    elif suite == "lipschitz-16":
-        for omega in cfg.majorants:
-            label = majorant_label(omega)
-            c1 = cond_a_constant(f, omega, grid)
-            c2 = cond_b_constant(f, omega)
-            c3 = cond_c_constant(f, omega)
-            reports.append(
-                make_report(
-                    f"cond-b-vs-a[{label}]", c2, math.pi * c1, slack=1e-6,
-                    details={"C1": c1, "C2": c2, "C3": c3},
-                )
-            )
-        rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x43484F52)))
-        n = 10_000
-        z = 0.999 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-        w = 0.999 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-        t = rng.uniform(1e-9, 1.0 - 1e-9, n)
-        lhs, rhs = chord_interpolation_bound(z, w, t)
-        k = int(np.argmin(lhs - rhs))
-        reports.append(
-            make_report(
-                "chord-distance-bound", float(lhs[k]), float(rhs[k]), slack=1e-12,
-                orientation="ge", witnesses=[(complex(z[k]), float(t[k]))],
-            )
-        )
-    elif suite == "hl-17":
-        for omega in cfg.majorants:
-            label = majorant_label(omega)
-            fwd, rev = verify_hl_equivalence(f, omega, grid)
-            fwd.name = f"{fwd.name}[{label}]"
-            rev.name = f"{rev.name}[{label}]"
-            reports.extend([fwd, rev])
-    else:
-        raise ConfigError(f"unknown suite: {suite}")
+def _run_suite_on_map(suite: str, map_id: str, f: HarmonicMap | None, cfg: SuiteConfig, index: int):
+    """One campaign task: a suite on one map, or once (map_id "-", f None)
+    for a global suite. Row names end in @map_id."""
+    runner, per_map = SUITES[suite]
+    reports = runner(f, cfg, _task_quadrature(cfg, index)) if per_map else runner(cfg)
     for rep in reports:
         rep.name = f"{rep.name}@{map_id}"
-    return reports
-
-
-def _run_majorant_regularity(cfg: SuiteConfig):
-    """Map-independent regularity rows; power majorants are compared against
-    their analytic constants 1/alpha and 1/(1-alpha) at 5% tolerance."""
-    reports = []
-    for omega in cfg.majorants:
-        label = majorant_label(omega)
-        rep = regularity_check(omega, delta0=1.0)
-        if isinstance(omega, PowerMajorant):
-            expect2 = 1.0 / omega.alpha
-            reports.append(
-                make_report(
-                    f"majorant-head-integral[{label}]", rep.c_eq2, expect2,
-                    slack=0.05 * expect2,
-                    force_fail=rep.c_eq2 < expect2 * 0.95,
-                )
-            )
-            if omega.alpha >= 1.0:
-                # The claim here is divergence: pass iff no constant exists.
-                ok = rep.c_eq3 is None
-                reports.append(
-                    make_report(
-                        f"majorant-tail-integral[{label}]", 0.0, 0.0, slack=0.0,
-                        force_fail=not ok,
-                        details={"divergent": 1.0 if ok else 0.0},
-                    )
-                )
-            else:
-                expect3 = 1.0 / (1.0 - omega.alpha)
-                reports.append(
-                    make_report(
-                        f"majorant-tail-integral[{label}]", rep.c_eq3, expect3,
-                        slack=0.05 * expect3,
-                        force_fail=rep.c_eq3 < expect3 * 0.95,
-                        details={"truncation": rep.c_eq3_truncation},
-                    )
-                )
-        else:
-            reports.append(
-                make_report(
-                    f"majorant-head-integral[{label}]", rep.c_eq2, rep.c_eq2, slack=0.0
-                )
-            )
-            reports.append(
-                make_report(
-                    f"majorant-tail-integral[{label}]", rep.c_eq3, rep.c_eq3, slack=0.0,
-                    details={"truncation": rep.c_eq3_truncation},
-                )
-            )
-    for rep in reports:
-        rep.name = f"{rep.name}@-"
     return reports
 
 
@@ -333,17 +333,12 @@ def run_config(cfg: SuiteConfig):
     sources = _load_sources(cfg)
     tasks = []
     for suite in sorted(set(cfg.suites)):
-        if suite == "majorant-regularity":
-            tasks.append((suite, "-", None))
-        else:
-            for map_id, f in sources:
-                tasks.append((suite, map_id, f))
+        targets = sources if SUITES[suite][1] else [("-", None)]
+        tasks.extend((suite, map_id, f) for map_id, f in targets)
     tasks.sort(key=lambda t: (t[0], t[1]))
 
     def run_task(item):
         index, (suite, map_id, f) = item
-        if suite == "majorant-regularity":
-            return _run_majorant_regularity(cfg)
         return _run_suite_on_map(suite, map_id, f, cfg, index)
 
     workers = os.environ.get("HARMAP_THREADS")
@@ -356,14 +351,6 @@ def run_config(cfg: SuiteConfig):
     reports = [rep for chunk in chunks for rep in chunk]
     reports.sort(key=lambda r: (r.name, -1 if r.n is None else r.n))
     return reports, summarize(reports)
-
-
-def _write_reports(reports, path: str, fmt: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        if fmt == "csv":
-            write_csv(reports, fh)
-        else:
-            write_json_lines(reports, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +433,11 @@ def _cmd_verify(args) -> int:
     except GenerationFailed as exc:
         print(f"error: corpus generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    _write_reports(reports, cfg.output_path, cfg.output_format)
+    with open(cfg.output_path, "w", encoding="ascii", newline="") as fh:
+        if cfg.output_format == "csv":
+            write_csv(reports, fh)
+        else:
+            write_json_lines(reports, fh)
     print(
         f"{len(reports)} checks: {counts[PASS]} pass, {counts[FAIL]} fail, "
         f"{counts[HYPOTHESIS_VIOLATED]} hypothesis-violated -> {cfg.output_path}"

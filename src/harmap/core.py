@@ -223,12 +223,6 @@ def _abs2(w: np.ndarray) -> np.ndarray:
     return w.real * w.real + w.imag * w.imag
 
 
-def max_stretch(f: HarmonicMap, z):
-    """Vectorized Lambda_f(z) = |f_z| + |f_zbar|."""
-    fz, fzbar = wirtinger(f, z)
-    return np.abs(fz) + np.abs(fzbar)
-
-
 @dataclass(frozen=True)
 class SensePreservation:
     """Outcome of a Jacobian positivity scan with its worst grid node."""

@@ -15,9 +15,10 @@ Conventions
   refinement in radius and angle; the gap closed by the last refinement
   stage is the reported error estimate.
 * Boundary suprema over 0 < r < 1 use the dyadic ladder 1 - 2^-k, k <= 20,
-  plus a Richardson extrapolant from the two finest rungs; the bare ladder
-  is ~1e-6 short for functionals still growing at the boundary and the
-  extrapolant restores near machine accuracy for polynomial maps.
+  plus a Richardson extrapolant from the two finest rungs, all in one
+  helper, :func:`_ladder_sup`; the bare ladder is ~1e-6 short for
+  functionals still growing at the boundary and the extrapolant restores
+  near machine accuracy for polynomial maps.
 """
 
 from __future__ import annotations
@@ -181,25 +182,32 @@ def length_function(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -
     return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
 
 
-def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """l_f(1) = sup over 0 < r < 1 of l_f(r), via the ladder plus endpoint
-    extrapolation from the two finest rungs."""
-    q = q or QuadratureSpec()
-    rs = r_ladder()
-    coarse = _circle_lengths(f, rs, q.angular_nodes)
-    fine = _circle_lengths(f, rs, 2 * q.angular_nodes)
-    # Richardson in the boundary gap h = 2^-k (halves per rung):
-    # l(1) ~= 2 l_K - l_{K-1} with O(h^2) error, bounded by consecutive
-    # extrapolant difference.
+def _ladder_sup(fine: np.ndarray, coarse: np.ndarray | None = None) -> FunctionalValue:
+    """Boundary sup of a functional sampled on the radius ladder.
+
+    The value is the larger of the ladder maximum and the Richardson
+    extrapolant in the boundary gap h = 2^-k (halves per rung),
+    l(1) ~= 2 l_K - l_{K-1} with O(h^2) error, bounded by the difference of
+    consecutive extrapolants. With a ``coarse`` ladder at half the angular
+    resolution the quadrature gap joins the error estimate; without one the
+    rungs are grid sups.
+    """
     extrap = 2.0 * fine[-1] - fine[-2]
     extrap_prev = 2.0 * fine[-2] - fine[-3]
     value = max(float(np.max(fine)), float(extrap))
-    err = max(
-        float(np.max(np.abs(fine - coarse))),
-        abs(float(extrap - extrap_prev)),
-        _error_floor(value),
+    err = max(abs(float(extrap - extrap_prev)), _error_floor(value))
+    if coarse is None:
+        return FunctionalValue(value, GRID_SUP, err)
+    return FunctionalValue(value, QUADRATURE, max(float(np.max(np.abs(fine - coarse))), err))
+
+
+def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalValue:
+    """l_f(1) = sup over 0 < r < 1 of l_f(r), via :func:`_ladder_sup`."""
+    q = q or QuadratureSpec()
+    rs = r_ladder()
+    return _ladder_sup(
+        _circle_lengths(f, rs, 2 * q.angular_nodes), _circle_lengths(f, rs, q.angular_nodes)
     )
-    return FunctionalValue(value, QUADRATURE, err)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +251,17 @@ def hardy_norm(
     q: QuadratureSpec | None = None,
     grid: Grid | None = None,
 ) -> FunctionalValue:
-    """h^p norm: sup of M_p over the radius ladder (sup of |f| when p = inf)."""
+    """h^p norm: sup of M_p over the radius ladder (sup of |f| when p = inf),
+    via :func:`_ladder_sup`."""
     q = q or QuadratureSpec()
+    rs = r_ladder()
     if p == math.inf:
-        rs = r_ladder()
-        vals = np.array([hardy_mean(f, p, float(r), q).value for r in rs])
-        extrap = 2.0 * vals[-1] - vals[-2]
-        extrap_prev = 2.0 * vals[-2] - vals[-3]
-        value = max(float(np.max(vals)), float(extrap))
-        err = max(abs(float(extrap - extrap_prev)), _error_floor(value))
-        return FunctionalValue(value, GRID_SUP, err)
+        return _ladder_sup(np.array([hardy_mean(f, p, float(r), q).value for r in rs]))
     if not p > 0.0:
         raise ValueError("p must be positive or inf")
-    rs = r_ladder()
-    coarse = _circle_pmeans(f, rs, p, q.angular_nodes)
-    fine = _circle_pmeans(f, rs, p, 2 * q.angular_nodes)
-    extrap = 2.0 * fine[-1] - fine[-2]
-    extrap_prev = 2.0 * fine[-2] - fine[-3]
-    value = max(float(np.max(fine)), float(extrap))
-    err = max(
-        float(np.max(np.abs(fine - coarse))),
-        abs(float(extrap - extrap_prev)),
-        _error_floor(value),
+    return _ladder_sup(
+        _circle_pmeans(f, rs, p, 2 * q.angular_nodes), _circle_pmeans(f, rs, p, q.angular_nodes)
     )
-    return FunctionalValue(value, QUADRATURE, err)
 
 
 # ---------------------------------------------------------------------------

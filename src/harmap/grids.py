@@ -3,7 +3,9 @@
 These are the shared discretization knobs: a polar evaluation grid on a
 closed sub-disk (for sup estimation and sign scans), node counts for
 radial Gauss-Legendre x angular trapezoid quadrature, Monte Carlo sample
-sizes, and the ladder of radii 1 - 2^-k used to approach the boundary.
+sizes, the ladder of radii 1 - 2^-k used to approach the boundary, and
+:func:`disk_sample`, the one area-uniform random sampler of a disk that every
+Monte Carlo estimate and random pair set draws from.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-__all__ = ["Grid", "QuadratureSpec", "r_ladder", "gauss_legendre_01"]
+__all__ = ["Grid", "QuadratureSpec", "r_ladder", "gauss_legendre_01", "disk_sample"]
 
 
 @dataclass(frozen=True)
@@ -106,3 +108,14 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def disk_sample(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
+    """Area-uniform points of the disk |z| < radius.
+
+    Draws the radii (sqrt of a uniform variate) first, then the angles, so a
+    seeded stream always yields the same points.
+    """
+    r = radius * np.sqrt(rng.random(count))
+    t = 2.0 * np.pi * rng.random(count)
+    return r * np.exp(1j * t)

@@ -28,17 +28,17 @@ bounded by 21/(2r).
 
 from __future__ import annotations
 
-import cmath
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from .core import HarmonicMap, _abs2, wirtinger
 from .functionals import golden_max, grid_sup
-from .grids import Grid, gauss_legendre_01
+from .grids import Grid, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "PowerMajorant",
     "SampledMajorant",
     "majorant_from_config",
-    "majorant_config",
-    "majorant_label",
-    "majorant_eval",
     "ScalingCheck",
     "check_scaling_lemma",
     "RegularityReport",
@@ -71,13 +68,50 @@ PAIR_MIN_SEPARATION = 1e-12
 PAIR_MIN_BOUNDARY_DISTANCE = 1e-9
 
 
+# Tail integrals truncate at this multiple of delta; the power family adds
+# its exact remainder, sampled tables record the cut.
+TAIL_TRUNCATION = 1e6
+
+
+def _head_quad(omega, u_cap: float, delta: float) -> float:
+    """int_0^delta omega(t)/t dt, cut at t = delta e^-u_cap, via t = delta e^-u."""
+    val, _ = quad(lambda u: omega(delta * math.exp(-u)), 0.0, u_cap, limit=200)
+    return val
+
+
+def _tail_quad(omega, u_cap: float, delta: float) -> float:
+    """delta int_delta^T omega(t)/t^2 dt with T = delta e^u_cap, via t = delta e^u."""
+    val, _ = quad(
+        lambda u: omega(delta * math.exp(u)) * math.exp(-u), 0.0, u_cap, limit=200
+    )
+    return val
+
+
 class Majorant:
-    """Base for majorant families; instances are callables on t >= 0."""
+    """Base for majorant families; instances are callables on t >= 0.
+
+    A family supplies ``_eval``, ``config()``, ``label()``, ``head_integral``,
+    ``tail_integral`` (None when divergent) and, optionally, ``probe_floor``
+    and ``exact_regularity()``.
+    """
 
     family = "abstract"
+    probe_floor = 0.0
 
     def __call__(self, t):
+        tt = np.asarray(t, dtype=float)
+        if np.any(tt < 0.0):
+            raise ValueError("majorants are defined for t >= 0")
+        out = self._eval(tt)
+        return float(out) if tt.ndim == 0 else out
+
+    def _eval(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def exact_regularity(self) -> tuple[float, float] | None:
+        """Closed-form (head, tail) regularity constants on (0, 1), the tail
+        inf when it diverges; None when no closed form is known."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -91,12 +125,33 @@ class PowerMajorant(Majorant):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
-    def __call__(self, t):
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0.0):
-            raise ValueError("majorants are defined for t >= 0")
-        out = tt**self.alpha
-        return float(out) if tt.ndim == 0 else out
+    def _eval(self, t: np.ndarray) -> np.ndarray:
+        return t**self.alpha
+
+    def config(self) -> dict:
+        return {"family": "power", "alpha": self.alpha}
+
+    def label(self) -> str:
+        return f"power({self.alpha:g})"
+
+    def head_integral(self, delta: float) -> float:
+        """int_0^delta omega(t)/t dt."""
+        return _head_quad(self, np.inf, delta)
+
+    def tail_integral(self, delta: float) -> tuple[float, float] | None:
+        """delta int_delta^T omega(t)/t^2 dt with T = TAIL_TRUNCATION * delta,
+        as (value including any exact remainder, recorded truncation)."""
+        alpha = self.alpha
+        if alpha >= 1.0:
+            return None
+        val = _tail_quad(self, math.log(TAIL_TRUNCATION), delta)
+        # Exact remainder: delta^alpha T^(alpha-1) / (1 - alpha).
+        tail = delta**alpha * TAIL_TRUNCATION ** (alpha - 1.0) / (1.0 - alpha)
+        return val + tail, 0.0
+
+    def exact_regularity(self) -> tuple[float, float]:
+        alpha = self.alpha
+        return 1.0 / alpha, (math.inf if alpha >= 1.0 else 1.0 / (1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -146,50 +201,49 @@ class SampledMajorant(Majorant):
     def t_max(self) -> float:
         return self.table[-1][0]
 
+    @property
+    def probe_floor(self) -> float:
+        return self.t_min * 1.000001
+
     def _interp(self, t: np.ndarray) -> np.ndarray:
         logt, logw = self._logs
         return np.exp(np.interp(np.log(t), logt, logw))
 
-    def __call__(self, t):
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0.0):
-            raise ValueError("majorants are defined for t >= 0")
-        if np.any(tt < self.t_min) or np.any(tt > self.t_max):
+    def _eval(self, t: np.ndarray) -> np.ndarray:
+        if np.any(t < self.t_min) or np.any(t > self.t_max):
             raise ValueError("t outside the sampled table range")
-        out = self._interp(tt)
-        return float(out) if tt.ndim == 0 else out
+        return self._interp(t)
 
+    def config(self) -> dict:
+        return {"family": "sampled", "table": [[t, w] for t, w in self.table]}
 
-def majorant_eval(omega: Majorant, t):
-    """Evaluate a majorant (validating t >= 0 and, if sampled, the range)."""
-    return omega(t)
+    def label(self) -> str:
+        return f"sampled({len(self.table)})"
+
+    def head_integral(self, delta: float) -> float:
+        # Integrate down to the table floor only; omega(t) <= t omega(t_min)/t_min
+        # below it, so the missing head is bounded by omega(t_min).
+        return _head_quad(self, max(math.log(delta / self.t_min), 0.0), delta)
+
+    def tail_integral(self, delta: float) -> tuple[float, float]:
+        u_cap = min(math.log(TAIL_TRUNCATION), math.log(self.t_max / delta))
+        u_cap = max(u_cap, 0.0)
+        val = _tail_quad(self, u_cap, delta)
+        # Mass of one more e-fold at the cut, the scale of what the cut hides.
+        t_cap = delta * math.exp(u_cap)
+        return val, self(min(t_cap, self.t_max)) * math.exp(-u_cap)
 
 
 def majorant_from_config(obj: dict) -> Majorant:
     """Build a majorant from {"family": "power", "alpha": a} or
-    {"family": "sampled", "table": [[t, w], ...]}."""
+    {"family": "sampled", "table": [[t, w], ...]}; the inverse of
+    :meth:`Majorant.config`."""
     family = obj.get("family")
     if family == "power":
         return PowerMajorant(alpha=float(obj["alpha"]))
     if family == "sampled":
         return SampledMajorant(table=tuple((p[0], p[1]) for p in obj["table"]))
     raise ValueError(f"unknown majorant family: {family!r}")
-
-
-def majorant_config(omega: Majorant) -> dict:
-    if isinstance(omega, PowerMajorant):
-        return {"family": "power", "alpha": omega.alpha}
-    if isinstance(omega, SampledMajorant):
-        return {"family": "sampled", "table": [[t, w] for t, w in omega.table]}
-    raise ValueError("unknown majorant type")
-
-
-def majorant_label(omega: Majorant) -> str:
-    if isinstance(omega, PowerMajorant):
-        return f"power({omega.alpha:g})"
-    if isinstance(omega, SampledMajorant):
-        return f"sampled({len(omega.table)})"
-    return omega.family
 
 
 # ---------------------------------------------------------------------------
@@ -233,48 +287,6 @@ class RegularityReport:
     c_eq3_truncation: float = 0.0
 
 
-# Tail integrals truncate at this multiple of delta; the power family adds
-# its exact remainder, sampled tables record the cut.
-TAIL_TRUNCATION = 1e6
-
-
-def _head_integral(omega: Majorant, delta: float) -> float:
-    """int_0^delta omega(t)/t dt via the substitution t = delta e^-u."""
-    if isinstance(omega, SampledMajorant):
-        # Integrate down to the table floor only; omega(t) <= t omega(t_min)/t_min
-        # below it, so the missing head is bounded by omega(t_min).
-        u_cap = max(math.log(delta / omega.t_min), 0.0)
-        val, _ = quad(lambda u: omega(delta * math.exp(-u)), 0.0, u_cap, limit=200)
-        return val
-    val, _ = quad(lambda u: omega(delta * math.exp(-u)), 0.0, np.inf, limit=200)
-    return val
-
-
-def _tail_integral(omega: Majorant, delta: float) -> tuple[float, float]:
-    """delta int_delta^T omega(t)/t^2 dt with T = TAIL_TRUNCATION * delta.
-
-    Returns (value including any exact remainder, recorded truncation).
-    Substituting t = delta e^u gives int omega(delta e^u) e^-u du.
-    """
-    if isinstance(omega, SampledMajorant):
-        u_cap = min(math.log(TAIL_TRUNCATION), math.log(omega.t_max / delta))
-        u_cap = max(u_cap, 0.0)
-        val, _ = quad(
-            lambda u: omega(delta * math.exp(u)) * math.exp(-u), 0.0, u_cap, limit=200
-        )
-        # Mass of one more e-fold at the cut, the scale of what the cut hides.
-        t_cap = delta * math.exp(u_cap)
-        return val, omega(min(t_cap, omega.t_max)) * math.exp(-u_cap)
-    u_cap = math.log(TAIL_TRUNCATION)
-    val, _ = quad(
-        lambda u: omega(delta * math.exp(u)) * math.exp(-u), 0.0, u_cap, limit=200
-    )
-    # Exact power-family remainder: delta^alpha T^(alpha-1) / (1 - alpha).
-    alpha = omega.alpha
-    tail = delta**alpha * TAIL_TRUNCATION ** (alpha - 1.0) / (1.0 - alpha)
-    return val + tail, 0.0
-
-
 def regularity_check(omega: Majorant, delta0: float, probes: int = 24) -> RegularityReport:
     """Smallest empirical constants in the two regularity conditions.
 
@@ -287,25 +299,34 @@ def regularity_check(omega: Majorant, delta0: float, probes: int = 24) -> Regula
         raise ValueError("delta0 must be positive")
     if probes < 2:
         raise ValueError("need at least two probe scales")
-    lo = delta0 * 1e-3
-    if isinstance(omega, SampledMajorant):
-        lo = max(lo, omega.t_min * 1.000001)
+    lo = max(delta0 * 1e-3, omega.probe_floor)
     deltas = np.geomspace(lo, delta0 * 0.999, probes)
-    tail_divergent = isinstance(omega, PowerMajorant) and omega.alpha >= 1.0
     c2 = 0.0
     c3: float | None = 0.0
     trunc = 0.0
     for d in deltas:
         wd = omega(float(d))
-        c2 = max(c2, _head_integral(omega, float(d)) / wd)
-        if tail_divergent:
+        c2 = max(c2, omega.head_integral(float(d)) / wd)
+        tail = omega.tail_integral(float(d))
+        if tail is None:
             c3 = None
         else:
-            val, cut = _tail_integral(omega, float(d))
-            c3 = max(c3, val / wd)
-            trunc = max(trunc, cut / wd)
+            c3 = max(c3, tail[0] / wd)
+            trunc = max(trunc, tail[1] / wd)
     return RegularityReport(c_eq2=c2, c_eq3=c3, delta0=float(delta0),
                             c_eq3_truncation=trunc)
+
+
+# Held around _head_regularity so concurrent campaign tasks wait for the one
+# probe of a majorant instead of repeating it.
+_HEAD_REGULARITY_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=64)
+def _head_regularity(omega: Majorant) -> RegularityReport:
+    """The regularity probe behind verify_hl_equivalence's hypothesis. It
+    depends on the majorant only, so it runs once per majorant value."""
+    return regularity_check(omega, delta0=1.0, probes=12)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +350,14 @@ def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) 
     direction-sweep configurations (the sweeps at shrinking separations pin
     down local-stretch suprema)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50414952)))
-
-    def disk(n, cap=r_cap):
-        return cap * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-
     half = count // 2
     quarter = count // 4
-    z_parts = [disk(half)]
-    w_parts = [disk(half)]
-    z_loc = disk(quarter)
+    z_parts = [disk_sample(rng, half, r_cap)]
+    w_parts = [disk_sample(rng, half, r_cap)]
+    z_loc = disk_sample(rng, quarter, r_cap)
     w_parts.append(z_loc + 10.0 ** rng.uniform(-6, -1, quarter) * np.exp(2j * np.pi * rng.random(quarter)))
     z_parts.append(z_loc)
-    z_anti = disk(count - half - quarter, cap=r_cap)
+    z_anti = disk_sample(rng, count - half - quarter, r_cap)
     z_parts.append(z_anti)
     w_parts.append(-z_anti)
     ang = np.exp(1j * np.linspace(0.0, np.pi, 64, endpoint=False))
@@ -511,16 +528,12 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
     """Pairs kept inside |z| <= r_cap so segment points stay within the sup
     grid's reach (segments between two points of a disk stay in it)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x484C5052)))
-
-    def disk(n):
-        return r_cap * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-
     half = count // 2
-    z = np.concatenate([disk(half), disk(count - half)])
+    z = np.concatenate([disk_sample(rng, half, r_cap), disk_sample(rng, count - half, r_cap)])
     w_loc = z[half:] + 10.0 ** rng.uniform(-5, -1, count - half) * np.exp(
         2j * np.pi * rng.random(count - half)
     )
-    w = np.concatenate([disk(half), w_loc])
+    w = np.concatenate([disk_sample(rng, half, r_cap), w_loc])
     ang = np.exp(1j * np.linspace(0.0, np.pi, 64, endpoint=False))
     for eps in (1e-8, 0.3, 0.9 * r_cap):
         z = np.concatenate([z, eps * ang])
@@ -555,7 +568,8 @@ def verify_hl_equivalence(
     regularity condition (finite c_eq2).
     """
     grid = grid or Grid()
-    reg = regularity_check(omega, delta0=1.0, probes=12)
+    with _HEAD_REGULARITY_LOCK:
+        reg = _head_regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):
         bad = make_report("hl-forward", None, None, 0.0, hypotheses=hyp)

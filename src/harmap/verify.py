@@ -1,8 +1,10 @@
 """Executable inequality checks and the constrained random-map generator.
 
 Each verifier computes both sides of one inequality, validates its
-hypotheses, and returns a :class:`~harmap.report.VerificationReport` (or a
-list of them, one per coefficient index or sample family). Slack policy:
+hypotheses (the quasiconformal ones, sense preservation and a finite
+distortion constant K, come from one cached per-map preamble,
+``_distortion``), and returns a :class:`~harmap.report.VerificationReport`
+(or a list of them, one per coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
 sides, and a 3-sigma band for Monte Carlo verdicts.
 
@@ -17,7 +19,9 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import Grid, QuadratureSpec
+from .grids import Grid, QuadratureSpec, disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -82,10 +86,8 @@ class DiskDomain:
         return self.radius - abs(complex(point) - self.center)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform points in the disk (area-uniform radius via sqrt)."""
-        r = self.radius * np.sqrt(rng.random(count))
-        t = 2.0 * np.pi * rng.random(count)
-        return self.center + r * np.exp(1j * t)
+        """Uniform points in the disk, drawn by :func:`~harmap.grids.disk_sample`."""
+        return self.center + disk_sample(rng, count, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +134,7 @@ class FuzzSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "degree": self.degree,
-            "seed": self.seed,
-            "coeff_decay": self.coeff_decay,
-            "enforce_coeff_dominance": self.enforce_coeff_dominance,
-            "target_K": self.target_K,
-            "rescale_area": self.rescale_area,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FuzzSpec":
@@ -233,6 +227,22 @@ def builtin_maps() -> dict[str, HarmonicMap]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
+    """The shared quasiconformal hypothesis: (K, hypotheses) on the grid.
+
+    K is the grid distortion constant, or inf when the Jacobian scan finds
+    f not sense-preserving. Cached per (map, grid), so the verifiers that
+    share this hypothesis scan each map once; the read-only hypotheses keep
+    one caller from editing another's.
+    """
+    sense_ok = is_sense_preserving(f, grid).ok
+    K = qc_constant(f, grid) if sense_ok else math.inf
+    return K, MappingProxyType(
+        {"sense-preserving": sense_ok, "finite distortion constant": math.isfinite(K)}
+    )
+
+
 def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationReport:
     """Log-convexity bound for the area function across concentric circles.
 
@@ -288,18 +298,15 @@ def verify_area_overlap(
     omega1 = omega1 or DiskDomain()
     omega2 = omega2 or DiskDomain()
     q = q or QuadratureSpec()
-    grid = grid or Grid()
     if not (omega1.contains(0j) and omega2.contains(0j)):
         raise ValueError("the origin must lie in both domains")
-    sense_ok = is_sense_preserving(f, grid).ok
-    if K is None:
-        K = qc_constant(f, grid) if sense_ok else math.inf
-    univalent = f.degree == 1 or assume_univalent
+    grid_K, qc_hyp = _distortion(f, grid or Grid())
+    K = grid_K if K is None else K
     hyp = {
         "f(0) = 0": f.a[0] == 0,
-        "sense-preserving": sense_ok,
+        "sense-preserving": qc_hyp["sense-preserving"],
         "finite distortion constant": math.isfinite(K),
-        "univalence certified or assumed": univalent,
+        "univalence certified or assumed": f.degree == 1 or assume_univalent,
     }
     name = "area-overlap"
     if not all(hyp.values()):
@@ -348,14 +355,8 @@ def verify_hardy_area(
     |a_n|^2 + |b_n|^2; A(f(D)) counting multiplicity is S_f(1). Equality for
     the identity map.
     """
-    grid = grid or Grid()
-    sense_ok = is_sense_preserving(f, grid).ok
-    K = qc_constant(f, grid) if sense_ok else math.inf
-    hyp = {
-        "f(0) = 0": f.a[0] == 0,
-        "sense-preserving": sense_ok,
-        "finite distortion constant": math.isfinite(K),
-    }
+    K, qc_hyp = _distortion(f, grid or Grid())
+    hyp = {"f(0) = 0": f.a[0] == 0, **qc_hyp}
     name = "hardy-area"
     if not all(hyp.values()):
         return make_report(name, None, None, 0.0, hypotheses=hyp)
@@ -374,13 +375,7 @@ def verify_coeff_bound(
 ) -> list[VerificationReport]:
     """Per-degree bound |a_n| + |b_n| <= K l_f(1) / (2 n pi), one row per n."""
     q = q or QuadratureSpec()
-    grid = grid or Grid()
-    sense_ok = is_sense_preserving(f, grid).ok
-    K = qc_constant(f, grid) if sense_ok else math.inf
-    hyp = {
-        "sense-preserving": sense_ok,
-        "finite distortion constant": math.isfinite(K),
-    }
+    K, hyp = _distortion(f, grid or Grid())
     if not all(hyp.values()):
         return [make_report("coeff-bound", None, None, 0.0, hypotheses=hyp, n=n)
                 for n in range(1, f.degree + 1)]
@@ -400,11 +395,10 @@ def verify_coeff_bound(
     return reports
 
 
-def _default_sample(q: QuadratureSpec, count: int, tag: int, r_cap: float = 0.95) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence((q.seed, tag)))
-    r = r_cap * np.sqrt(rng.random(count))
-    t = 2.0 * np.pi * rng.random(count)
-    return r * np.exp(1j * t)
+def _gradient_sample(q: QuadratureSpec, count: int = 64) -> np.ndarray:
+    """The seeded default sample points of :func:`verify_gradient_bound`."""
+    rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x47524144)))
+    return disk_sample(rng, count, 0.95)
 
 
 def verify_gradient_bound(
@@ -425,17 +419,12 @@ def verify_gradient_bound(
     """
     q = q or QuadratureSpec()
     grid = grid or Grid()
-    sense_ok = is_sense_preserving(f, grid).ok
-    K = qc_constant(f, grid) if sense_ok else math.inf
-    hyp = {
-        "sense-preserving": sense_ok,
-        "finite distortion constant": math.isfinite(K),
-    }
+    K, hyp = _distortion(f, grid)
     names = ("gradient-bound-length", "gradient-bound-area", "bloch-bound")
     if not all(hyp.values()):
         return [make_report(nm, None, None, 0.0, hypotheses=hyp) for nm in names]
     if sample is None:
-        sample = _default_sample(q, 64, 0x47524144)
+        sample = _gradient_sample(q)
     z = np.asarray(sample, dtype=complex)
     fz, fzbar = wirtinger(f, z)
     lam = (np.abs(fz) + np.abs(fzbar)) * (1.0 - np.abs(z))

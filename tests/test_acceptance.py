@@ -6,6 +6,7 @@ corpus is 1000 maps of degree 8 with coefficient dominance, rescaled to
 total area at most 1, generated from seed 42.
 """
 
+import hashlib
 import math
 import time
 
@@ -269,6 +270,9 @@ def test_13_gradient_modulus_equivalence():
     report_line(13, "gradient vs modulus-of-continuity equivalence", time.perf_counter() - t0)
 
 
+DEFAULT_CAMPAIGN_SHA256 = "f804fa72d5d9fa8fac834cb3e8388ab251a7ef4f3a1867b1b50c9aa576900b62"
+
+
 def test_14_full_suite_determinism(tmp_path):
     t0 = time.perf_counter()
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
@@ -277,5 +281,8 @@ def test_14_full_suite_determinism(tmp_path):
     first_run = time.perf_counter() - t_run
     assert main(["verify", "--out", str(out2), "--seed", "42"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # The seed-42 report digest, also pinned by perfbench/workloads.py: a
+    # deliberate change to the report bytes updates both.
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == DEFAULT_CAMPAIGN_SHA256
     assert first_run < 60.0
     report_line(14, f"default campaign determinism ({first_run:.1f}s/run)", time.perf_counter() - t0)

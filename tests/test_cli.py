@@ -1,11 +1,13 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
 from harmap.core import map_json_bytes
+from harmap.lipschitz import PowerMajorant
 from harmap.verify import builtin_maps
 
 
@@ -180,6 +182,32 @@ def test_verify_malformed_config(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"majorants": [{"family": "power"}]},
+        {"majorants": [0.5]},
+        {"seed": -1},
+        {"grid": {"n_r": "x"}},
+        {"three_circles_pairs": [[0.5, 0.2]]},
+        {"isoperimetric_radii": [1.5]},
+        {"output": "x"},
+    ],
+    ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
+         "reversed-radius-pair", "radius-outside-disk", "output-not-object"],
+)
+def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("campaign started"))
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
+
+
 def test_verify_runs_deterministically(tmp_path, capsys):
     cfg_obj = small_config(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -210,6 +238,31 @@ def test_default_config_runs_clean():
     reports, counts = run_config(cfg)
     assert counts["fail"] == 0
     assert counts["pass"] > 0
+
+
+def test_regularity_runs_once_per_majorant(monkeypatch):
+    # Two majorants through both regularity consumers, with more workers
+    # than cores: each (majorant, delta0, probes) probe runs exactly once.
+    # No other test uses these majorants, so the memos start empty.
+    import harmap.cli as cli
+    import harmap.lipschitz as lipschitz
+
+    calls = Counter()
+    original = lipschitz.regularity_check
+
+    def counting(omega, delta0, probes=24):
+        calls[(omega, delta0, probes)] += 1
+        return original(omega, delta0, probes)
+
+    monkeypatch.setattr(lipschitz, "regularity_check", counting)
+    monkeypatch.setattr(cli, "regularity_check", counting)
+    monkeypatch.setenv("HARMAP_THREADS", "4")
+    cfg = SuiteConfig(suites=("hl-17", "majorant-regularity"),
+                      majorants=(PowerMajorant(0.37), PowerMajorant(0.83)))
+    reports, counts = run_config(cfg)
+    assert counts["fail"] == 0
+    assert sum(rep.name.startswith("hl-forward") for rep in reports) == 12
+    assert len(calls) == 4 and max(calls.values()) == 1
 
 
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from harmap import (
     cond_a_constant,
     cond_b_constant,
     cond_c_constant,
-    majorant_eval,
     majorant_from_config,
     poisson_kernel,
     poisson_kernel_mean,
@@ -24,7 +23,7 @@ from harmap import (
     trig_max_identity,
     verify_hl_equivalence,
 )
-from harmap.lipschitz import default_pair_sample, majorant_config
+from harmap.lipschitz import default_pair_sample
 from harmap.report import PASS
 
 from conftest import (
@@ -46,11 +45,11 @@ W_ONE = PowerMajorant(1.0)
 
 
 def test_power_majorant_values():
-    assert majorant_eval(W_HALF, 4.0) == pytest.approx(2.0)
-    assert majorant_eval(W_HALF, 0.0) == 0.0
-    assert majorant_eval(W_ONE, 0.37) == pytest.approx(0.37)
+    assert W_HALF(4.0) == pytest.approx(2.0)
+    assert W_HALF(0.0) == 0.0
+    assert W_ONE(0.37) == pytest.approx(0.37)
     with pytest.raises(ValueError):
-        majorant_eval(W_HALF, -1.0)
+        W_HALF(-1.0)
     with pytest.raises(ValueError):
         PowerMajorant(1.5)
 
@@ -78,11 +77,12 @@ def test_sampled_majorant_rejects_bad_tables():
 
 def test_majorant_config_round_trip():
     assert majorant_from_config({"family": "power", "alpha": 0.5}) == W_HALF
-    cfg = majorant_config(W_HALF)
+    cfg = W_HALF.config()
     assert majorant_from_config(cfg) == W_HALF
     table = [[0.1, 0.3], [1.0, 0.9]]
     omega = majorant_from_config({"family": "sampled", "table": table})
-    assert majorant_config(omega)["table"] == table
+    assert omega.config()["table"] == table
+    assert (W_HALF.label(), omega.label()) == ("power(0.5)", "sampled(2)")
     with pytest.raises(ValueError):
         majorant_from_config({"family": "weird"})
 

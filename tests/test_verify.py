@@ -216,6 +216,30 @@ def test_verifiers_report_sense_reversal_as_hypothesis():
         assert not rep.hypotheses["sense-preserving"]
 
 
+def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
+    import harmap.verify as verify
+
+    calls = {"is_sense_preserving": 0, "qc_constant": 0}
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+    f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))  # used by no other test
+    reports = [
+        verify_area_overlap(f, q=QuadratureSpec(mc_samples=10_000)),
+        verify_hardy_area(f),
+        *verify_coeff_bound(f),
+        *verify_gradient_bound(f),
+    ]
+    assert calls == {"is_sense_preserving": 1, "qc_constant": 1}
+    assert all(rep.hypotheses["sense-preserving"] for rep in reports)
+    assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
+
+
 # -- coefficient and gradient bounds ----------------------------------------------
 
 
