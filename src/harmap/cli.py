@@ -190,6 +190,12 @@ SUITE_NAMES = tuple(SUITES)
 # ---------------------------------------------------------------------------
 
 
+def _json_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
 def _output_fields(out) -> dict:
     if not isinstance(out, dict) or set(out) - {"path", "format"}:
         raise ValueError('must be an object with optional "path" and "format"')
@@ -202,7 +208,7 @@ def _output_fields(out) -> dict:
 _CONFIG_PARSERS = {
     "suites": tuple,
     "maps": tuple,
-    "include_builtin": bool,
+    "include_builtin": _json_bool,
     "fuzz": lambda v: None if v is None else FuzzSpec.from_json_dict(v),
     "quadrature": lambda v: QuadratureSpec(**v),
     "grid": lambda v: Grid(**v),
@@ -425,6 +431,8 @@ def _cmd_verify(args) -> int:
         if args.format:
             cfg.output_format = args.format
         cfg.validate()
+        for path in cfg.map_files:  # a bad map file is a usage error, not a mid-run crash
+            load_map(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -243,6 +243,15 @@ def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     )
 
 
+@lru_cache(maxsize=256)
+def _boundary_length(f: HarmonicMap, angular_nodes: int):
+    """l_f(1), shared by the coefficient and gradient bounds. Cached per
+    (map, angular nodes), the only part of the task quadrature that
+    :func:`~harmap.functionals.length_sup` reads, so each map's boundary
+    length is computed once."""
+    return length_sup(f, QuadratureSpec(angular_nodes=angular_nodes))
+
+
 def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationReport:
     """Log-convexity bound for the area function across concentric circles.
 
@@ -379,7 +388,7 @@ def verify_coeff_bound(
     if not all(hyp.values()):
         return [make_report("coeff-bound", None, None, 0.0, hypotheses=hyp, n=n)
                 for n in range(1, f.degree + 1)]
-    lf1 = length_sup(f, q)
+    lf1 = _boundary_length(f, q.angular_nodes)
     reports = []
     for n in range(1, f.degree + 1):
         lhs = abs(f.a[n]) + abs(f.b[n - 1])
@@ -430,7 +439,7 @@ def verify_gradient_bound(
     lam = (np.abs(fz) + np.abs(fzbar)) * (1.0 - np.abs(z))
     k = int(np.argmax(lam))
     worst = complex(z.ravel()[k])
-    lf1 = length_sup(f, q)
+    lf1 = _boundary_length(f, q.angular_nodes)
     s1 = area_sup(f).value
 
     lhs1 = float(lam.ravel()[k])

@@ -192,9 +192,12 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"three_circles_pairs": [[0.5, 0.2]]},
         {"isoperimetric_radii": [1.5]},
         {"output": "x"},
+        {"maps": ["nope.json"]},
+        {"include_builtin": "false"},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
-         "reversed-radius-pair", "radius-outside-disk", "output-not-object"],
+         "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
+         "include-builtin-not-boolean"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli

@@ -164,6 +164,57 @@ def test_hardy_norm_sup_mode():
     assert fv.value == pytest.approx(1.5, abs=1e-3)
 
 
+def test_circle_max_closed_form_oracle():
+    # f = a z^n + conj(b) conj(z)^m peaks at |a| r^n + |b| r^m where
+    # arg a + n t = -(arg b + m t); the phases put that angle 0.37 of a
+    # coarse grid spacing (2 pi / 1024) past a grid angle.
+    n, m = 3, 2
+    t_star = (5 + 0.37) * 2 * math.pi / 1024
+    alpha = 0.4
+    beta = -alpha - (n + m) * t_star
+    a = 0.6 * complex(math.cos(alpha), math.sin(alpha))
+    b = 0.25 * complex(math.cos(beta), math.sin(beta))
+    f = HarmonicMap(a=(0,) * n + (a,), b=(0,) * (m - 1) + (b,) + (0,) * (n - m))
+    for r in (0.3, 0.7, 0.95):
+        fv = hardy_mean(f, math.inf, r)
+        assert fv.value == pytest.approx(0.6 * r**n + 0.25 * r**m, abs=1e-12)
+    fv = hardy_norm(f, math.inf)
+    assert abs(fv.value - 0.85) <= fv.error_estimate + 1e-12
+
+
+def test_circle_max_matches_golden_polish(small_corpus):
+    import cmath
+
+    from harmap.functionals import golden_max
+
+    n_ang = 4 * QuadratureSpec().angular_nodes
+    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
+    dt = theta[1] - theta[0]
+    for f in small_corpus[:4]:
+        for r in (0.3, 0.8, 0.99):
+            vals = np.abs(f(r * np.exp(1j * theta)))
+            j = int(np.argmax(vals))
+            ref, _ = golden_max(lambda t: abs(f(r * cmath.exp(1j * t))), theta[j] - dt, theta[j] + dt)
+            ref = max(ref, float(vals[j]))
+            assert hardy_mean(f, math.inf, r).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
+    import harmap.functionals as functionals
+
+    ndims = []
+    call = HarmonicMap.__call__
+
+    def counting(self, z):
+        ndims.append(np.ndim(z))
+        return call(self, z)
+
+    monkeypatch.setattr(HarmonicMap, "__call__", counting)
+    monkeypatch.setattr(functionals, "golden_max", lambda *a, **k: pytest.fail("golden_max"))
+    hardy_norm(small_corpus[0], math.inf)
+    assert 0 < len(ndims) <= 12 and 0 not in ndims
+
+
 # -- Bloch seminorm and hyperbolic metric ---------------------------------------
 
 

@@ -240,6 +240,20 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
 
 
+def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
+    import harmap.verify as verify
+
+    calls = []
+    original = verify.length_sup
+    monkeypatch.setattr(verify, "length_sup", lambda f, q: calls.append(q) or original(f, q))
+    verify._boundary_length.cache_clear()
+    f = HarmonicMap(a=(0, 1.0, 0.07), b=(0.05, 0.03))
+    coeff = verify_coeff_bound(f, QuadratureSpec(seed=1))
+    verify_gradient_bound(f, q=QuadratureSpec(seed=2))
+    assert len(calls) == 1
+    assert coeff[0].details["length_sup"] == original(f, QuadratureSpec()).value
+
+
 # -- coefficient and gradient bounds ----------------------------------------------
 
 
