@@ -13,6 +13,7 @@ results do not depend on evaluation order.
 
 from .core import (
     HarmonicMap,
+    MapStack,
     PointwiseData,
     SensePreservation,
     coeff_from_contour,
@@ -33,6 +34,7 @@ from .functionals import (
     area_sup,
     bloch_norm,
     bloch_seminorm,
+    bloch_seminorms,
     golden_max,
     grid_sup,
     hardy_mean,
@@ -51,6 +53,7 @@ from .lipschitz import (
     check_scaling_lemma,
     chord_interpolation_bound,
     cond_a_constant,
+    cond_a_constants,
     cond_b_constant,
     cond_c_constant,
     majorant_from_config,
@@ -60,6 +63,7 @@ from .lipschitz import (
     regularity_check,
     trig_max_identity,
     verify_hl_equivalence,
+    verify_hl_equivalences,
 )
 from .report import (
     FAIL,
@@ -79,6 +83,7 @@ from .verify import (
     verify_area_overlap,
     verify_coeff_bound,
     verify_gradient_bound,
+    verify_gradient_bounds,
     verify_hardy_area,
     verify_isoperimetric,
     verify_three_circles,

@@ -26,12 +26,12 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .grids import Grid
 
 __all__ = [
     "HarmonicMap",
+    "MapStack",
     "PointwiseData",
     "SensePreservation",
     "wirtinger",
@@ -52,7 +52,7 @@ LAMBDA_FLOOR = 1e-14
 
 
 def _require_finite(z: np.ndarray) -> None:
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("non-finite input")
 
 
@@ -127,9 +127,7 @@ class HarmonicMap:
         """
         zz = np.asarray(z, dtype=complex)
         _require_finite(zz)
-        out = npoly.polyval(zz, self._a_arr) + np.conjugate(
-            npoly.polyval(zz, self._b_full)
-        )
+        out = _horner(self._a_arr, zz) + np.conjugate(_horner(self._b_full, zz))
         if zz.ndim == 0:
             return complex(out)
         return out
@@ -194,12 +192,56 @@ class PointwiseData:
     dilatation_modulus: float | None  # |f_zbar| / |f_z|; None when f_z = 0
 
 
-def wirtinger(f: HarmonicMap, z):
-    """Vectorized derivative fields (f_z, f_zbar) = (h'(z), conj(g'(z)))."""
+class MapStack:
+    """P maps evaluated side by side: their h' and g' coefficients stacked as
+    the columns of read-only (L, P) matrices, each zero-padded to the largest
+    degree L. Indexing with a slice gives the stack of those maps."""
+
+    def __init__(self, maps):
+        maps = tuple(maps)
+        width = max((f.degree for f in maps), default=1)
+        self._da = np.zeros((width, len(maps)), dtype=complex)
+        self._db = np.zeros_like(self._da)
+        for p, f in enumerate(maps):
+            self._da[: f.degree, p] = f._da
+            self._db[: f.degree, p] = f._db
+        self._da.flags.writeable = False
+        self._db.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self._da.shape[1]
+
+    def __getitem__(self, rows: slice) -> "MapStack":
+        if rows == slice(None):
+            return self
+        sub = object.__new__(MapStack)
+        sub._da, sub._db = self._da[:, rows], self._db[:, rows]
+        return sub
+
+
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c[k] z^k by numpy polyval's recurrence (out = c_k + out*z), so
+    a result matches polyval bit for bit, zero padding included. ``c`` holds
+    the coefficients of one polynomial (L,), or of P polynomials (L, P) with
+    z's leading axis running over them. The steps stay out of place: numpy's
+    in-place complex multiply rounds differently in the last bit."""
+    c = c.reshape(c.shape + (1,) * (z.ndim - c.ndim + 1))
+    out = c[-1] + z * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * z
+    return out
+
+
+def wirtinger(f: HarmonicMap | MapStack, z):
+    """Vectorized derivative fields (f_z, f_zbar) = (h'(z), conj(g'(z))).
+
+    For a :class:`MapStack` of P maps, z has shape (P, ...) and row p is
+    evaluated under map p.
+    """
     zz = np.asarray(z, dtype=complex)
     _require_finite(zz)
-    fz = npoly.polyval(zz, f._da)
-    fzbar = np.conjugate(npoly.polyval(zz, f._db))
+    fz = _horner(f._da, zz)
+    fzbar = np.conjugate(_horner(f._db, zz))
     if zz.ndim == 0:
         return complex(fz), complex(fzbar)
     return fz, fzbar

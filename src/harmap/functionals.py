@@ -14,10 +14,12 @@ Conventions
 * Suprema start from a coarse grid max and refine it; the value never
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish by
   golden-section search in radius and angle, and the gap closed by the last
-  stage is the error estimate. Circle maxima of |f| (the p = inf Hardy
-  mean and norm) refine every circle at once by a batched angular zoom,
-  :func:`_circle_max`, and the gain over the coarse max is the error
-  estimate.
+  stage is the error estimate. A batch of problems (one per map, say) is
+  polished in lockstep, one array call per golden-section step, with each
+  problem's result equal to its run on its own. Circle maxima of |f| (the
+  p = inf Hardy mean and norm) refine every circle at once by a batched
+  angular zoom, :func:`_circle_max`, and the gain over the coarse max is
+  the error estimate.
 * Boundary suprema over 0 < r < 1 use the dyadic ladder 1 - 2^-k, k <= 20,
   plus a Richardson extrapolant from the two finest rungs, all in one
   helper, :func:`_ladder_sup`; the bare ladder is ~1e-6 short for
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HarmonicMap, _abs2, wirtinger
+from .core import HarmonicMap, MapStack, _abs2, wirtinger
 from .grids import Grid, QuadratureSpec, gauss_legendre_01, r_ladder
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
     "hardy_mean",
     "hardy_norm",
     "bloch_seminorm",
+    "bloch_seminorms",
     "bloch_norm",
     "hyperbolic_distance",
     "lipschitz_ratio",
@@ -297,34 +300,67 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_max(fn, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [a, b].
-
-    Returns (value, argmax). Intended for local polishing after a coarse
-    grid scan, where the bracket contains a single interior extremum.
-    """
+def _golden_search(a: float, b: float, tol: float):
+    """Golden-section maximization on [a, b] as a coroutine: it yields each
+    probe abscissa, is sent the value there, and returns (value, argmax)."""
     if b < a:
         a, b = b, a
     h = b - a
     if h <= tol:
         x = 0.5 * (a + b)
-        return fn(x), x
+        return (yield x), x
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc = fn(c)
-    yd = fn(d)
+    yc = yield c
+    yd = yield d
     for _ in range(n - 1):
         h *= _INV_PHI
         if yc > yd:
-            b, d, yd = d, c, yc
+            d, yd = c, yc
             c = a + _INV_PHI2 * h
-            yc = fn(c)
+            yc = yield c
         else:
             a, c, yc = c, d, yd
             d = a + _INV_PHI * h
-            yd = fn(d)
+            yd = yield d
     return (yc, c) if yc > yd else (yd, d)
+
+
+def _golden_lockstep(evaluate, brackets, tol: float = 1e-10) -> list[tuple]:
+    """Golden-section maximization of P scalar functions side by side.
+
+    ``brackets`` holds each problem's (a, b); ``evaluate(xs)`` takes one
+    abscissa per problem and returns the P values from one call. Each
+    problem runs its own :func:`_golden_search`; one that has finished
+    rides along, its last probe evaluated again and ignored, until the
+    slowest is done. Returns (value, argmax) per problem.
+    """
+    searches = [_golden_search(a, b, tol) for a, b in brackets]
+    xs = [next(search) for search in searches]
+    results = [None] * len(searches)
+    live = range(len(searches))
+    while live:
+        ys = evaluate(xs)
+        running = []
+        for p in live:
+            try:
+                xs[p] = searches[p].send(ys[p])
+                running.append(p)
+            except StopIteration as done:
+                results[p] = done.value
+        live = running
+    return results
+
+
+def golden_max(fn, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section maximization of a scalar function on [a, b].
+
+    Returns (value, argmax). Intended for local polishing after a coarse
+    grid scan, where the bracket contains a single interior extremum. The
+    one-problem case of the lockstep search :func:`grid_sup` polishes with.
+    """
+    return _golden_lockstep(lambda xs: [fn(xs[0])], [(a, b)], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -334,58 +370,71 @@ class SupResult:
     error_estimate: float
 
 
-def grid_sup(fn, grid: Grid | None = None, include_origin: bool = True) -> SupResult:
+def grid_sup(fn, grid: Grid | None = None, include_origin: bool = True, count: int | None = None):
     """Estimate sup of fn over the disk covered by the grid.
 
     fn must accept a complex ndarray and return a real array of the same
     shape. Protocol: coarse tensor-grid max; golden-section refinement in
     radius at the best angle; then in angle; then in radius again. The value
     gained by the final stage is reported as the error estimate.
+
+    With ``count = P`` this runs P problems at once and returns a list of P
+    SupResults: ``fn(z, rows)`` evaluates the problems ``rows`` (a slice),
+    z's leading axis running over them. Each problem's coarse scan is its
+    own call on the grid; the polish runs every problem in lockstep, one
+    call of P points per golden-section step. Each result equals the
+    one-problem run of that problem.
     """
+    if count is None:
+        return grid_sup(lambda z, rows: np.asarray(fn(z[0]))[None], grid, include_origin, 1)[0]
+    if count == 0:
+        return []
     grid = grid or Grid()
-    nodes = grid.nodes
-    vals = np.asarray(fn(nodes), dtype=float)
-    k = int(np.argmax(vals))
-    i, j = divmod(k, grid.n_theta)
-    radii = grid.radii
-    best_v = float(vals[i, j])
-    best_r = float(radii[i])
-    best_t = float(grid.angles[j])
+    radii, angles = grid.radii, grid.angles
+    best_v, best_r, best_t, lo, hi = [], [], [], [], []
     if include_origin:
-        v0 = float(np.asarray(fn(np.zeros(1, dtype=complex)))[0])
-        if v0 > best_v:
-            best_v, best_r, best_t, i = v0, 0.0, 0.0, -1
+        origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)
+    for p in range(count):
+        vals = np.asarray(fn(grid.nodes[None], slice(p, p + 1)), dtype=float)[0]
+        i, j = divmod(int(np.argmax(vals)), grid.n_theta)
+        v, r, t = float(vals[i, j]), float(radii[i]), float(angles[j])
+        if include_origin and float(origin[p, 0]) > v:
+            v, r, t, i = float(origin[p, 0]), 0.0, 0.0, -1
+        best_v.append(v)
+        best_r.append(r)
+        best_t.append(t)
+        if i < 0:
+            lo.append(0.0)
+            hi.append(float(radii[0]))
+        else:
+            lo.append(0.0 if i == 0 else float(radii[i - 1]))
+            hi.append(grid.r_max if i >= grid.n_r - 1 else float(radii[i + 1]))
 
-    def at(r: float, t: float) -> float:
-        return float(np.asarray(fn(np.asarray([r * cmath.exp(1j * t)])))[0])
+    def at(rs, ts) -> list[float]:
+        z = np.asarray([r * cmath.exp(1j * t) for r, t in zip(rs, ts)])
+        return fn(z[:, None], slice(None)).ravel().tolist()
 
-    if i < 0:
-        lo, hi = 0.0, float(radii[0])
-    else:
-        lo = 0.0 if i == 0 else float(radii[i - 1])
-        hi = grid.r_max if i >= grid.n_r - 1 else float(radii[i + 1])
+    def polish(values, args, evaluate, brackets) -> list[float]:
+        """One golden-section stage over every problem; returns the best
+        value of each after it."""
+        for p, (v, x) in enumerate(_golden_lockstep(evaluate, brackets)):
+            if v > values[p]:
+                values[p], args[p] = v, x
+        return list(values)
 
-    v1, r1 = golden_max(lambda r: at(r, best_t), lo, hi)
-    if v1 > best_v:
-        best_v, best_r = v1, r1
-    stage1 = best_v
-
-    dt = float(grid.angles[1] - grid.angles[0]) if grid.n_theta > 1 else math.pi
-    v2, t2 = golden_max(lambda t: at(best_r, t), best_t - dt, best_t + dt)
-    if v2 > best_v:
-        best_v, best_t = v2, t2
-    stage2 = best_v
-
-    v3, r3 = golden_max(lambda r: at(r, best_t), lo, hi)
-    if v3 > best_v:
-        best_v, best_r = v3, r3
-
-    err = max(best_v - stage2, stage2 - stage1, _error_floor(best_v))
-    return SupResult(
-        value=best_v,
-        argmax=complex(best_r * cmath.exp(1j * best_t)),
-        error_estimate=err,
-    )
+    stage1 = polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
+    dt = float(angles[1] - angles[0]) if grid.n_theta > 1 else math.pi
+    stage2 = polish(best_v, best_t, lambda xs: at(best_r, xs),
+                    [(t - dt, t + dt) for t in best_t])
+    polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
+    return [
+        SupResult(
+            value=v,
+            argmax=complex(r * cmath.exp(1j * t)),
+            error_estimate=max(v - s2, s2 - s1, _error_floor(v)),
+        )
+        for v, r, t, s1, s2 in zip(best_v, best_r, best_t, stage1, stage2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +442,23 @@ def grid_sup(fn, grid: Grid | None = None, include_origin: bool = True) -> SupRe
 # ---------------------------------------------------------------------------
 
 
-def bloch_seminorm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:
-    """sup over the disk of (1 - |z|^2) Lambda_f(z)."""
+def bloch_seminorms(maps, grid: Grid | None = None) -> list[FunctionalValue]:
+    """sup over the disk of (1 - |z|^2) Lambda_f(z) for each map, all
+    polished in lockstep by one batched :func:`grid_sup`."""
+    stack = MapStack(maps)
 
-    def ratio(z: np.ndarray) -> np.ndarray:
-        fz, fzbar = wirtinger(f, z)
+    def ratio(z: np.ndarray, rows: slice) -> np.ndarray:
+        fz, fzbar = wirtinger(stack[rows], z)
         return (1.0 - _abs2(z)) * (np.abs(fz) + np.abs(fzbar))
 
-    res = grid_sup(ratio, grid or Grid())
-    return FunctionalValue(res.value, GRID_SUP, res.error_estimate)
+    sups = grid_sup(ratio, grid or Grid(), count=len(stack))
+    return [FunctionalValue(res.value, GRID_SUP, res.error_estimate) for res in sups]
+
+
+def bloch_seminorm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:
+    """sup over the disk of (1 - |z|^2) Lambda_f(z): the one-map case of
+    :func:`bloch_seminorms`."""
+    return bloch_seminorms([f], grid)[0]
 
 
 def bloch_norm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:

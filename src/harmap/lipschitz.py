@@ -36,8 +36,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .core import HarmonicMap, _abs2, wirtinger
-from .functionals import golden_max, grid_sup
+from .core import HarmonicMap, MapStack, _abs2, wirtinger
+from .functionals import grid_sup
 from .grids import Grid, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
@@ -51,6 +51,7 @@ __all__ = [
     "RegularityReport",
     "regularity_check",
     "cond_a_constant",
+    "cond_a_constants",
     "cond_b_constant",
     "cond_c_constant",
     "default_pair_sample",
@@ -60,6 +61,7 @@ __all__ = [
     "trig_max_identity",
     "chord_interpolation_bound",
     "verify_hl_equivalence",
+    "verify_hl_equivalences",
 ]
 
 # Pairs closer than this, or points closer to the boundary than this, are
@@ -334,21 +336,35 @@ def _head_regularity(omega: Majorant) -> RegularityReport:
 # ---------------------------------------------------------------------------
 
 
-def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
-    """Smallest empirical C with Lambda_f(z) <= C omega(1/d(z)) on the disk."""
+def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
+    """:func:`cond_a_constant` for each map, all polished in lockstep by one
+    batched :func:`~harmap.functionals.grid_sup`."""
+    stack = MapStack(maps)
 
-    def ratio(z: np.ndarray) -> np.ndarray:
-        fz, fzbar = wirtinger(f, z)
+    def ratio(z: np.ndarray, rows: slice) -> np.ndarray:
+        fz, fzbar = wirtinger(stack[rows], z)
         lam = np.abs(fz) + np.abs(fzbar)
         return lam / omega(1.0 / (1.0 - np.abs(z)))
 
-    return grid_sup(ratio, grid or Grid()).value
+    return [res.value for res in grid_sup(ratio, grid or Grid(), count=len(stack))]
 
 
+def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
+    """Smallest empirical C with Lambda_f(z) <= C omega(1/d(z)) on the disk."""
+    return cond_a_constants([f], omega, grid)[0]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
 def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (z, w) pairs mixing random, local, antipodal and
     direction-sweep configurations (the sweeps at shrinking separations pin
-    down local-stretch suprema)."""
+    down local-stretch suprema). Cached; the arrays are read-only."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50414952)))
     half = count // 2
     quarter = count // 4
@@ -367,7 +383,7 @@ def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) 
     z = np.concatenate(z_parts)
     w = np.concatenate(w_parts)
     keep = np.abs(w) < 1.0
-    return z[keep], w[keep]
+    return _read_only(z[keep], w[keep])
 
 
 def _pair_mask(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -524,9 +540,11 @@ def chord_interpolation_bound(z, w, t):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarray]:
     """Pairs kept inside |z| <= r_cap so segment points stay within the sup
-    grid's reach (segments between two points of a disk stay in it)."""
+    grid's reach (segments between two points of a disk stay in it).
+    Cached; the arrays are read-only."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x484C5052)))
     half = count // 2
     z = np.concatenate([disk_sample(rng, half, r_cap), disk_sample(rng, count - half, r_cap)])
@@ -539,7 +557,104 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
         z = np.concatenate([z, eps * ang])
         w = np.concatenate([w, -eps * ang])
     keep = (np.abs(w) <= r_cap) & (np.abs(z - w) >= PAIR_MIN_SEPARATION)
-    return z[keep], w[keep]
+    return _read_only(z[keep], w[keep])
+
+
+def verify_hl_equivalences(
+    maps,
+    omega: Majorant,
+    grid: Grid | None = None,
+    pair_count: int = 512,
+    seed: int = 11,
+    segment_nodes: int = 64,
+) -> list[tuple[VerificationReport, VerificationReport]]:
+    """:func:`verify_hl_equivalence` for each map. The C4 suprema come from
+    one batched :func:`~harmap.functionals.grid_sup`; the pairs, segments
+    and the majorant's side of the segment bound are built once."""
+    grid = grid or Grid()
+    with _HEAD_REGULARITY_LOCK:
+        reg = _head_regularity(omega)
+    hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
+    if not all(hyp.values()):
+        return [
+            (make_report("hl-forward", None, None, 0.0, hypotheses=hyp),
+             make_report("hl-reverse", None, None, 0.0, hypotheses=hyp))
+            for _ in maps
+        ]
+
+    def grad_ratio(fields, z: np.ndarray) -> np.ndarray:
+        fz, fzbar = fields
+        lam = np.abs(fz) + np.abs(fzbar)
+        d = 1.0 - np.abs(z)
+        return lam * d / omega(d)
+
+    stack = MapStack(maps)
+    c4s = grid_sup(lambda z, rows: grad_ratio(wirtinger(stack[rows], z), z), grid,
+                   count=len(stack))
+
+    r_cap = grid.r_max * (1.0 - 1e-3)
+    z, w = _hl_pairs(pair_count, seed, r_cap)
+    sep = np.abs(z - w)
+    x, wts = gauss_legendre_01(segment_nodes)
+    seg = w[:, None] + x[None, :] * (z - w)[:, None]
+    d_seg = 1.0 - np.abs(seg)
+    int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
+    omega_sep = omega(sep)
+    c_seg = float(np.max(int_omega / omega_sep))
+
+    nodes = grid.nodes.ravel()
+    d = 1.0 - np.abs(nodes)
+    sel = d >= 1e-3
+    inner = nodes[sel]
+
+    out = []
+    for f, sup in zip(maps, c4s):
+        c4 = sup.value
+        df = np.abs(f(z) - f(w))
+        fz, fzbar = wirtinger(f, seg)
+        lam_seg = np.abs(fz) + np.abs(fzbar)
+        int_lambda = sep * (lam_seg @ wts)
+        c5 = float(np.max(df / omega_sep))
+
+        # Chain checks: the gradient theorem bound and the pointwise C4 bound
+        # along each segment (quadrature tolerance 1e-6 relative).
+        chain_tol = 1e-6
+        ok_grad = df <= int_lambda * (1.0 + chain_tol) + 1e-12
+        ok_c4 = int_lambda <= c4 * int_omega * (1.0 + chain_tol) + 1e-12
+        chain_ok = bool(np.all(ok_grad) and np.all(ok_c4))
+        bad_idx = int(np.argmin((ok_grad & ok_c4))) if not chain_ok else None
+
+        fwd = make_report(
+            "hl-forward",
+            lhs=c5,
+            rhs=c4 * c_seg,
+            slack=1e-6 * max(1.0, c4 * c_seg),
+            hypotheses=hyp,
+            witnesses=[] if chain_ok else [(complex(z[bad_idx]), float(df[bad_idx]))],
+            force_fail=not chain_ok,
+            details={
+                "C4": c4,
+                "C5": c5,
+                "segment_constant": c_seg,
+                "inflation": (c5 / c4) if c4 > 0.0 else 0.0,
+            },
+        )
+
+        ratios = grad_ratio(wirtinger(f, inner), inner)
+        k = int(np.argmax(ratios))
+        lhs_rev = float(ratios[k])
+        rhs_rev = 21.0 * c5 / math.pi
+        rev = make_report(
+            "hl-reverse",
+            lhs=lhs_rev,
+            rhs=rhs_rev,
+            slack=1e-6,
+            hypotheses=hyp,
+            witnesses=[(complex(inner[k]), lhs_rev)],
+            details={"C5": c5},
+        )
+        out.append((fwd, rev))
+    return out
 
 
 def verify_hl_equivalence(
@@ -565,79 +680,7 @@ def verify_hl_equivalence(
     bound on half-radius disks.
 
     Hypothesis for both directions: the majorant satisfies the head
-    regularity condition (finite c_eq2).
+    regularity condition (finite c_eq2). The one-map case of
+    :func:`verify_hl_equivalences`.
     """
-    grid = grid or Grid()
-    with _HEAD_REGULARITY_LOCK:
-        reg = _head_regularity(omega)
-    hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
-    if not all(hyp.values()):
-        bad = make_report("hl-forward", None, None, 0.0, hypotheses=hyp)
-        bad2 = make_report("hl-reverse", None, None, 0.0, hypotheses=hyp)
-        return bad, bad2
-
-    def grad_ratio(z: np.ndarray) -> np.ndarray:
-        fz, fzbar = wirtinger(f, z)
-        lam = np.abs(fz) + np.abs(fzbar)
-        d = 1.0 - np.abs(z)
-        return lam * d / omega(d)
-
-    c4 = grid_sup(grad_ratio, grid).value
-
-    r_cap = grid.r_max * (1.0 - 1e-3)
-    z, w = _hl_pairs(pair_count, seed, r_cap)
-    sep = np.abs(z - w)
-    df = np.abs(f(z) - f(w))
-    x, wts = gauss_legendre_01(segment_nodes)
-    seg = w[:, None] + x[None, :] * (z - w)[:, None]
-    fz, fzbar = wirtinger(f, seg)
-    lam_seg = np.abs(fz) + np.abs(fzbar)
-    d_seg = 1.0 - np.abs(seg)
-    int_lambda = sep * (lam_seg @ wts)
-    int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
-
-    omega_sep = omega(sep)
-    c5 = float(np.max(df / omega_sep))
-    c_seg = float(np.max(int_omega / omega_sep))
-
-    # Chain checks: the gradient theorem bound and the pointwise C4 bound
-    # along each segment (quadrature tolerance 1e-6 relative).
-    chain_tol = 1e-6
-    ok_grad = df <= int_lambda * (1.0 + chain_tol) + 1e-12
-    ok_c4 = int_lambda <= c4 * int_omega * (1.0 + chain_tol) + 1e-12
-    chain_ok = bool(np.all(ok_grad) and np.all(ok_c4))
-    bad_idx = int(np.argmin((ok_grad & ok_c4))) if not chain_ok else None
-
-    fwd = make_report(
-        "hl-forward",
-        lhs=c5,
-        rhs=c4 * c_seg,
-        slack=1e-6 * max(1.0, c4 * c_seg),
-        hypotheses=hyp,
-        witnesses=[] if chain_ok else [(complex(z[bad_idx]), float(df[bad_idx]))],
-        force_fail=not chain_ok,
-        details={
-            "C4": c4,
-            "C5": c5,
-            "segment_constant": c_seg,
-            "inflation": (c5 / c4) if c4 > 0.0 else 0.0,
-        },
-    )
-
-    nodes = grid.nodes.ravel()
-    d = 1.0 - np.abs(nodes)
-    sel = d >= 1e-3
-    ratios = grad_ratio(nodes[sel])
-    k = int(np.argmax(ratios))
-    lhs_rev = float(ratios[k])
-    rhs_rev = 21.0 * c5 / math.pi
-    rev = make_report(
-        "hl-reverse",
-        lhs=lhs_rev,
-        rhs=rhs_rev,
-        slack=1e-6,
-        hypotheses=hyp,
-        witnesses=[(complex(nodes[sel][k]), lhs_rev)],
-        details={"C5": c5},
-    )
-    return fwd, rev
+    return verify_hl_equivalences([f], omega, grid, pair_count, seed, segment_nodes)[0]

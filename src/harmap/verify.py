@@ -35,7 +35,7 @@ from .core import (
 from .functionals import (
     area_series,
     area_sup,
-    bloch_seminorm,
+    bloch_seminorms,
     length_function,
     length_sup,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "verify_hardy_area",
     "verify_coeff_bound",
     "verify_gradient_bound",
+    "verify_gradient_bounds",
     "verify_isoperimetric",
 ]
 
@@ -135,14 +136,6 @@ class FuzzSpec:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FuzzSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ValueError(f"unknown fuzz fields: {sorted(bad)}")
-        return cls(**obj)
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -250,6 +243,13 @@ def _boundary_length(f: HarmonicMap, angular_nodes: int):
     :func:`~harmap.functionals.length_sup` reads, so each map's boundary
     length is computed once."""
     return length_sup(f, QuadratureSpec(angular_nodes=angular_nodes))
+
+
+def _reset_map_memos() -> None:
+    """Empty the per-map memos (:func:`_distortion`, :func:`_boundary_length`),
+    so that each campaign does its own maps' scans."""
+    _distortion.cache_clear()
+    _boundary_length.cache_clear()
 
 
 def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationReport:
@@ -410,6 +410,59 @@ def _gradient_sample(q: QuadratureSpec, count: int = 64) -> np.ndarray:
     return disk_sample(rng, count, 0.95)
 
 
+def verify_gradient_bounds(
+    maps, samples, qs, grid: Grid | None = None
+) -> list[list[VerificationReport]]:
+    """:func:`verify_gradient_bound` for each map, with its own entry of
+    ``samples`` and ``qs`` (None takes the default). The Bloch seminorms of
+    the maps that meet the hypotheses come from one batched sup,
+    :func:`~harmap.functionals.bloch_seminorms`."""
+    grid = grid or Grid()
+    qs = [q or QuadratureSpec() for q in qs]
+    distortion = [_distortion(f, grid) for f in maps]
+    held = [p for p, (K, hyp) in enumerate(distortion) if all(hyp.values())]
+    betas = dict(zip(held, bloch_seminorms([maps[p] for p in held], grid)))
+    names = ("gradient-bound-length", "gradient-bound-area", "bloch-bound")
+    out = []
+    for p, (f, sample, q) in enumerate(zip(maps, samples, qs)):
+        K, hyp = distortion[p]
+        if p not in betas:
+            out.append([make_report(nm, None, None, 0.0, hypotheses=hyp) for nm in names])
+            continue
+        if sample is None:
+            sample = _gradient_sample(q)
+        z = np.asarray(sample, dtype=complex)
+        fz, fzbar = wirtinger(f, z)
+        lam = (np.abs(fz) + np.abs(fzbar)) * (1.0 - np.abs(z))
+        k = int(np.argmax(lam))
+        worst = complex(z.ravel()[k])
+        lf1 = _boundary_length(f, q.angular_nodes)
+        s1 = area_sup(f).value
+
+        lhs1 = float(lam.ravel()[k])
+        rhs1 = lf1.value * math.sqrt(K) / (2.0 * math.pi)
+        rep1 = make_report(
+            names[0], lhs1, rhs1, QUADRATURE_SLACK_REL * abs(rhs1), hypotheses=hyp,
+            witnesses=[(worst, lhs1)],
+            error_estimate=lf1.error_estimate * math.sqrt(K) / (2.0 * math.pi),
+            details={"K": K},
+        )
+        lhs2 = lhs1 * lhs1
+        rhs2 = s1 * K
+        rep2 = make_report(
+            names[1], lhs2, rhs2, QUADRATURE_SLACK_REL * abs(rhs2), hypotheses=hyp,
+            witnesses=[(worst, lhs2)], details={"K": K},
+        )
+        beta = betas[p]
+        rhs3 = 2.0 * rhs1
+        rep3 = make_report(
+            names[2], beta.value, rhs3, QUADRATURE_SLACK_REL * abs(rhs3), hypotheses=hyp,
+            error_estimate=beta.error_estimate, details={"K": K},
+        )
+        out.append([rep1, rep2, rep3])
+    return out
+
+
 def verify_gradient_bound(
     f: HarmonicMap,
     sample=None,
@@ -424,45 +477,10 @@ def verify_gradient_bound(
     * ``gradient-bound-area``:  (Lambda(z) (1 - |z|))^2 <= S_f(1) K
     * ``bloch-bound``:          Bloch seminorm <= l_f(1) sqrt(K) / pi
 
-    Equality in the first two at z = 0 for the identity map.
+    Equality in the first two at z = 0 for the identity map. The one-map
+    case of :func:`verify_gradient_bounds`.
     """
-    q = q or QuadratureSpec()
-    grid = grid or Grid()
-    K, hyp = _distortion(f, grid)
-    names = ("gradient-bound-length", "gradient-bound-area", "bloch-bound")
-    if not all(hyp.values()):
-        return [make_report(nm, None, None, 0.0, hypotheses=hyp) for nm in names]
-    if sample is None:
-        sample = _gradient_sample(q)
-    z = np.asarray(sample, dtype=complex)
-    fz, fzbar = wirtinger(f, z)
-    lam = (np.abs(fz) + np.abs(fzbar)) * (1.0 - np.abs(z))
-    k = int(np.argmax(lam))
-    worst = complex(z.ravel()[k])
-    lf1 = _boundary_length(f, q.angular_nodes)
-    s1 = area_sup(f).value
-
-    lhs1 = float(lam.ravel()[k])
-    rhs1 = lf1.value * math.sqrt(K) / (2.0 * math.pi)
-    rep1 = make_report(
-        names[0], lhs1, rhs1, QUADRATURE_SLACK_REL * abs(rhs1), hypotheses=hyp,
-        witnesses=[(worst, lhs1)],
-        error_estimate=lf1.error_estimate * math.sqrt(K) / (2.0 * math.pi),
-        details={"K": K},
-    )
-    lhs2 = lhs1 * lhs1
-    rhs2 = s1 * K
-    rep2 = make_report(
-        names[1], lhs2, rhs2, QUADRATURE_SLACK_REL * abs(rhs2), hypotheses=hyp,
-        witnesses=[(worst, lhs2)], details={"K": K},
-    )
-    beta = bloch_seminorm(f, grid)
-    rhs3 = 2.0 * rhs1
-    rep3 = make_report(
-        names[2], beta.value, rhs3, QUADRATURE_SLACK_REL * abs(rhs3), hypotheses=hyp,
-        error_estimate=beta.error_estimate, details={"K": K},
-    )
-    return [rep1, rep2, rep3]
+    return verify_gradient_bounds([f], [sample], [q], grid)[0]
 
 
 def verify_isoperimetric(

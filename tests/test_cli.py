@@ -3,12 +3,14 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
 from harmap.core import map_json_bytes
+from harmap.grids import Grid, QuadratureSpec
 from harmap.lipschitz import PowerMajorant
-from harmap.verify import builtin_maps
+from harmap.verify import FuzzSpec, builtin_maps
 
 
 @pytest.fixture()
@@ -194,10 +196,21 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"output": "x"},
         {"maps": ["nope.json"]},
         {"include_builtin": "false"},
+        {"seed": 4.9},
+        {"seed": True},
+        {"gradient_sample_count": "7"},
+        {"grid": {"n_r": 8.5}},
+        {"quadrature": {"mc_samples": 1e5}},
+        {"fuzz": {"count": 2.5}},
+        {"three_circles_pairs": [[0.1, 0.3, 99]]},
+        {"maps": "ab.json"},
+        {"suites": "hl-17"},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
-         "include-builtin-not-boolean"],
+         "include-builtin-not-boolean", "fractional-seed", "boolean-seed",
+         "string-sample-count", "fractional-grid", "float-mc-samples", "fractional-fuzz-count",
+         "three-element-pair", "maps-not-array", "suites-not-array"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -209,6 +222,7 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
+    assert err[0].startswith(f"error: bad configuration: {next(iter(bad))}")  # names the key
 
 
 def test_verify_runs_deterministically(tmp_path, capsys):
@@ -298,3 +312,84 @@ def test_verify_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("HARMAP_THREADS", "4")
     assert main(["verify", "--config", str(cfg)]) == 0
     assert (tmp_path / "rows.json").read_bytes() == serial
+
+
+def _count_scalar_wirtinger(monkeypatch):
+    """Count the one-point wirtinger evaluations at every module binding."""
+    import harmap.core as core
+    import harmap.functionals as functionals
+    import harmap.lipschitz as lipschitz
+    import harmap.verify as verify
+
+    scalar = []
+    original = core.wirtinger
+
+    def counting(f, z):
+        if np.size(z) == 1:
+            scalar.append(1)
+        return original(f, z)
+
+    for mod in (core, functionals, lipschitz, verify):
+        monkeypatch.setattr(mod, "wirtinger", counting)
+    return scalar
+
+
+def test_disk_sups_are_polished_for_all_maps_at_once(monkeypatch):
+    # Doubling the corpus must not add one-point evaluations: every
+    # golden-section step evaluates all maps in one call.
+    scalar = _count_scalar_wirtinger(monkeypatch)
+    counts = []
+    for count in (8, 16):
+        cfg = SuiteConfig(
+            suites=("gradient-bound", "lipschitz-16", "hl-17"),
+            include_builtin=False,
+            fuzz=FuzzSpec(count=count, degree=4, seed=3),
+            quadrature=QuadratureSpec(mc_samples=10_000, seed=3),
+            grid=Grid(n_r=16, n_theta=32),
+        )
+        scalar.clear()
+        reports, summary = run_config(cfg)
+        assert summary["fail"] == 0
+        counts.append(len(scalar))
+    assert counts[1] == counts[0]
+
+
+def test_campaign_runs_on_one_thread_by_default(monkeypatch):
+    import harmap.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was constructed")
+
+    monkeypatch.delenv("HARMAP_THREADS", raising=False)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    cfg = SuiteConfig(suites=("three-circles", "hardy-area", "majorant-regularity"), fuzz=None)
+    reports, summary = run_config(cfg)
+    assert summary["fail"] == 0 and reports
+
+
+def test_per_map_memos_live_for_one_campaign(monkeypatch):
+    # A second campaign in the same process does the same scans as the
+    # first: it does not reuse the first one's memos.
+    import harmap.verify as verify
+
+    calls = Counter()
+    for name in ("length_sup", "is_sense_preserving"):
+        original = getattr(verify, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+    cfg = SuiteConfig(
+        suites=("coeff-bound", "gradient-bound", "hardy-area"),
+        fuzz=FuzzSpec(count=2, degree=3, seed=8),
+        quadrature=QuadratureSpec(mc_samples=10_000, seed=8),
+    )
+    per_run = []
+    for _ in range(2):
+        calls.clear()
+        run_config(cfg)
+        per_run.append(dict(calls))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["length_sup"] > 0 and per_run[0]["is_sense_preserving"] > 0

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from harmap import (
     Grid,
     HarmonicMap,
+    MapStack,
     coeff_from_contour,
     derivatives,
     directional_derivative_max,
@@ -25,6 +26,7 @@ from conftest import (
     FOLD,
     IDENTITY,
     MIXED,
+    SQUARE,
     disk_points,
     harmonic_maps,
 )
@@ -221,3 +223,16 @@ def test_contour_round_trips_all_coefficients(f, r):
 def test_directional_max_equals_max_stretch(f, z):
     d = derivatives(f, z)
     assert directional_derivative_max(f, z) == pytest.approx(d.max_stretch, abs=1e-6)
+
+
+def test_wirtinger_on_a_stack_matches_each_map_bit_for_bit(small_corpus):
+    # Degrees 1, 2 and 6 in one stack: the short rows are zero-padded.
+    maps = [IDENTITY, SQUARE, MIXED, *small_corpus[:5]]
+    stack = MapStack(maps)
+    z = Grid(n_r=6, n_theta=16).nodes.ravel()[None, :] * np.ones((len(maps), 1))
+    fz, fzbar = wirtinger(stack, z)
+    for p, f in enumerate(maps):
+        ref = wirtinger(f, z[p])
+        assert np.array_equal(fz[p], ref[0]) and np.array_equal(fzbar[p], ref[1])
+    sub = stack[2:4]
+    assert len(sub) == 2 and np.array_equal(wirtinger(sub, z[2:4])[0], fz[2:4])

@@ -6,13 +6,17 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from harmap import (
+    Grid,
     HarmonicMap,
+    MapStack,
     QuadratureSpec,
     area_quadrature,
     area_series,
     area_sup,
     bloch_norm,
     bloch_seminorm,
+    golden_max,
+    grid_sup,
     hardy_mean,
     hardy_norm,
     hyperbolic_distance,
@@ -20,6 +24,7 @@ from harmap import (
     length_sup,
     lipschitz_ratio,
     r_ladder,
+    wirtinger,
 )
 
 from conftest import (
@@ -213,6 +218,65 @@ def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
     monkeypatch.setattr(functionals, "golden_max", lambda *a, **k: pytest.fail("golden_max"))
     hardy_norm(small_corpus[0], math.inf)
     assert 0 < len(ndims) <= 12 and 0 not in ndims
+
+
+@pytest.mark.parametrize("weight", [lambda z: 1.0 - np.abs(z) ** 2, lambda z: 1.0],
+                         ids=["bloch-ratio", "stretch"])
+def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
+    # Mixed degrees (1, 2, 6). The weighted stretch of the identity peaks
+    # at the origin, the plain stretch of z^2 at the outermost radius.
+    maps = [IDENTITY, SQUARE, MIXED, AFFINE_ROOT2, *small_corpus[:8]]
+    grid = Grid(n_r=24, n_theta=64)
+    stack = MapStack(maps)
+
+    def batch(z, rows):
+        fz, fzbar = wirtinger(stack[rows], z)
+        return weight(z) * (np.abs(fz) + np.abs(fzbar))
+
+    def one(f):
+        def fn(z):
+            fz, fzbar = wirtinger(f, z)
+            return weight(z) * (np.abs(fz) + np.abs(fzbar))
+
+        return fn
+
+    results = grid_sup(batch, grid, count=len(maps))
+    assert results == [grid_sup(one(f), grid) for f in maps]
+    if weight(0.5) != 1.0:
+        assert results[0].argmax == 0j
+    else:
+        assert abs(results[1].argmax) > grid.radii[-2]
+
+
+def _golden_reference(fn, a, b, tol=1e-10):
+    """The scalar golden-section search, step by step, as a reference."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    if b < a:
+        a, b = b, a
+    h = b - a
+    if h <= tol:
+        return fn(0.5 * (a + b)), 0.5 * (a + b)
+    n = int(math.ceil(math.log(tol / h) / math.log(inv_phi)))
+    c, d = a + inv_phi2 * h, a + inv_phi * h
+    yc, yd = fn(c), fn(d)
+    for _ in range(n - 1):
+        h *= inv_phi
+        if yc > yd:
+            d, yd = c, yc
+            c = a + inv_phi2 * h
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + inv_phi * h
+            yd = fn(d)
+    return (yc, c) if yc > yd else (yd, d)
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)])
+def test_golden_max_matches_the_scalar_search(bracket):
+    for fn in (lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x)):
+        assert golden_max(fn, *bracket) == _golden_reference(fn, *bracket)
 
 
 # -- Bloch seminorm and hyperbolic metric ---------------------------------------

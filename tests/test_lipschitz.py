@@ -299,3 +299,12 @@ def test_default_pair_sample_masks_degenerate_pairs():
     z, w = default_pair_sample(count=512, seed=1)
     assert z.shape == w.shape
     assert np.all(np.abs(w) < 1.0) and np.all(np.abs(z) < 1.0)
+
+
+def test_map_independent_pair_samples_are_built_once():
+    from harmap.lipschitz import _hl_pairs
+
+    for sample in (default_pair_sample, lambda: _hl_pairs(512, 11, 0.99)):
+        z, w = sample()
+        assert sample()[0] is z
+        assert not z.flags.writeable and not w.flags.writeable
