@@ -12,13 +12,11 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error, 3 corpus generation failure. Hypothesis-violated rows
 are counted separately and do not fail a run. A campaign runs each suite as
 one task over all its maps, so a suite's disk suprema are polished for every
-map at once. The tasks run on one thread unless the HARMAP_THREADS
-environment variable asks for a pool: the work is Python-bound under the
-interpreter lock, and on a 2-core machine the pooled default campaign took
-4.8-5.1 s of CPU and 3.9-4.1 s of wall time against 3.2-3.6 s of both
-serial, before its suprema were batched.
-Report rows are emitted in sorted order regardless of completion order, so
-identical seeds give byte-identical report files.
+map at once. The tasks run one after another: the work is Python-bound
+under the interpreter lock, and on a 2-core machine a 2-thread pool raised
+the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s serial).
+Report rows are emitted in sorted order, so identical seeds give
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused: the benchmark tracer binds this name
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +46,13 @@ from .functionals import (
 from .grids import Grid, QuadratureSpec, disk_sample
 from .lipschitz import (
     PowerMajorant,
+    _disk_means,
+    _mean_constant,
+    _regularity,
     chord_interpolation_bound,
     cond_a_constants,
     cond_b_constant,
-    cond_c_constant,
     majorant_from_config,
-    regularity_check,
     verify_hl_equivalences,
 )
 from .report import (
@@ -123,10 +122,12 @@ def _chord_row(q: QuadratureSpec):
 
 def _lipschitz_16(fs, cfg: SuiteConfig, qs):
     reports = [[] for _ in fs]
+    means = [_disk_means(f) for f in fs]  # C3's map side, shared by every majorant
     for omega in cfg.majorants:
-        for rows, f, c1 in zip(reports, fs, cond_a_constants(fs, omega, cfg.grid)):
+        c1s = cond_a_constants(fs, omega, cfg.grid)
+        for rows, f, c1, m in zip(reports, fs, c1s, means):
             c2 = cond_b_constant(f, omega)
-            c3 = cond_c_constant(f, omega)
+            c3 = _mean_constant(m, omega)
             rows.append(
                 make_report(
                     f"cond-b-vs-a[{omega.label()}]", c2, math.pi * c1, slack=1e-6,
@@ -165,7 +166,7 @@ def _run_majorant_regularity(cfg: SuiteConfig):
     5% tolerance; the others record their empirical constants."""
     reports = []
     for omega in cfg.majorants:
-        rep = regularity_check(omega, delta0=1.0)
+        rep = _regularity(omega)
         head, tail = omega.exact_regularity() or (None, None)
         reports.append(
             _regularity_row(f"majorant-head-integral[{omega.label()}]", rep.c_eq2, head, {})
@@ -345,6 +346,16 @@ class SuiteConfig:
             if not 0.0 < r <= 1.0 - 1e-9:
                 raise ConfigError(f"isoperimetric_radii: need 0 < r <= 1 - 1e-9, got {r}")
 
+    @cached_property
+    def _file_maps(self) -> list[tuple[str, HarmonicMap]]:
+        """(map_id, f) for each of ``map_files``, read on first use; a file
+        that cannot be read as a map is a configuration error. A campaign
+        drops it when it ends, so the next one reads the files again."""
+        try:
+            return [(f"file:{Path(path).name}", load_map(path)) for path in self.map_files]
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"maps: {exc}") from None
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuiteConfig":
         if not isinstance(obj, dict):
@@ -392,8 +403,7 @@ def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
     if cfg.include_builtin:
         for name, f in builtin_maps().items():
             sources.append((f"builtin:{name}", f))
-    for path in cfg.map_files:
-        sources.append((f"file:{Path(path).name}", load_map(path)))
+    sources.extend(cfg._file_maps)
     if cfg.fuzz is not None:
         for i, f in enumerate(fuzz_corpus(cfg.fuzz, cfg.grid)):
             sources.append((f"fuzz-{i:04d}", f))
@@ -428,38 +438,23 @@ def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, indices):
 def run_config(cfg: SuiteConfig):
     """Execute a campaign; returns (reports sorted, summary dict).
 
-    Each suite is one task over all its maps. A map keeps the Monte Carlo
-    stream of its (suite, map_id) position in sorted order. The tasks run
-    on one thread unless HARMAP_THREADS asks for more.
+    Each suite is one task over all its maps, run in suite order. A map
+    keeps the Monte Carlo stream of its (suite, map_id) position in sorted
+    order.
     """
     cfg.validate()
     _reset_map_memos()
     try:
-        sources = _load_sources(cfg)
-        order = []
+        sources = sorted(_load_sources(cfg), key=lambda s: s[0])
+        reports, index = [], 0
         for suite in sorted(set(cfg.suites)):
             targets = sources if SUITES[suite][1] else [("-", None)]
-            order.extend((suite, map_id, f) for map_id, f in targets)
-        order.sort(key=lambda t: (t[0], t[1]))
-        tasks: dict[str, tuple[list, list]] = {}
-        for index, (suite, map_id, f) in enumerate(order):
-            targets, indices = tasks.setdefault(suite, ([], []))
-            targets.append((map_id, f))
-            indices.append(index)
-
-        def run_task(suite):
-            targets, indices = tasks[suite]
-            return _run_suite_on_map(suite, targets, cfg, indices)
-
-        workers = int(os.environ.get("HARMAP_THREADS") or 1)
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(run_task, tasks))
-        else:
-            chunks = [run_task(suite) for suite in tasks]
+            indices = range(index, index + len(targets))
+            reports.extend(_run_suite_on_map(suite, targets, cfg, indices))
+            index += len(targets)
     finally:
         _reset_map_memos()
-    reports = [rep for chunk in chunks for rep in chunk]
+        cfg.__dict__.pop("_file_maps", None)
     reports.sort(key=lambda r: (r.name, -1 if r.n is None else r.n))
     return reports, summarize(reports)
 
@@ -536,11 +531,7 @@ def _cmd_verify(args) -> int:
         if args.format:
             cfg.output_format = args.format
         cfg.validate()
-        for path in cfg.map_files:  # a bad map file is a usage error, not a mid-run crash
-            try:
-                load_map(path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"maps: {exc}") from None
+        cfg._file_maps  # read the map files now: a bad one is a usage error, not a mid-run crash
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

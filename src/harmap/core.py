@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -333,14 +333,14 @@ def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[comple
     return a_n, b_n
 
 
-_DIRECTION_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _directions(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_theta not in _DIRECTION_CACHE:
-        t = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-        _DIRECTION_CACHE[n_theta] = (np.cos(t), np.sin(t))
-    return _DIRECTION_CACHE[n_theta]
+    """(cos t, sin t) on n_theta uniform angles. Cached; the arrays are read-only."""
+    t = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    c, s = np.cos(t), np.sin(t)
+    c.flags.writeable = False
+    s.flags.writeable = False
+    return c, s
 
 
 def directional_derivative_max(

@@ -29,7 +29,6 @@ bounded by 21/(2r).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -319,16 +318,12 @@ def regularity_check(omega: Majorant, delta0: float, probes: int = 24) -> Regula
                             c_eq3_truncation=trunc)
 
 
-# Held around _head_regularity so concurrent campaign tasks wait for the one
-# probe of a majorant instead of repeating it.
-_HEAD_REGULARITY_LOCK = threading.Lock()
-
-
 @lru_cache(maxsize=64)
-def _head_regularity(omega: Majorant) -> RegularityReport:
-    """The regularity probe behind verify_hl_equivalence's hypothesis. It
-    depends on the majorant only, so it runs once per majorant value."""
-    return regularity_check(omega, delta0=1.0, probes=12)
+def _regularity(omega: Majorant) -> RegularityReport:
+    """The regularity probe on (0, 1) behind the majorant-regularity rows and
+    verify_hl_equivalence's hypothesis. It depends on the majorant only, so
+    it runs once per majorant value."""
+    return regularity_check(omega, delta0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +423,10 @@ def default_mean_probes() -> tuple[tuple[complex, tuple[float, ...]], ...]:
     return tuple((z, (0.25, 0.5, 1.0)) for z in centers)
 
 
-def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
-    """Smallest empirical C with the disk means of |f - f(z)| over D(z, r)
-    bounded by C r omega(1/r), the radii running up to the boundary distance.
-
-    ``probes`` lists (center, radius fractions of d(center)); absolute radii
-    beyond d(center) are rejected.
-    """
-    best = 0.0
+def _disk_means(f: HarmonicMap, probes=None) -> list[tuple[float, float]]:
+    """(r, disk mean of |f - f(z0)| over D(z0, r)) for each probe of
+    :func:`cond_c_constant`, the map's side of that constant."""
+    means = []
     for z0, fractions in probes or default_mean_probes():
         z0 = complex(z0)
         d = 1.0 - abs(z0)
@@ -445,9 +436,27 @@ def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
                 raise ValueError("probe radii must be positive")
             if r > d * (1.0 + 1e-12):
                 raise ValueError("probe radius exceeds the boundary distance")
-            mean = _disk_mean_abs_dev(f, z0, r)
-            best = max(best, mean / (r * omega(1.0 / r)))
+            means.append((r, _disk_mean_abs_dev(f, z0, r)))
+    return means
+
+
+def _mean_constant(means, omega: Majorant) -> float:
+    """The majorant's side of :func:`cond_c_constant`: the largest
+    mean / (r omega(1/r)) over the (r, mean) pairs of :func:`_disk_means`."""
+    best = 0.0
+    for r, mean in means:
+        best = max(best, mean / (r * omega(1.0 / r)))
     return best
+
+
+def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
+    """Smallest empirical C with the disk means of |f - f(z)| over D(z, r)
+    bounded by C r omega(1/r), the radii running up to the boundary distance.
+
+    ``probes`` lists (center, radius fractions of d(center)); absolute radii
+    beyond d(center) are rejected.
+    """
+    return _mean_constant(_disk_means(f, probes), omega)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +581,7 @@ def verify_hl_equivalences(
     one batched :func:`~harmap.functionals.grid_sup`; the pairs, segments
     and the majorant's side of the segment bound are built once."""
     grid = grid or Grid()
-    with _HEAD_REGULARITY_LOCK:
-        reg = _head_regularity(omega)
+    reg = _regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):
         return [

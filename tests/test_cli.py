@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -258,10 +259,9 @@ def test_default_config_runs_clean():
 
 
 def test_regularity_runs_once_per_majorant(monkeypatch):
-    # Two majorants through both regularity consumers, with more workers
-    # than cores: each (majorant, delta0, probes) probe runs exactly once.
-    # No other test uses these majorants, so the memos start empty.
-    import harmap.cli as cli
+    # Two majorants through both regularity consumers: each majorant's one
+    # 24-scale probe runs exactly once and serves both. No other test uses
+    # these majorants, so the memo starts empty.
     import harmap.lipschitz as lipschitz
 
     calls = Counter()
@@ -272,14 +272,12 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
         return original(omega, delta0, probes)
 
     monkeypatch.setattr(lipschitz, "regularity_check", counting)
-    monkeypatch.setattr(cli, "regularity_check", counting)
-    monkeypatch.setenv("HARMAP_THREADS", "4")
     cfg = SuiteConfig(suites=("hl-17", "majorant-regularity"),
                       majorants=(PowerMajorant(0.37), PowerMajorant(0.83)))
     reports, counts = run_config(cfg)
     assert counts["fail"] == 0
     assert sum(rep.name.startswith("hl-forward") for rep in reports) == 12
-    assert len(calls) == 4 and max(calls.values()) == 1
+    assert calls == Counter({(cfg.majorants[0], 1.0, 24): 1, (cfg.majorants[1], 1.0, 24): 1})
 
 
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
@@ -302,16 +300,71 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     assert "fail" in out
 
 
-def test_verify_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg_obj = small_config(tmp_path)
+def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, affine_map_file):
+    # The configuration check reads the map files, and the campaign uses
+    # what it read.
+    import harmap.cli as cli
+
+    calls = Counter()
+    original = cli.load_map
+
+    def counting(path):
+        calls[str(path)] += 1
+        return original(path)
+
+    monkeypatch.setattr(cli, "load_map", counting)
+    obj = small_config(tmp_path)
+    obj["maps"] = [str(id_map_file), str(affine_map_file), str(id_map_file)]
+    obj["fuzz"] = None
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(cfg_obj))
-    monkeypatch.setenv("HARMAP_THREADS", "1")
+    cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
-    serial = (tmp_path / "rows.json").read_bytes()
-    monkeypatch.setenv("HARMAP_THREADS", "4")
+    assert sum(calls.values()) == 3
+    rows = (tmp_path / "rows.json").read_text()
+    assert "@file:id.json" in rows and "@file:affine.json" in rows
+
+
+def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
+    # File ids sort between the builtin and the fuzz ids, and two files
+    # with one basename keep their order in "maps": each map keeps the
+    # Monte Carlo stream of its sorted (suite, map_id) position.
+    maps = tmp_path / "maps"
+    assert main(["fuzz", "--count", "3", "--degree", "3", "--seed", "5", "--out", str(maps)]) == 0
+    (maps / "dup.json").write_bytes((maps / "map-0001.json").read_bytes())
+    obj = {
+        "maps": [str(maps / "map-0002.json"), str(maps / "map-0000.json"), str(maps / "dup.json")],
+        "fuzz": {"count": 3, "degree": 4, "seed": 9},
+        "quadrature": {"mc_samples": 10000, "seed": 3},
+        "grid": {"n_r": 16, "n_theta": 32},
+        "seed": 77,
+        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
-    assert (tmp_path / "rows.json").read_bytes() == serial
+    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
+    assert digest == "45d9204f54393875dab6e6d6cf7fd0179288c3020c9f235e9043af2b072e0704"
+
+
+def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
+    # C3's disk means depend on the map, not on the majorant: two majorants
+    # need the 18 default probe means of each map once.
+    import harmap.lipschitz as lipschitz
+
+    calls = []
+    original = lipschitz._disk_mean_abs_dev
+
+    def counting(f, z0, r, *args):
+        calls.append(f)
+        return original(f, z0, r, *args)
+
+    monkeypatch.setattr(lipschitz, "_disk_mean_abs_dev", counting)
+    cfg = SuiteConfig(suites=("lipschitz-16",), include_builtin=False,
+                      fuzz=FuzzSpec(count=3, degree=3, seed=4), grid=Grid(n_r=16, n_theta=32))
+    assert len(cfg.majorants) == 2
+    reports, summary = run_config(cfg)
+    assert summary["fail"] == 0
+    assert sorted(Counter(calls).values()) == [18, 18, 18]
 
 
 def _count_scalar_wirtinger(monkeypatch):
@@ -360,7 +413,7 @@ def test_campaign_runs_on_one_thread_by_default(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was constructed")
 
-    monkeypatch.delenv("HARMAP_THREADS", raising=False)
+    monkeypatch.setenv("HARMAP_THREADS", "4")  # a stale pool setting starts no pool
     monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
     cfg = SuiteConfig(suites=("three-circles", "hardy-area", "majorant-regularity"), fuzz=None)
     reports, summary = run_config(cfg)

@@ -225,6 +225,17 @@ def test_directional_max_equals_max_stretch(f, z):
     assert directional_derivative_max(f, z) == pytest.approx(d.max_stretch, abs=1e-6)
 
 
+def test_direction_table_is_shared_and_read_only():
+    from harmap.core import _directions
+
+    c, s = _directions(64)
+    assert _directions(64)[0] is c and _directions(64)[1] is s
+    with pytest.raises(ValueError):
+        c[0] = 2.0
+    with pytest.raises(ValueError):
+        s[0] = 2.0
+
+
 def test_wirtinger_on_a_stack_matches_each_map_bit_for_bit(small_corpus):
     # Degrees 1, 2 and 6 in one stack: the short rows are zero-padded.
     maps = [IDENTITY, SQUARE, MIXED, *small_corpus[:5]]
