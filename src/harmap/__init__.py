@@ -14,8 +14,6 @@ results do not depend on evaluation order.
 from .core import (
     HarmonicMap,
     MapStack,
-    PointwiseData,
-    SensePreservation,
     coeff_from_contour,
     derivatives,
     directional_derivative_max,
@@ -27,14 +25,11 @@ from .core import (
     wirtinger,
 )
 from .functionals import (
-    FunctionalValue,
-    SupResult,
     area_quadrature,
     area_series,
     area_sup,
     bloch_norm,
     bloch_seminorm,
-    bloch_seminorms,
     golden_max,
     grid_sup,
     hardy_mean,
@@ -46,14 +41,11 @@ from .functionals import (
 )
 from .grids import Grid, QuadratureSpec, r_ladder
 from .lipschitz import (
-    Majorant,
     PowerMajorant,
-    RegularityReport,
     SampledMajorant,
     check_scaling_lemma,
     chord_interpolation_bound,
     cond_a_constant,
-    cond_a_constants,
     cond_b_constant,
     cond_c_constant,
     majorant_from_config,
@@ -63,17 +55,8 @@ from .lipschitz import (
     regularity_check,
     trig_max_identity,
     verify_hl_equivalence,
-    verify_hl_equivalences,
 )
-from .report import (
-    FAIL,
-    HYPOTHESIS_VIOLATED,
-    PASS,
-    VerificationReport,
-    summarize,
-    write_csv,
-    write_json_lines,
-)
+from .report import write_csv, write_json_lines
 from .verify import (
     DiskDomain,
     FuzzSpec,
@@ -83,7 +66,6 @@ from .verify import (
     verify_area_overlap,
     verify_coeff_bound,
     verify_gradient_bound,
-    verify_gradient_bounds,
     verify_hardy_area,
     verify_isoperimetric,
     verify_three_circles,

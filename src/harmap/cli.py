@@ -9,14 +9,15 @@ Three subcommands:
 * ``fuzz`` writes a reproducible corpus of map files plus a manifest.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error, 3 corpus generation failure. Hypothesis-violated rows
-are counted separately and do not fail a run. A campaign runs each suite as
-one task over all its maps, so a suite's disk suprema are polished for every
-map at once. The tasks run one after another: the work is Python-bound
-under the interpreter lock, and on a 2-core machine a 2-thread pool raised
-the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s serial).
-Report rows are emitted in sorted order, so identical seeds give
-byte-identical report files.
+configuration error, 3 corpus generation failure, 4 internal error (an
+unexpected exception, reported on one line as ``error: internal: ...``).
+Hypothesis-violated rows are counted separately and do not fail a run. A
+campaign runs each suite as one task over all its maps, so a suite's disk
+suprema are polished for every map at once. The tasks run one after
+another: the work is Python-bound under the interpreter lock, and on a
+2-core machine a 2-thread pool raised the default campaign's CPU time
+(4.1-4.6 s against 3.9-4.0 s serial). Report rows are emitted in sorted
+order, so identical seeds give byte-identical report files.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused: the benchmark tracer binds this name
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import HarmonicMap, load_map, map_json_bytes
+from .core import HarmonicMap, from_json, json_fields, load_map, map_json_bytes
 from .functionals import (
     area_series,
     area_sup,
@@ -45,6 +46,8 @@ from .functionals import (
 )
 from .grids import Grid, QuadratureSpec, disk_sample
 from .lipschitz import (
+    Majorant,
+    OutsideTable,
     PowerMajorant,
     _disk_means,
     _mean_constant,
@@ -52,7 +55,6 @@ from .lipschitz import (
     chord_interpolation_bound,
     cond_a_constants,
     cond_b_constant,
-    majorant_from_config,
     verify_hl_equivalences,
 )
 from .report import (
@@ -85,6 +87,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GENERATION = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -120,33 +123,46 @@ def _chord_row(q: QuadratureSpec):
     )
 
 
-def _lipschitz_16(fs, cfg: SuiteConfig, qs):
+def _per_majorant(fs, cfg: SuiteConfig, names, run):
+    """Each map's rows for every majorant, named ``name[label]``; ``run(omega)``
+    gives one row list per map. A majorant table short of what ``run`` asks
+    for gives each map, per name, a hypothesis-violated row with that range."""
     reports = [[] for _ in fs]
-    means = [_disk_means(f) for f in fs]  # C3's map side, shared by every majorant
     for omega in cfg.majorants:
-        c1s = cond_a_constants(fs, omega, cfg.grid)
-        for rows, f, c1, m in zip(reports, fs, c1s, means):
-            c2 = cond_b_constant(f, omega)
-            c3 = _mean_constant(m, omega)
-            rows.append(
-                make_report(
-                    f"cond-b-vs-a[{omega.label()}]", c2, math.pi * c1, slack=1e-6,
-                    details={"C1": c1, "C2": c2, "C3": c3},
-                )
-            )
+        try:
+            chunks = run(omega)
+        except OutsideTable as exc:
+            short = {"majorant table covers the evaluated range": False}
+            chunks = [[make_report(name, None, None, 0.0, hypotheses=short,
+                                   details={"t_lo": exc.t_lo, "t_hi": exc.t_hi})
+                       for name in names] for _ in fs]
+        for rows, chunk in zip(reports, chunks):
+            for rep in chunk:
+                rep.name = f"{rep.name}[{omega.label()}]"
+                rows.append(rep)
+    return reports
+
+
+def _lipschitz_16(fs, cfg: SuiteConfig, qs):
+    means = [_disk_means(f) for f in fs]  # C3's map side, shared by every majorant
+
+    def run(omega):
+        chunks = []
+        for f, c1, m in zip(fs, cond_a_constants(fs, omega, cfg.grid), means):
+            c2, c3 = cond_b_constant(f, omega), _mean_constant(m, omega)
+            chunks.append([make_report("cond-b-vs-a", c2, math.pi * c1, slack=1e-6,
+                                       details={"C1": c1, "C2": c2, "C3": c3})])
+        return chunks
+
+    reports = _per_majorant(fs, cfg, ["cond-b-vs-a"], run)
     for rows, q in zip(reports, qs):
         rows.append(_chord_row(q))
     return reports
 
 
 def _hl_17(fs, cfg: SuiteConfig, qs):
-    reports = [[] for _ in fs]
-    for omega in cfg.majorants:
-        for rows, pair in zip(reports, verify_hl_equivalences(fs, omega, cfg.grid)):
-            for rep in pair:
-                rep.name = f"{rep.name}[{omega.label()}]"
-                rows.append(rep)
-    return reports
+    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
+                         lambda omega: verify_hl_equivalences(fs, omega, cfg.grid))
 
 
 def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
@@ -211,114 +227,20 @@ SUITE_NAMES = tuple(SUITES)
 # ---------------------------------------------------------------------------
 
 
-def _json_bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"must be true or false, got {v!r}")
-    return v
-
-
-def _json_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"must be an integer, got {v!r}")
-    return v
-
-
-def _json_real(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"must be a number, got {v!r}")
-    return float(v)
-
-
-def _json_str(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"must be a string, got {v!r}")
-    return v
-
-
-def _json_array(item, length: int | None = None):
-    """Parser of a JSON array (of exactly ``length`` entries, if given) into
-    a tuple, each entry parsed by ``item``."""
-    def parse(v) -> tuple:
-        if not isinstance(v, list) or length not in (None, len(v)):
-            kind = "an array" if length is None else f"a {length}-element array"
-            raise ValueError(f"must be {kind}, got {v!r}")
-        return tuple(item(x) for x in v)
-
-    return parse
-
-
-def _json_fields(parsers: dict, v) -> dict:
-    """The entries of the JSON object ``v``, each parsed by its key's parser."""
-    if not isinstance(v, dict):
-        raise ValueError(f"must be an object, got {v!r}")
-    unknown = sorted(set(v) - set(parsers))
-    if unknown:
-        raise ValueError(f"unknown fields: {unknown}")
-    out = {}
-    for key, x in v.items():
-        try:
-            out[key] = parsers[key](x)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    return out
-
-
-_BY_ANNOTATION = {"int": _json_int, "float": _json_real, "bool": _json_bool}
-
-
-def _json_dataclass(cls):
-    """Parser of a JSON object into ``cls``, each field checked against its
-    annotated type (int, float or bool)."""
-    parsers = {f.name: _BY_ANNOTATION[f.type] for f in fields(cls)}
-    return lambda v: cls(**_json_fields(parsers, v))
-
-
-_MAJORANT_FIELDS = {
-    "family": _json_str,
-    "alpha": _json_real,
-    "table": _json_array(_json_array(_json_real, 2)),
-}
-
-
-def _output_fields(out) -> dict:
-    parsed = _json_fields({"path": _json_str, "format": _json_str}, out)
-    return {field: parsed[key] for key, field in
-            (("path", "output_path"), ("format", "output_format")) if key in parsed}
-
-
-# Config key -> parser of its JSON value. The key names the SuiteConfig
-# field, except "maps" (map_files) and "output" (output_path, output_format).
-# Each parser checks the JSON type: integers are JSON integers (not
-# booleans), reals any JSON number, lists JSON arrays.
-_CONFIG_PARSERS = {
-    "suites": _json_array(_json_str),
-    "maps": _json_array(_json_str),
-    "include_builtin": _json_bool,
-    "fuzz": lambda v: None if v is None else _json_dataclass(FuzzSpec)(v),
-    "quadrature": _json_dataclass(QuadratureSpec),
-    "grid": _json_dataclass(Grid),
-    "majorants": _json_array(lambda v: majorant_from_config(_json_fields(_MAJORANT_FIELDS, v))),
-    "three_circles_pairs": _json_array(_json_array(_json_real, 2)),
-    "isoperimetric_radii": _json_array(_json_real),
-    "gradient_sample_count": _json_int,
-    "seed": _json_int,
-    "output": _output_fields,
-}
-
-
 @dataclass
 class SuiteConfig:
     """A verification campaign: which suites, on which maps, how resolved."""
 
-    suites: tuple = SUITE_NAMES
-    map_files: tuple = ()
+    suites: tuple[str, ...] = SUITE_NAMES
+    map_files: tuple[str, ...] = ()
     include_builtin: bool = True
     fuzz: FuzzSpec | None = None
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     grid: Grid = field(default_factory=Grid)
-    majorants: tuple = (PowerMajorant(0.5), PowerMajorant(1.0))
-    three_circles_pairs: tuple = ((0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
-    isoperimetric_radii: tuple = (0.3, 0.6, 0.9)
+    majorants: tuple[Majorant, ...] = (PowerMajorant(0.5), PowerMajorant(1.0))
+    three_circles_pairs: tuple[tuple[float, float], ...] = (
+        (0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
+    isoperimetric_radii: tuple[float, ...] = (0.3, 0.6, 0.9)
     gradient_sample_count: int = 64
     seed: int = 42
     output_path: str = "harmap-reports.jsonl"
@@ -358,38 +280,37 @@ class SuiteConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuiteConfig":
+        """The configuration of a JSON object, each key checked by
+        :func:`~harmap.core.from_json` against its field's annotation. A key
+        names its field, except "maps" (``map_files``) and "output" (an
+        object of "path" and "format", for ``output_path``/``output_format``)."""
+        kinds = json_fields(cls)
+        kinds["maps"] = kinds.pop("map_files")
+        kinds["output"] = {"path": kinds.pop("output_path"), "format": kinds.pop("output_format")}
         if not isinstance(obj, dict):
             raise ConfigError("the configuration must be a JSON object")
-        bad = set(obj) - set(_CONFIG_PARSERS)
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        kwargs: dict = {}
-        for key, value in obj.items():
-            try:
-                parsed = _CONFIG_PARSERS[key](value)
-            except KeyError as exc:
-                raise ConfigError(f"{key}: missing key {exc}") from exc
-            except (AttributeError, TypeError, ValueError, IndexError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-            if key == "output":
-                kwargs.update(parsed)
-            else:
-                kwargs["map_files" if key == "maps" else key] = parsed
+        unknown = sorted(set(obj) - set(kinds))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        try:
+            kwargs = from_json(kinds, obj)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if "maps" in kwargs:
+            kwargs["map_files"] = kwargs.pop("maps")
+        kwargs.update({f"output_{key}": v for key, v in kwargs.pop("output", {}).items()})
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
 
-def default_config(seed: int = 42, output_path: str = "harmap-reports.jsonl",
-                   output_format: str = "json") -> SuiteConfig:
+def default_config(seed: int = 42) -> SuiteConfig:
     """The default campaign: every suite on the builtin family plus a small
     seeded corpus, with Monte Carlo resolution trimmed for turnaround."""
     return SuiteConfig(
         fuzz=FuzzSpec(count=48, degree=8, seed=seed),
         quadrature=QuadratureSpec(mc_samples=200_000, seed=seed),
         seed=seed,
-        output_path=output_path,
-        output_format=output_format,
     )
 
 
@@ -470,22 +391,16 @@ def _cmd_functional(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load map: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    q = QuadratureSpec()
     try:
         if args.name == "area":
             fv = area_series(f, args.r) if args.r is not None else area_sup(f)
         elif args.name == "length":
-            fv = length_function(f, args.r, q) if args.r is not None else length_sup(f, q)
+            fv = length_function(f, args.r) if args.r is not None else length_sup(f)
         elif args.name == "hardy":
-            if args.p is None:
-                p = 2.0
-            else:
-                p = math.inf if args.p == "inf" else float(args.p)
-            fv = hardy_mean(f, p, args.r, q) if args.r is not None else hardy_norm(f, p, q)
-        elif args.name == "bloch":
+            p = 2.0 if args.p is None else float(args.p)  # float("inf") is the h^inf exponent
+            fv = hardy_mean(f, p, args.r) if args.r is not None else hardy_norm(f, p)
+        else:  # argparse's choices leave "bloch"
             fv = bloch_seminorm(f)
-        else:  # pragma: no cover - argparse choices guard this
-            return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -499,7 +414,6 @@ def _cmd_functional(args) -> int:
 def _emit_table(f: HarmonicMap, path: str, r1: float | None) -> None:
     """Radius-parameterized curves for external plotting: the area and
     length functions with the bounds they are checked against."""
-    q = QuadratureSpec()
     rows = []
     header = ["r", "area", "length", "isoperimetric_rhs"]
     if r1 is not None:
@@ -508,7 +422,7 @@ def _emit_table(f: HarmonicMap, path: str, r1: float | None) -> None:
     for r in np.linspace(0.05, 0.99, 48):
         r = float(r)
         s = area_series(f, r).value
-        l = length_function(f, r, q).value
+        l = length_function(f, r).value
         row = [r, s, l, l * l / (4.0 * math.pi**2)]
         if r1 is not None:
             row.append(m ** (math.log(r) / math.log(r1)) if r1 <= r and m > 0 else "")
@@ -578,7 +492,7 @@ def _cmd_fuzz(args) -> int:
         name = f"map-{i:04d}.json"
         (outdir / name).write_bytes(map_json_bytes(f))
         files.append(name)
-    manifest = {"spec": spec.to_json_dict(), "files": files}
+    manifest = {"spec": asdict(spec), "files": files}
     (outdir / "manifest.json").write_bytes(
         (json.dumps(manifest, indent=2) + "\n").encode("ascii")
     )
@@ -630,7 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"error: internal: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:  # console-script shim

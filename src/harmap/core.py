@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, _read_only
 
 __all__ = [
     "HarmonicMap",
@@ -40,6 +42,8 @@ __all__ = [
     "qc_constant",
     "coeff_from_contour",
     "directional_derivative_max",
+    "from_json",
+    "json_fields",
     "map_json_bytes",
     "load_map",
     "save_map",
@@ -49,6 +53,9 @@ __all__ = [
 # Below this, the ratio Lambda/lambda is beyond double-precision resolution
 # and the distortion constant is reported as unbounded.
 LAMBDA_FLOOR = 1e-14
+
+# The largest degree of a map file: each evaluation costs one step per degree.
+MAX_FILE_DEGREE = 1024
 
 
 def _require_finite(z: np.ndarray) -> None:
@@ -89,32 +96,22 @@ class HarmonicMap:
 
     @cached_property
     def _a_arr(self) -> np.ndarray:
-        arr = np.asarray(self.a, dtype=complex)
-        arr.flags.writeable = False
-        return arr
+        return _read_only(np.asarray(self.a, dtype=complex))
 
     @cached_property
     def _b_full(self) -> np.ndarray:
         """b as a polynomial coefficient array with b_0 = 0, length N+1."""
-        arr = np.concatenate(([0.0 + 0.0j], np.asarray(self.b, dtype=complex)))
-        arr.flags.writeable = False
-        return arr
+        return _read_only(np.concatenate(([0.0 + 0.0j], np.asarray(self.b, dtype=complex))))
 
     @cached_property
     def _da(self) -> np.ndarray:
         """Coefficients of h': (n+1) a_{n+1}, length N."""
-        n = np.arange(1, self.degree + 1)
-        arr = n * self._a_arr[1:]
-        arr.flags.writeable = False
-        return arr
+        return _read_only(np.arange(1, self.degree + 1) * self._a_arr[1:])
 
     @cached_property
     def _db(self) -> np.ndarray:
         """Coefficients of g': (n+1) b_{n+1}, length N."""
-        n = np.arange(1, self.degree + 1)
-        arr = n * self._b_full[1:]
-        arr.flags.writeable = False
-        return arr
+        return _read_only(np.arange(1, self.degree + 1) * self._b_full[1:])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -149,12 +146,76 @@ class HarmonicMap:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "HarmonicMap":
+        """The map of {"a": [[re, im], ...], "b": [[re, im], ...]}, checked by
+        :func:`from_json`, of degree at most MAX_FILE_DEGREE."""
         try:
-            a = [complex(p[0], p[1]) for p in obj["a"]]
-            b = [complex(p[0], p[1]) for p in obj["b"]]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"malformed map object: {exc}") from exc
-        return cls(a=tuple(a), b=tuple(b))
+            parts = from_json({"a": _PAIRS, "b": _PAIRS}, obj)
+            a, b = parts["a"], parts["b"]
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"malformed map object: {exc}") from None
+        if len(a) > MAX_FILE_DEGREE + 1:
+            raise ValueError(f"map degree must be at most {MAX_FILE_DEGREE}, got {len(a) - 1}")
+        return cls(a=tuple(complex(*p) for p in a), b=tuple(complex(*p) for p in b))
+
+
+def json_fields(cls) -> dict:
+    """Field name -> annotated type of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_SCALARS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string")}
+_PAIRS = tuple[tuple[float, float], ...]
+
+
+def from_json(kind, v):
+    """The decoded JSON value ``v`` checked against the type ``kind`` and
+    converted to it; a ValueError names the first entry that does not fit.
+    Kinds: bool, int and float (finite JSON numbers; booleans are neither), str,
+    ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]``, a dict of field kinds
+    (an object with no other keys, each optional; returns a dict), a class
+    with its own ``from_json_dict``, and a dataclass (an object whose field
+    kinds are the field annotations)."""
+    if isinstance(kind, dict):
+        if not isinstance(v, dict):
+            raise ValueError(f"must be an object, got {v!r}")
+        unknown = sorted(set(v) - set(kind))
+        if unknown:
+            raise ValueError(f"unknown fields: {unknown}")
+        out = {}
+        for key, x in v.items():
+            try:
+                out[key] = from_json(kind[key], x)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        return out
+    if kind in _SCALARS:
+        accepted, what = _SCALARS[kind]
+        try:
+            if isinstance(v, accepted) and (kind is bool or not isinstance(v, bool)):
+                if kind is not float or math.isfinite(v):  # json reads NaN and Infinity
+                    return kind(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise ValueError(f"must be {what}, got {v!r}")
+    if isinstance(kind, types.UnionType):  # X | None
+        (inner,) = [k for k in get_args(kind) if k is not type(None)]
+        return None if v is None else from_json(inner, v)
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        if args[-1] is Ellipsis:
+            if not isinstance(v, list):
+                raise ValueError(f"must be an array, got {v!r}")
+            args = args[:1] * len(v)
+        elif not isinstance(v, list) or len(v) != len(args):
+            raise ValueError(f"must be a {len(args)}-element array, got {v!r}")
+        return tuple(from_json(k, x) for k, x in zip(args, v))
+    if hasattr(kind, "from_json_dict"):
+        return kind.from_json_dict(v)
+    if is_dataclass(kind):
+        return kind(**from_json(json_fields(kind), v))
+    raise TypeError(f"no JSON form for {kind!r}")
 
 
 def map_json_bytes(f: HarmonicMap) -> bytes:
@@ -205,15 +266,12 @@ class MapStack:
         for p, f in enumerate(maps):
             self._da[: f.degree, p] = f._da
             self._db[: f.degree, p] = f._db
-        self._da.flags.writeable = False
-        self._db.flags.writeable = False
+        _read_only(self._da, self._db)
 
     def __len__(self) -> int:
         return self._da.shape[1]
 
     def __getitem__(self, rows: slice) -> "MapStack":
-        if rows == slice(None):
-            return self
         sub = object.__new__(MapStack)
         sub._da, sub._db = self._da[:, rows], self._db[:, rows]
         return sub
@@ -274,17 +332,15 @@ class SensePreservation:
     witness: complex
 
 
-def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None, tol: float = 0.0) -> SensePreservation:
-    """True iff the Jacobian exceeds tol at every node of the grid."""
+def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None) -> SensePreservation:
+    """True iff the Jacobian is positive at every node of the grid."""
     grid = grid or Grid()
     nodes = grid.nodes
-    if nodes.size == 0:
-        raise ValueError("empty grid")
     fz, fzbar = wirtinger(f, nodes)
     jac = (_abs2(fz) - _abs2(fzbar)).ravel()
     k = int(np.argmin(jac))
     return SensePreservation(
-        ok=bool(jac[k] > tol),
+        ok=bool(jac[k] > 0.0),
         min_jacobian=float(jac[k]),
         witness=complex(nodes.ravel()[k]),
     )
@@ -337,10 +393,7 @@ def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[comple
 def _directions(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """(cos t, sin t) on n_theta uniform angles. Cached; the arrays are read-only."""
     t = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    c, s = np.cos(t), np.sin(t)
-    c.flags.writeable = False
-    s.flags.writeable = False
-    return c, s
+    return _read_only(np.cos(t), np.sin(t))
 
 
 def directional_derivative_max(

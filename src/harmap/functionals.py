@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "SERIES",
     "QUADRATURE",
     "GRID_SUP",
-    "MONTE_CARLO",
     "area_series",
     "area_sup",
     "area_quadrature",
@@ -64,7 +63,6 @@ __all__ = [
 SERIES = "series"
 QUADRATURE = "quadrature"
 GRID_SUP = "grid-sup"
-MONTE_CARLO = "monte-carlo"
 
 _EPS = float(np.finfo(float).eps)
 
@@ -82,11 +80,7 @@ class FunctionalValue:
             raise ValueError("error_estimate must be nonnegative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "error_estimate": self.error_estimate,
-        }
+        return asdict(self)
 
 
 def _error_floor(value: float) -> float:
@@ -370,45 +364,35 @@ class SupResult:
     error_estimate: float
 
 
-def grid_sup(fn, grid: Grid | None = None, include_origin: bool = True, count: int | None = None):
-    """Estimate sup of fn over the disk covered by the grid.
+def grid_sup(fn, grid: Grid, count: int) -> list[SupResult]:
+    """Estimate the sup over the disk covered by the grid of each of
+    ``count`` problems at once, one SupResult per problem.
 
-    fn must accept a complex ndarray and return a real array of the same
-    shape. Protocol: coarse tensor-grid max; golden-section refinement in
-    radius at the best angle; then in angle; then in radius again. The value
-    gained by the final stage is reported as the error estimate.
-
-    With ``count = P`` this runs P problems at once and returns a list of P
-    SupResults: ``fn(z, rows)`` evaluates the problems ``rows`` (a slice),
-    z's leading axis running over them. Each problem's coarse scan is its
-    own call on the grid; the polish runs every problem in lockstep, one
-    call of P points per golden-section step. Each result equals the
-    one-problem run of that problem.
+    ``fn(z, rows)`` evaluates the problems ``rows`` (a slice) and returns a
+    real array of z's shape, z's leading axis running over those problems.
+    Protocol, per problem: coarse max over the tensor grid and the origin;
+    golden-section refinement in radius at the best angle; then in angle;
+    then in radius again. The value gained by the final stage is reported
+    as the error estimate. Each problem's coarse scan is its own call on the
+    grid; the polish runs every problem in lockstep, one call of ``count``
+    points per golden-section step, and each result equals the run of that
+    problem alone.
     """
-    if count is None:
-        return grid_sup(lambda z, rows: np.asarray(fn(z[0]))[None], grid, include_origin, 1)[0]
-    if count == 0:
-        return []
-    grid = grid or Grid()
     radii, angles = grid.radii, grid.angles
     best_v, best_r, best_t, lo, hi = [], [], [], [], []
-    if include_origin:
-        origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)
+    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)
     for p in range(count):
         vals = np.asarray(fn(grid.nodes[None], slice(p, p + 1)), dtype=float)[0]
         i, j = divmod(int(np.argmax(vals)), grid.n_theta)
         v, r, t = float(vals[i, j]), float(radii[i]), float(angles[j])
-        if include_origin and float(origin[p, 0]) > v:
+        if float(origin[p, 0]) > v:
             v, r, t, i = float(origin[p, 0]), 0.0, 0.0, -1
         best_v.append(v)
         best_r.append(r)
         best_t.append(t)
-        if i < 0:
-            lo.append(0.0)
-            hi.append(float(radii[0]))
-        else:
-            lo.append(0.0 if i == 0 else float(radii[i - 1]))
-            hi.append(grid.r_max if i >= grid.n_r - 1 else float(radii[i + 1]))
+        # The radius bracket spans the neighbouring rings; the origin's is [0, radii[0]].
+        lo.append(0.0 if i <= 0 else float(radii[i - 1]))
+        hi.append(grid.r_max if i >= grid.n_r - 1 else float(radii[i + 1]))
 
     def at(rs, ts) -> list[float]:
         z = np.asarray([r * cmath.exp(1j * t) for r, t in zip(rs, ts)])
@@ -423,7 +407,7 @@ def grid_sup(fn, grid: Grid | None = None, include_origin: bool = True, count: i
         return list(values)
 
     stage1 = polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
-    dt = float(angles[1] - angles[0]) if grid.n_theta > 1 else math.pi
+    dt = float(angles[1] - angles[0])
     stage2 = polish(best_v, best_t, lambda xs: at(best_r, xs),
                     [(t - dt, t + dt) for t in best_t])
     polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
@@ -451,7 +435,7 @@ def bloch_seminorms(maps, grid: Grid | None = None) -> list[FunctionalValue]:
         fz, fzbar = wirtinger(stack[rows], z)
         return (1.0 - _abs2(z)) * (np.abs(fz) + np.abs(fzbar))
 
-    sups = grid_sup(ratio, grid or Grid(), count=len(stack))
+    sups = grid_sup(ratio, grid or Grid(), len(stack))
     return [FunctionalValue(res.value, GRID_SUP, res.error_estimate) for res in sups]
 
 

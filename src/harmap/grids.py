@@ -19,6 +19,13 @@ from scipy.special import roots_legendre
 __all__ = ["Grid", "QuadratureSpec", "r_ladder", "gauss_legendre_01", "disk_sample"]
 
 
+def _read_only(*arrays: np.ndarray):
+    """Mark shared (cached) arrays read-only; returns them, or the one array."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Polar tensor grid on the disk |z| <= r_max < 1.
@@ -37,6 +44,8 @@ class Grid:
             raise ValueError("n_r must be >= 1")
         if self.n_theta < 8:
             raise ValueError("n_theta must be >= 8")
+        if self.n_r * self.n_theta > 1 << 20:  # a scan then holds about 130 MB of arrays
+            raise ValueError("n_r * n_theta must be at most 2^20")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
 
@@ -45,22 +54,16 @@ class Grid:
         """Ascending Chebyshev radii in (0, r_max]; the last one is r_max."""
         k = np.arange(self.n_r)
         r = self.r_max * 0.5 * (1.0 + np.cos(np.pi * k / self.n_r))
-        r = np.sort(r)
-        r.flags.writeable = False
-        return r
+        return _read_only(np.sort(r))
 
     @cached_property
     def angles(self) -> np.ndarray:
-        t = np.linspace(0.0, 2.0 * np.pi, self.n_theta, endpoint=False)
-        t.flags.writeable = False
-        return t
+        return _read_only(np.linspace(0.0, 2.0 * np.pi, self.n_theta, endpoint=False))
 
     @cached_property
     def nodes(self) -> np.ndarray:
         """Complex nodes, shape (n_r, n_theta)."""
-        z = self.radii[:, None] * np.exp(1j * self.angles[None, :])
-        z.flags.writeable = False
-        return z
+        return _read_only(self.radii[:, None] * np.exp(1j * self.angles[None, :]))
 
 
 @dataclass(frozen=True)
@@ -84,30 +87,23 @@ class QuadratureSpec:
             raise ValueError("angular_nodes must be even and >= 8")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be >= 10000 for area verdicts")
+        if self.mc_samples > 4_000_000:  # an overlap estimate peaks at about 130 B a sample
+            raise ValueError("mc_samples must be at most 4000000")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def r_ladder(levels: int = 20) -> np.ndarray:
-    """Radii 1 - 2^-k for k = 1..levels, approaching the boundary.
-
-    Capped at k = 20 by default: polynomial functionals settle well before
-    machine-precision radii.
-    """
-    if levels < 2:
-        raise ValueError("need at least two ladder levels")
-    return 1.0 - 0.5 ** np.arange(1, levels + 1)
+def r_ladder() -> np.ndarray:
+    """Radii 1 - 2^-k for k = 1..20, approaching the boundary: polynomial
+    functionals settle well before machine-precision radii."""
+    return 1.0 - 0.5 ** np.arange(1, 21)
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     x, w = roots_legendre(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 def disk_sample(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:

@@ -35,15 +35,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .core import HarmonicMap, MapStack, _abs2, wirtinger
+from .core import _PAIRS, HarmonicMap, MapStack, _abs2, from_json, wirtinger
 from .functionals import grid_sup
-from .grids import Grid, disk_sample, gauss_legendre_01
+from .grids import Grid, _read_only, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
 __all__ = [
     "Majorant",
     "PowerMajorant",
     "SampledMajorant",
+    "OutsideTable",
     "majorant_from_config",
     "ScalingCheck",
     "check_scaling_lemma",
@@ -88,6 +89,9 @@ def _tail_quad(omega, u_cap: float, delta: float) -> float:
     return val
 
 
+_CONFIG_FIELDS = {"family": str, "alpha": float, "table": _PAIRS}
+
+
 class Majorant:
     """Base for majorant families; instances are callables on t >= 0.
 
@@ -113,6 +117,30 @@ class Majorant:
         """Closed-form (head, tail) regularity constants on (0, 1), the tail
         inf when it diverges; None when no closed form is known."""
         return None
+
+    @staticmethod
+    def from_json_dict(obj: dict) -> "Majorant":
+        """Build a majorant from {"family": "power", "alpha": a} or
+        {"family": "sampled", "table": [[t, w], ...]}, checked by
+        :func:`~harmap.core.from_json`; the inverse of :meth:`config`."""
+        obj = from_json(_CONFIG_FIELDS, obj)
+        family = obj.get("family")
+        try:
+            if family == "power":
+                return PowerMajorant(alpha=obj["alpha"])
+            if family == "sampled":
+                return SampledMajorant(table=obj["table"])
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        raise ValueError(f"unknown majorant family: {family!r}")
+
+
+class OutsideTable(ValueError):
+    """A sampled majorant was asked for t in [t_lo, t_hi], beyond its table."""
+
+    def __init__(self, t_lo: float, t_hi: float):
+        super().__init__(f"t in [{t_lo:g}, {t_hi:g}] leaves the sampled table range")
+        self.t_lo, self.t_hi = t_lo, t_hi
 
 
 @dataclass(frozen=True)
@@ -212,7 +240,7 @@ class SampledMajorant(Majorant):
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
         if np.any(t < self.t_min) or np.any(t > self.t_max):
-            raise ValueError("t outside the sampled table range")
+            raise OutsideTable(float(np.min(t)), float(np.max(t)))
         return self._interp(t)
 
     def config(self) -> dict:
@@ -235,16 +263,7 @@ class SampledMajorant(Majorant):
         return val, self(min(t_cap, self.t_max)) * math.exp(-u_cap)
 
 
-def majorant_from_config(obj: dict) -> Majorant:
-    """Build a majorant from {"family": "power", "alpha": a} or
-    {"family": "sampled", "table": [[t, w], ...]}; the inverse of
-    :meth:`Majorant.config`."""
-    family = obj.get("family")
-    if family == "power":
-        return PowerMajorant(alpha=float(obj["alpha"]))
-    if family == "sampled":
-        return SampledMajorant(table=tuple((p[0], p[1]) for p in obj["table"]))
-    raise ValueError(f"unknown majorant family: {family!r}")
+majorant_from_config = Majorant.from_json_dict
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +360,12 @@ def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[fl
         lam = np.abs(fz) + np.abs(fzbar)
         return lam / omega(1.0 / (1.0 - np.abs(z)))
 
-    return [res.value for res in grid_sup(ratio, grid or Grid(), count=len(stack))]
+    return [res.value for res in grid_sup(ratio, grid or Grid(), len(stack))]
 
 
 def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
     """Smallest empirical C with Lambda_f(z) <= C omega(1/d(z)) on the disk."""
     return cond_a_constants([f], omega, grid)[0]
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=8)
@@ -570,12 +583,7 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
 
 
 def verify_hl_equivalences(
-    maps,
-    omega: Majorant,
-    grid: Grid | None = None,
-    pair_count: int = 512,
-    seed: int = 11,
-    segment_nodes: int = 64,
+    maps, omega: Majorant, grid: Grid | None = None
 ) -> list[tuple[VerificationReport, VerificationReport]]:
     """:func:`verify_hl_equivalence` for each map. The C4 suprema come from
     one batched :func:`~harmap.functionals.grid_sup`; the pairs, segments
@@ -597,13 +605,12 @@ def verify_hl_equivalences(
         return lam * d / omega(d)
 
     stack = MapStack(maps)
-    c4s = grid_sup(lambda z, rows: grad_ratio(wirtinger(stack[rows], z), z), grid,
-                   count=len(stack))
+    c4s = grid_sup(lambda z, rows: grad_ratio(wirtinger(stack[rows], z), z), grid, len(stack))
 
     r_cap = grid.r_max * (1.0 - 1e-3)
-    z, w = _hl_pairs(pair_count, seed, r_cap)
+    z, w = _hl_pairs(512, 11, r_cap)
     sep = np.abs(z - w)
-    x, wts = gauss_legendre_01(segment_nodes)
+    x, wts = gauss_legendre_01(64)
     seg = w[:, None] + x[None, :] * (z - w)[:, None]
     d_seg = 1.0 - np.abs(seg)
     int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
@@ -666,12 +673,7 @@ def verify_hl_equivalences(
 
 
 def verify_hl_equivalence(
-    f: HarmonicMap,
-    omega: Majorant,
-    grid: Grid | None = None,
-    pair_count: int = 512,
-    seed: int = 11,
-    segment_nodes: int = 64,
+    f: HarmonicMap, omega: Majorant, grid: Grid | None = None
 ) -> tuple[VerificationReport, VerificationReport]:
     """Both directions of the gradient / modulus-of-continuity equivalence.
 
@@ -691,4 +693,4 @@ def verify_hl_equivalence(
     regularity condition (finite c_eq2). The one-map case of
     :func:`verify_hl_equivalences`.
     """
-    return verify_hl_equivalences([f], omega, grid, pair_count, seed, segment_nodes)[0]
+    return verify_hl_equivalences([f], omega, grid)[0]

@@ -33,10 +33,6 @@ HYPOTHESIS_VIOLATED = "hypothesis-violated"
 CSV_COLUMNS = ("name", "n", "lhs", "rhs", "margin", "status")
 
 
-def _opt_float(x):
-    return None if x is None else float(x)
-
-
 def _jsonable(x):
     """Numbers for JSON output; non-finite floats become repr strings."""
     if x is None or isinstance(x, (bool, str, int)):
@@ -130,8 +126,8 @@ def make_report(
     if orientation not in ("le", "ge"):
         raise ValueError("orientation must be 'le' or 'ge'")
     hyp = dict(hypotheses or {})
-    lhs = _opt_float(lhs)
-    rhs = _opt_float(rhs)
+    lhs = None if lhs is None else float(lhs)
+    rhs = None if rhs is None else float(rhs)
     if lhs is None or rhs is None:
         margin = None
     else:

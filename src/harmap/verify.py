@@ -19,7 +19,7 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -133,9 +133,6 @@ class FuzzSpec:
             raise ValueError("target_K must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:

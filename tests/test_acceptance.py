@@ -7,8 +7,10 @@ total area at most 1, generated from seed 42.
 """
 
 import hashlib
+import importlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +288,11 @@ def test_14_full_suite_determinism(tmp_path):
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == DEFAULT_CAMPAIGN_SHA256
     assert first_run < 60.0
     report_line(14, f"default campaign determinism ({first_run:.1f}s/run)", time.perf_counter() - t0)
+
+
+def test_campaign_digest_pins_agree(monkeypatch):
+    # The benchmark checks its campaign runs against its own copy of the
+    # digest; a re-pin must update both copies.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.CAMPAIGN_REFERENCE[42] == DEFAULT_CAMPAIGN_SHA256

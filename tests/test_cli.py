@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
-from harmap.core import map_json_bytes
+from harmap.core import MAX_FILE_DEGREE, map_json_bytes
 from harmap.grids import Grid, QuadratureSpec
 from harmap.lipschitz import PowerMajorant
 from harmap.verify import FuzzSpec, builtin_maps
@@ -206,24 +207,113 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"three_circles_pairs": [[0.1, 0.3, 99]]},
         {"maps": "ab.json"},
         {"suites": "hl-17"},
+        {"maps": ["boolean-coefficient.json"]},
+        {"maps": ["three-entry-pair.json"]},
+        {"maps": ["unknown-key.json"]},
+        {"maps": ["degree-over-cap.json"]},
+        {"grid": {"n_r": 10**8, "n_theta": 10**8}},
+        {"quadrature": {"mc_samples": 10**13}},
+        {"isoperimetric_radii": [10**400]},
+        {"fuzz": {"target_K": math.nan}},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
          "include-builtin-not-boolean", "fractional-seed", "boolean-seed",
          "string-sample-count", "fractional-grid", "float-mc-samples", "fractional-fuzz-count",
-         "three-element-pair", "maps-not-array", "suites-not-array"],
+         "three-element-pair", "maps-not-array", "suites-not-array",
+         "map-boolean-coefficient", "map-three-entry-pair", "map-unknown-key",
+         "map-degree-over-cap", "grid-too-many-nodes", "too-many-mc-samples",
+         "integer-beyond-float-range", "nan-target-k"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
 
     monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("campaign started"))
     monkeypatch.chdir(tmp_path)
+    identity = {"a": [[0, 0], [1, 0]], "b": [[0, 0]]}
+    bad_maps = {
+        "boolean-coefficient.json": {"a": [[0, 0], [True, 0]], "b": [[0, 0]]},
+        "three-entry-pair.json": {"a": [[0, 0], [1, 0, 5]], "b": [[0, 0]]},
+        "unknown-key.json": {**identity, "c": 1},
+        "degree-over-cap.json": {"a": [[0, 0]] * (MAX_FILE_DEGREE + 2),
+                                 "b": [[0, 0]] * (MAX_FILE_DEGREE + 1)},
+    }
+    for name, obj in bad_maps.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
     assert err[0].startswith(f"error: bad configuration: {next(iter(bad))}")  # names the key
+
+
+def test_functional_rejects_malformed_map_files(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for obj in ({"a": [[0, 0], [True, 0]], "b": [[0, 0]]},
+                {"a": [[0, 0], [1, 0, 5]], "b": [[0, 0]]},
+                {"a": [[0, 0], [1, 0]], "b": [[0, 0]], "c": 1},
+                {"a": [[0, 0], [1, 0]]}):
+        path.write_text(json.dumps(obj))
+        assert main(["functional", "--map", str(path), "--name", "area"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load map: malformed map object")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Suite configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    obj = json.loads(example)
+    cfg = SuiteConfig.from_json_dict(obj)
+    renamed = {"map_files", "output_path", "output_format"}
+    assert set(obj) == {f.name for f in fields(SuiteConfig)} - renamed | {"maps", "output"}
+    assert cfg == replace(default_config(), map_files=("extra-map.json",),
+                          output_path="reports.jsonl")
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    import harmap.cli as cli
+
+    def broken(f, r, q=None):
+        raise RuntimeError("broken\nverifier")
+
+    monkeypatch.setattr(cli, "verify_isoperimetric", broken)
+    cfg = tmp_path / "cfg.json"
+    obj = small_config(tmp_path)
+    obj["suites"] = ["isoperimetric"]
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: internal: RuntimeError: broken verifier"]
+
+
+def test_sampled_majorant_short_of_the_evaluated_range(tmp_path, capsys):
+    # The table stops at t = 50; lipschitz-16 evaluates omega up to
+    # 1 / (1 - r_max) = 200. Those checks are hypothesis-violated rows that
+    # record the requested range, and the power majorant's rows keep their
+    # bytes.
+    def rows(majorants):
+        obj = {"suites": ["lipschitz-16", "hl-17"], "majorants": majorants,
+               "grid": {"n_r": 16, "n_theta": 32},
+               "output": {"path": str(tmp_path / "rows.jsonl")}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        return (tmp_path / "rows.jsonl").read_text().splitlines()
+
+    power = {"family": "power", "alpha": 0.5}
+    sampled = {"family": "sampled", "table": [[1e-3, 0.03], [1, 1], [50, 7]]}
+    mixed = rows([sampled, power])
+    assert [r for r in mixed if "[power(0.5)]" in r] == [r for r in rows([power]) if "[power" in r]
+    short = [json.loads(r) for r in mixed if "[sampled(3)]" in r]
+    assert len(short) == 3 * len(builtin_maps())
+    for row in short:
+        assert row["status"] == "hypothesis-violated"
+        assert row["hypotheses"] == {"majorant table covers the evaluated range": False}
+        assert row["details"]["t_lo"] < row["details"]["t_hi"]
+        assert not 1e-3 <= row["details"]["t_lo"] <= row["details"]["t_hi"] <= 50
 
 
 def test_verify_runs_deterministically(tmp_path, capsys):

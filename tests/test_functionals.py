@@ -240,8 +240,8 @@ def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
 
         return fn
 
-    results = grid_sup(batch, grid, count=len(maps))
-    assert results == [grid_sup(one(f), grid) for f in maps]
+    results = grid_sup(batch, grid, len(maps))
+    assert results == [grid_sup(lambda z, rows: one(f)(z[0])[None], grid, 1)[0] for f in maps]
     if weight(0.5) != 1.0:
         assert results[0].argmax == 0j
     else:
