@@ -33,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HarmonicMap, from_json, json_fields, load_map, map_json_bytes
+from .core import HarmonicMap, _grid_stretch_memo, from_json, json_fields, load_map, map_json_bytes
 from .functionals import (
     area_series,
     area_sup,
-    area_quadrature,
     bloch_seminorm,
     hardy_mean,
     hardy_norm,
@@ -50,12 +49,14 @@ from .lipschitz import (
     OutsideTable,
     PowerMajorant,
     _disk_means,
+    _hl_map_side,
+    _hl_rows,
     _mean_constant,
+    _pair_constant,
+    _pair_quotients,
     _regularity,
     chord_interpolation_bound,
     cond_a_constants,
-    cond_b_constant,
-    verify_hl_equivalences,
 )
 from .report import (
     FAIL,
@@ -144,12 +145,14 @@ def _per_majorant(fs, cfg: SuiteConfig, names, run):
 
 
 def _lipschitz_16(fs, cfg: SuiteConfig, qs):
-    means = [_disk_means(f) for f in fs]  # C3's map side, shared by every majorant
+    # C2's and C3's map sides, shared by every majorant (C1's is core's memo).
+    quotients = [_pair_quotients(f) for f in fs]
+    means = [_disk_means(f) for f in fs]
 
     def run(omega):
         chunks = []
-        for f, c1, m in zip(fs, cond_a_constants(fs, omega, cfg.grid), means):
-            c2, c3 = cond_b_constant(f, omega), _mean_constant(m, omega)
+        for c1, qt, m in zip(cond_a_constants(fs, omega, cfg.grid), quotients, means):
+            c2, c3 = _pair_constant(qt, omega), _mean_constant(m, omega)
             chunks.append([make_report("cond-b-vs-a", c2, math.pi * c1, slack=1e-6,
                                        details={"C1": c1, "C2": c2, "C3": c3})])
         return chunks
@@ -161,8 +164,8 @@ def _lipschitz_16(fs, cfg: SuiteConfig, qs):
 
 
 def _hl_17(fs, cfg: SuiteConfig, qs):
-    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
-                         lambda omega: verify_hl_equivalences(fs, omega, cfg.grid))
+    side = _hl_map_side(fs, cfg.grid)  # shared by every majorant
+    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"], lambda omega: _hl_rows(side, omega))
 
 
 def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
@@ -366,13 +369,14 @@ def run_config(cfg: SuiteConfig):
     cfg.validate()
     _reset_map_memos()
     try:
-        sources = sorted(_load_sources(cfg), key=lambda s: s[0])
-        reports, index = [], 0
-        for suite in sorted(set(cfg.suites)):
-            targets = sources if SUITES[suite][1] else [("-", None)]
-            indices = range(index, index + len(targets))
-            reports.extend(_run_suite_on_map(suite, targets, cfg, indices))
-            index += len(targets)
+        with _grid_stretch_memo():  # Lambda_f grids are kept for this campaign only
+            sources = sorted(_load_sources(cfg), key=lambda s: s[0])
+            reports, index = [], 0
+            for suite in sorted(set(cfg.suites)):
+                targets = sources if SUITES[suite][1] else [("-", None)]
+                indices = range(index, index + len(targets))
+                reports.extend(_run_suite_on_map(suite, targets, cfg, indices))
+                index += len(targets)
     finally:
         _reset_map_memos()
         cfg.__dict__.pop("_file_maps", None)
@@ -446,6 +450,9 @@ def _cmd_verify(args) -> int:
             cfg.output_format = args.format
         cfg.validate()
         cfg._file_maps  # read the map files now: a bad one is a usage error, not a mid-run crash
+        out = Path(cfg.output_path)  # refused before the campaign, not after it
+        if out.is_dir() or not out.parent.is_dir():
+            raise ConfigError(f"output: {str(out)!r} is not a file path in an existing directory")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -305,6 +306,40 @@ def wirtinger(f: HarmonicMap | MapStack, z):
     return fz, fzbar
 
 
+def _stretch(f: HarmonicMap | MapStack, z: np.ndarray) -> np.ndarray:
+    """Lambda_f = |f_z| + |f_zbar| at the points z (rows by map for a stack)."""
+    fz, fzbar = wirtinger(f, z)
+    return np.abs(fz) + np.abs(fzbar)
+
+
+_GRID_STRETCH: dict | None = None  # (map, grid) -> Lambda_f, oldest use first, in a campaign
+
+
+@contextmanager
+def _grid_stretch_memo():
+    """Memoize :func:`_grid_stretch` while the block (a campaign) runs."""
+    global _GRID_STRETCH
+    _GRID_STRETCH = {}
+    try:
+        yield
+    finally:
+        _GRID_STRETCH = None
+
+
+def _grid_stretch(f: HarmonicMap, grid: Grid) -> np.ndarray:
+    """Lambda_f on ``grid.nodes``, read-only. A campaign memoizes it, so the
+    disk suprema of its suites and majorants share one scan per map, in at
+    most 8 MiB (64 maps on the default grid); outside one nothing is kept."""
+    memo = {} if _GRID_STRETCH is None else _GRID_STRETCH
+    lam = memo.pop((f, grid), None)
+    if lam is None:
+        lam = _read_only(_stretch(f, grid.nodes))
+    memo[f, grid] = lam
+    while sum(v.nbytes for v in memo.values()) > 8 << 20:
+        del memo[next(iter(memo))]
+    return lam
+
+
 def derivatives(f: HarmonicMap, z: complex) -> PointwiseData:
     """All pointwise distortion data of f at z."""
     fz, fzbar = wirtinger(f, complex(z))
@@ -335,8 +370,11 @@ class SensePreservation:
 def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None) -> SensePreservation:
     """True iff the Jacobian is positive at every node of the grid."""
     grid = grid or Grid()
-    nodes = grid.nodes
-    fz, fzbar = wirtinger(f, nodes)
+    return _sense_scan(grid.nodes, *wirtinger(f, grid.nodes))
+
+
+def _sense_scan(nodes: np.ndarray, fz: np.ndarray, fzbar: np.ndarray) -> SensePreservation:
+    """:func:`is_sense_preserving` from the derivative fields on ``nodes``."""
     jac = (_abs2(fz) - _abs2(fzbar)).ravel()
     k = int(np.argmin(jac))
     return SensePreservation(
@@ -355,7 +393,11 @@ def qc_constant(f: HarmonicMap, grid: Grid | None = None) -> float:
     since the constant is then meaningless.
     """
     grid = grid or Grid()
-    fz, fzbar = wirtinger(f, grid.nodes)
+    return _qc_scan(*wirtinger(f, grid.nodes))
+
+
+def _qc_scan(fz: np.ndarray, fzbar: np.ndarray) -> float:
+    """:func:`qc_constant` from the derivative fields on the grid."""
     m1, m2 = np.abs(fz), np.abs(fzbar)
     lam = np.abs(m1 - m2)
     if np.any(lam < LAMBDA_FLOOR):

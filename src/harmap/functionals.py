@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import HarmonicMap, MapStack, _abs2, wirtinger
+from .core import HarmonicMap, MapStack, _abs2, _grid_stretch, _stretch, wirtinger
 from .grids import Grid, QuadratureSpec, gauss_legendre_01, r_ladder
 
 __all__ = [
@@ -364,25 +364,26 @@ class SupResult:
     error_estimate: float
 
 
-def grid_sup(fn, grid: Grid, count: int) -> list[SupResult]:
+def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     """Estimate the sup over the disk covered by the grid of each of
     ``count`` problems at once, one SupResult per problem.
 
+    ``coarse`` yields each problem's values on ``grid.nodes``, say its
+    memoized Lambda_f grid under a weight, and is read after ``fn`` has been
+    evaluated at the origin.
     ``fn(z, rows)`` evaluates the problems ``rows`` (a slice) and returns a
     real array of z's shape, z's leading axis running over those problems.
     Protocol, per problem: coarse max over the tensor grid and the origin;
     golden-section refinement in radius at the best angle; then in angle;
     then in radius again. The value gained by the final stage is reported
-    as the error estimate. Each problem's coarse scan is its own call on the
-    grid; the polish runs every problem in lockstep, one call of ``count``
-    points per golden-section step, and each result equals the run of that
-    problem alone.
+    as the error estimate. The polish runs every problem in lockstep, one
+    call of ``count`` points per golden-section step, and each result
+    equals the run of that problem alone.
     """
     radii, angles = grid.radii, grid.angles
     best_v, best_r, best_t, lo, hi = [], [], [], [], []
     origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)
-    for p in range(count):
-        vals = np.asarray(fn(grid.nodes[None], slice(p, p + 1)), dtype=float)[0]
+    for p, vals in zip(range(count), coarse):
         i, j = divmod(int(np.argmax(vals)), grid.n_theta)
         v, r, t = float(vals[i, j]), float(radii[i]), float(angles[j])
         if float(origin[p, 0]) > v:
@@ -421,6 +422,14 @@ def grid_sup(fn, grid: Grid, count: int) -> list[SupResult]:
     ]
 
 
+def _stretch_sups(maps, ratio, grid: Grid) -> list[SupResult]:
+    """:func:`grid_sup` of ratio(Lambda_f(z), z) for each map: the coarse
+    scans weigh the memoized Lambda_f grids, the polish runs on the stack."""
+    stack = MapStack(maps)
+    coarse = (ratio(_grid_stretch(f, grid), grid.nodes) for f in maps)
+    return grid_sup(lambda z, rows: ratio(_stretch(stack[rows], z), z), grid, len(stack), coarse)
+
+
 # ---------------------------------------------------------------------------
 # Bloch seminorm and the hyperbolic metric
 # ---------------------------------------------------------------------------
@@ -429,13 +438,7 @@ def grid_sup(fn, grid: Grid, count: int) -> list[SupResult]:
 def bloch_seminorms(maps, grid: Grid | None = None) -> list[FunctionalValue]:
     """sup over the disk of (1 - |z|^2) Lambda_f(z) for each map, all
     polished in lockstep by one batched :func:`grid_sup`."""
-    stack = MapStack(maps)
-
-    def ratio(z: np.ndarray, rows: slice) -> np.ndarray:
-        fz, fzbar = wirtinger(stack[rows], z)
-        return (1.0 - _abs2(z)) * (np.abs(fz) + np.abs(fzbar))
-
-    sups = grid_sup(ratio, grid or Grid(), len(stack))
+    sups = _stretch_sups(maps, lambda lam, z: (1.0 - _abs2(z)) * lam, grid or Grid())
     return [FunctionalValue(res.value, GRID_SUP, res.error_estimate) for res in sups]
 
 

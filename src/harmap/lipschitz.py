@@ -35,8 +35,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .core import _PAIRS, HarmonicMap, MapStack, _abs2, from_json, wirtinger
-from .functionals import grid_sup
+from .core import _PAIRS, HarmonicMap, _abs2, _grid_stretch, _stretch, from_json
+from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
+from .functionals import _stretch_sups
 from .grids import Grid, _read_only, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
@@ -203,17 +204,17 @@ class SampledMajorant(Majorant):
             raise ValueError("table needs at least two rows")
         ts = np.array([r[0] for r in rows])
         ws = np.array([r[1] for r in rows])
-        if np.any(ts <= 0.0) or np.any(ws <= 0.0):
-            raise ValueError("table entries must be positive")
-        if np.any(np.diff(ts) <= 0.0) or np.any(np.diff(ws) <= 0.0):
+        if not (np.all(np.isfinite(ts) & (ts > 0.0)) and np.all(np.isfinite(ws) & (ws > 0.0))):
+            raise ValueError("table entries must be positive and finite")
+        if not (np.all(np.diff(ts) > 0.0) and np.all(np.diff(ws) > 0.0)):  # NaN fails each check
             raise ValueError("table must be strictly increasing")
         slopes = np.diff(np.log(ws)) / np.diff(np.log(ts))
-        if np.any(slopes > 1.0 + 1e-12):
+        if not np.all(slopes <= 1.0 + 1e-12):
             raise ValueError("omega(t)/t must be non-increasing")
         object.__setattr__(self, "table", rows)
         probes = np.geomspace(ts[0], ts[-1], 64)
         ratio = self._interp(probes) / probes
-        if np.any(np.diff(ratio) > 1e-12 * ratio[:-1]):
+        if not np.all(np.diff(ratio) <= 1e-12 * ratio[:-1]):
             raise ValueError("omega(t)/t must be non-increasing")
 
     @cached_property
@@ -352,15 +353,11 @@ def _regularity(omega: Majorant) -> RegularityReport:
 
 def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
     """:func:`cond_a_constant` for each map, all polished in lockstep by one
-    batched :func:`~harmap.functionals.grid_sup`."""
-    stack = MapStack(maps)
-
-    def ratio(z: np.ndarray, rows: slice) -> np.ndarray:
-        fz, fzbar = wirtinger(stack[rows], z)
-        lam = np.abs(fz) + np.abs(fzbar)
-        return lam / omega(1.0 / (1.0 - np.abs(z)))
-
-    return [res.value for res in grid_sup(ratio, grid or Grid(), len(stack))]
+    batched :func:`~harmap.functionals.grid_sup`. The map side, Lambda_f on
+    the grid, is memoized per map by ``core._grid_stretch``."""
+    sups = _stretch_sups(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))),
+                         grid or Grid())
+    return [res.value for res in sups]
 
 
 def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
@@ -372,7 +369,8 @@ def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -
 def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (z, w) pairs mixing random, local, antipodal and
     direction-sweep configurations (the sweeps at shrinking separations pin
-    down local-stretch suprema). Cached; the arrays are read-only."""
+    down local-stretch suprema), without degenerate pairs (coincident, or
+    touching the boundary). Cached; the arrays are read-only."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50414952)))
     half = count // 2
     quarter = count // 4
@@ -390,43 +388,37 @@ def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) 
         w_parts.append(-eps * ang)
     z = np.concatenate(z_parts)
     w = np.concatenate(w_parts)
-    keep = np.abs(w) < 1.0
+    keep = ((np.abs(z - w) >= PAIR_MIN_SEPARATION) & (1.0 - np.abs(z) >= PAIR_MIN_BOUNDARY_DISTANCE)
+            & (1.0 - np.abs(w) >= PAIR_MIN_BOUNDARY_DISTANCE))
     return _read_only(z[keep], w[keep])
 
 
-def _pair_mask(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (
-        (np.abs(z - w) >= PAIR_MIN_SEPARATION)
-        & (1.0 - np.abs(z) >= PAIR_MIN_BOUNDARY_DISTANCE)
-        & (1.0 - np.abs(w) >= PAIR_MIN_BOUNDARY_DISTANCE)
-    )
+def cond_b_constant(f: HarmonicMap, omega: Majorant) -> float:
+    """Smallest empirical C with |f(z)-f(w)| / |z-w| <= C omega(1/sqrt(d d'))
+    over :func:`default_pair_sample`. The map side is :func:`_pair_quotients`."""
+    return _pair_constant(_pair_quotients(f), omega)
 
 
-def cond_b_constant(f: HarmonicMap, omega: Majorant, pairs=None) -> float:
-    """Smallest empirical C with |f(z)-f(w)| / |z-w| <= C omega(1/sqrt(d d')).
-
-    ``pairs`` is a (z, w) array pair; degenerate pairs (coincident or
-    touching the boundary) are skipped.
-    """
-    z, w = pairs if pairs is not None else default_pair_sample()
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    keep = _pair_mask(z, w)
-    z, w = z[keep], w[keep]
-    if z.size == 0:
-        raise ValueError("no admissible pairs")
-    num = np.abs(f(z) - f(w)) / np.abs(z - w)
-    den = omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w))))
-    return float(np.max(num / den))
+def _pair_quotients(f: HarmonicMap) -> np.ndarray:
+    """|f(z)-f(w)| / |z-w| on the pairs: the map's side of :func:`cond_b_constant`."""
+    z, w = default_pair_sample()
+    return np.abs(f(z) - f(w)) / np.abs(z - w)
 
 
-def _disk_mean_abs_dev(f: HarmonicMap, z0: complex, r: float, n_rad: int = 32, n_ang: int = 128) -> float:
-    """(1 / |D(z0, r)|) int |f - f(z0)| dA over the disk D(z0, r)."""
-    x, wts = gauss_legendre_01(n_rad)
+def _pair_constant(quotients: np.ndarray, omega: Majorant) -> float:
+    """The majorant's side of :func:`cond_b_constant`."""
+    z, w = default_pair_sample()
+    return float(np.max(quotients / omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w))))))
+
+
+def _disk_mean_abs_dev(f: HarmonicMap, z0: complex, r: float, f0: complex) -> float:
+    """(1 / |D(z0, r)|) int |f - f0| dA over the disk D(z0, r), f0 = f(z0)."""
+    n_ang = 128
+    x, wts = gauss_legendre_01(32)
     rho = r * x
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     zeta = z0 + rho[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(f(zeta) - f(complex(z0)))
+    vals = np.abs(f(zeta) - f0)
     # mean = (2 / r^2) int_0^r rho mean_theta(rho) drho
     return float((2.0 / r) * np.sum((wts * rho) @ vals) / n_ang)
 
@@ -442,14 +434,14 @@ def _disk_means(f: HarmonicMap, probes=None) -> list[tuple[float, float]]:
     means = []
     for z0, fractions in probes or default_mean_probes():
         z0 = complex(z0)
-        d = 1.0 - abs(z0)
+        d, f0 = 1.0 - abs(z0), f(z0)  # one evaluation per centre, for all its radii
         for frac in fractions:
             r = float(frac) * d
             if r <= 0.0:
                 raise ValueError("probe radii must be positive")
             if r > d * (1.0 + 1e-12):
                 raise ValueError("probe radius exceeds the boundary distance")
-            means.append((r, _disk_mean_abs_dev(f, z0, r)))
+            means.append((r, _disk_mean_abs_dev(f, z0, r, f0)))
     return means
 
 
@@ -582,13 +574,22 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(z[keep], w[keep])
 
 
-def verify_hl_equivalences(
-    maps, omega: Majorant, grid: Grid | None = None
-) -> list[tuple[VerificationReport, VerificationReport]]:
-    """:func:`verify_hl_equivalence` for each map. The C4 suprema come from
-    one batched :func:`~harmap.functionals.grid_sup`; the pairs, segments
-    and the majorant's side of the segment bound are built once."""
-    grid = grid or Grid()
+def _hl_map_side(maps, grid: Grid):
+    """The majorant-free half of :func:`verify_hl_equivalences`: (maps, grid,
+    the pairs (z, w), |z - w|, the segment nodes' boundary distances and
+    weights, and per map |f(z) - f(w)| and Lambda_f integrated per segment)."""
+    z, w = _hl_pairs(512, 11, grid.r_max * (1.0 - 1e-3))
+    sep = np.abs(z - w)
+    x, wts = gauss_legendre_01(64)
+    seg = w[:, None] + x[None, :] * (z - w)[:, None]
+    fields = [(np.abs(f(z) - f(w)), sep * (_stretch(f, seg) @ wts)) for f in maps]
+    return maps, grid, (z, w, sep, 1.0 - np.abs(seg), wts), fields
+
+
+def _hl_rows(side, omega: Majorant) -> list[tuple[VerificationReport, VerificationReport]]:
+    """The majorant's side of :func:`verify_hl_equivalences` on a map side
+    of :func:`_hl_map_side`: C4, the segment constant and each map's rows."""
+    maps, grid, (z, w, sep, d_seg, wts), fields = side
     reg = _regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):
@@ -598,37 +599,22 @@ def verify_hl_equivalences(
             for _ in maps
         ]
 
-    def grad_ratio(fields, z: np.ndarray) -> np.ndarray:
-        fz, fzbar = fields
-        lam = np.abs(fz) + np.abs(fzbar)
+    def grad_ratio(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         d = 1.0 - np.abs(z)
         return lam * d / omega(d)
 
-    stack = MapStack(maps)
-    c4s = grid_sup(lambda z, rows: grad_ratio(wirtinger(stack[rows], z), z), grid, len(stack))
+    c4s = _stretch_sups(maps, grad_ratio, grid)
 
-    r_cap = grid.r_max * (1.0 - 1e-3)
-    z, w = _hl_pairs(512, 11, r_cap)
-    sep = np.abs(z - w)
-    x, wts = gauss_legendre_01(64)
-    seg = w[:, None] + x[None, :] * (z - w)[:, None]
-    d_seg = 1.0 - np.abs(seg)
     int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
     omega_sep = omega(sep)
     c_seg = float(np.max(int_omega / omega_sep))
 
     nodes = grid.nodes.ravel()
-    d = 1.0 - np.abs(nodes)
-    sel = d >= 1e-3
-    inner = nodes[sel]
+    inner = 1.0 - np.abs(nodes) >= 1e-3  # hl-reverse's nodes
 
     out = []
-    for f, sup in zip(maps, c4s):
+    for f, sup, (df, int_lambda) in zip(maps, c4s, fields):
         c4 = sup.value
-        df = np.abs(f(z) - f(w))
-        fz, fzbar = wirtinger(f, seg)
-        lam_seg = np.abs(fz) + np.abs(fzbar)
-        int_lambda = sep * (lam_seg @ wts)
         c5 = float(np.max(df / omega_sep))
 
         # Chain checks: the gradient theorem bound and the pointwise C4 bound
@@ -640,36 +626,31 @@ def verify_hl_equivalences(
         bad_idx = int(np.argmin((ok_grad & ok_c4))) if not chain_ok else None
 
         fwd = make_report(
-            "hl-forward",
-            lhs=c5,
-            rhs=c4 * c_seg,
-            slack=1e-6 * max(1.0, c4 * c_seg),
-            hypotheses=hyp,
+            "hl-forward", c5, c4 * c_seg, slack=1e-6 * max(1.0, c4 * c_seg), hypotheses=hyp,
             witnesses=[] if chain_ok else [(complex(z[bad_idx]), float(df[bad_idx]))],
             force_fail=not chain_ok,
-            details={
-                "C4": c4,
-                "C5": c5,
-                "segment_constant": c_seg,
-                "inflation": (c5 / c4) if c4 > 0.0 else 0.0,
-            },
+            details={"C4": c4, "C5": c5, "segment_constant": c_seg,
+                     "inflation": (c5 / c4) if c4 > 0.0 else 0.0},
         )
 
-        ratios = grad_ratio(wirtinger(f, inner), inner)
+        # The reverse scan reads C4's coarse array at the nodes with d >= 1e-3.
+        ratios = grad_ratio(_grid_stretch(f, grid), grid.nodes).ravel()[inner]
         k = int(np.argmax(ratios))
         lhs_rev = float(ratios[k])
-        rhs_rev = 21.0 * c5 / math.pi
-        rev = make_report(
-            "hl-reverse",
-            lhs=lhs_rev,
-            rhs=rhs_rev,
-            slack=1e-6,
-            hypotheses=hyp,
-            witnesses=[(complex(inner[k]), lhs_rev)],
-            details={"C5": c5},
-        )
+        rev = make_report("hl-reverse", lhs_rev, 21.0 * c5 / math.pi, slack=1e-6, hypotheses=hyp,
+                          witnesses=[(complex(nodes[inner][k]), lhs_rev)], details={"C5": c5})
         out.append((fwd, rev))
     return out
+
+
+def verify_hl_equivalences(
+    maps, omega: Majorant, grid: Grid | None = None
+) -> list[tuple[VerificationReport, VerificationReport]]:
+    """:func:`verify_hl_equivalence` for each map, C4 from one batched
+    :func:`~harmap.functionals.grid_sup`. The map side, :func:`_hl_map_side`
+    and the memoized Lambda_f grids, involves no majorant: a caller with
+    several majorants builds it once and runs :func:`_hl_rows` per majorant."""
+    return _hl_rows(_hl_map_side(maps, grid or Grid()), omega)
 
 
 def verify_hl_equivalence(

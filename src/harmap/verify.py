@@ -28,6 +28,9 @@ import numpy as np
 from .core import (
     HarmonicMap,
     _abs2,
+    _qc_scan,
+    _sense_scan,
+    _stretch,
     is_sense_preserving,
     qc_constant,
     wirtinger,
@@ -123,13 +126,13 @@ class FuzzSpec:
     MAX_ATTEMPTS = 100
 
     def __post_init__(self):
-        if self.count < 1:
+        if not self.count >= 1:  # each check is written so that NaN fails it
             raise ValueError("count must be >= 1")
         if not 1 <= self.degree <= self.MAX_DEGREE:
             raise ValueError(f"degree must lie in 1..{self.MAX_DEGREE}")
         if not 0.0 < self.coeff_decay < 1.0:
             raise ValueError("coeff_decay must lie in (0, 1)")
-        if self.target_K < 1.0:
+        if not self.target_K >= 1.0:
             raise ValueError("target_K must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -222,12 +225,13 @@ def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     """The shared quasiconformal hypothesis: (K, hypotheses) on the grid.
 
     K is the grid distortion constant, or inf when the Jacobian scan finds
-    f not sense-preserving. Cached per (map, grid), so the verifiers that
-    share this hypothesis scan each map once; the read-only hypotheses keep
-    one caller from editing another's.
+    f not sense-preserving; both read one evaluation on the grid. Cached per
+    (map, grid), so the verifiers that share this hypothesis scan each map
+    once; the read-only hypotheses keep one caller from editing another's.
     """
-    sense_ok = is_sense_preserving(f, grid).ok
-    K = qc_constant(f, grid) if sense_ok else math.inf
+    fields = wirtinger(f, grid.nodes)
+    sense_ok = _sense_scan(grid.nodes, *fields).ok
+    K = _qc_scan(*fields) if sense_ok else math.inf
     return K, MappingProxyType(
         {"sense-preserving": sense_ok, "finite distortion constant": math.isfinite(K)}
     )
@@ -429,8 +433,7 @@ def verify_gradient_bounds(
         if sample is None:
             sample = _gradient_sample(q)
         z = np.asarray(sample, dtype=complex)
-        fz, fzbar = wirtinger(f, z)
-        lam = (np.abs(fz) + np.abs(fzbar)) * (1.0 - np.abs(z))
+        lam = _stretch(f, z) * (1.0 - np.abs(z))
         k = int(np.argmax(lam))
         worst = complex(z.ravel()[k])
         lf1 = _boundary_length(f, q.angular_nodes)

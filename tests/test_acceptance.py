@@ -8,6 +8,7 @@ total area at most 1, generated from seed 42.
 
 import hashlib
 import importlib
+import json
 import math
 import time
 from pathlib import Path
@@ -46,6 +47,7 @@ from harmap import (
 )
 from harmap.cli import main
 from harmap.report import PASS
+from harmap.verify import verify_gradient_bounds
 
 CORPUS_SPEC = FuzzSpec(count=1000, degree=8, seed=42)
 _STATE: dict = {}
@@ -136,8 +138,17 @@ def test_05_length_coefficient_gradient_bounds(corpus):
     for f in corpus:
         for rep in verify_coeff_bound(f):
             assert rep.status == PASS
-        for rep in verify_gradient_bound(f):
+    # The batched form polishes every map's Bloch sup in lockstep; on 20
+    # maps it matches the one-map form bit for bit.
+    defaults = [None] * len(corpus)
+    for reps in verify_gradient_bounds(corpus, defaults, defaults):
+        for rep in reps:
             assert rep.status == PASS
+    def rows(chunks):
+        return json.dumps([rep.to_json_dict() for chunk in chunks for rep in chunk])
+
+    batched = verify_gradient_bounds(corpus[:20], defaults[:20], defaults[:20])
+    assert rows(batched) == rows(verify_gradient_bound(f) for f in corpus[:20])
     report_line(5, "length-derived coefficient and stretch bounds", time.perf_counter() - t0)
 
 

@@ -129,6 +129,12 @@ def test_fuzz_dominance_contract(tmp_path):
     assert manifest["files"] == ["map-0000.json", "map-0001.json", "map-0002.json"]
 
 
+def test_fuzz_nan_target_k_is_a_usage_error(tmp_path, capsys):
+    assert main(["fuzz", "--count", "1", "--target-k", "nan", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: target_K must be >= 1"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_fuzz_generation_failure_exit_code(tmp_path):
     code = main(["fuzz", "--count", "1", "--degree", "2", "--seed", "1",
                  "--target-k", "1.0", "--out", str(tmp_path / "x")])
@@ -215,6 +221,8 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"quadrature": {"mc_samples": 10**13}},
         {"isoperimetric_radii": [10**400]},
         {"fuzz": {"target_K": math.nan}},
+        {"output": {"path": "no-such-dir/rows.jsonl"}},
+        {"output": {"path": "."}},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -223,7 +231,8 @@ def test_verify_malformed_config(tmp_path, capsys):
          "three-element-pair", "maps-not-array", "suites-not-array",
          "map-boolean-coefficient", "map-three-entry-pair", "map-unknown-key",
          "map-degree-over-cap", "grid-too-many-nodes", "too-many-mc-samples",
-         "integer-beyond-float-range", "nan-target-k"],
+         "integer-beyond-float-range", "nan-target-k", "output-in-missing-directory",
+         "output-is-a-directory"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -455,6 +464,57 @@ def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
     assert sorted(Counter(calls).values()) == [18, 18, 18]
+
+
+def test_lipschitz_suites_scan_each_maps_side_once(monkeypatch):
+    # Lambda_f on the grid and on the hl-17 segments, |f(z) - f(w)| on the
+    # pairs: none depends on the majorant. With two majorants, each map's
+    # grid field is evaluated once for both suites and its segment field
+    # once, and a second campaign does the same scans again.
+    import harmap.core as core
+    from harmap.core import HarmonicMap
+
+    grid = Grid(n_r=16, n_theta=32)
+    scans = Counter()
+    original = core.wirtinger
+
+    def counting(f, z):
+        if isinstance(f, HarmonicMap):
+            scans["grid" if z is grid.nodes else np.shape(z)[1:], f] += 1
+        return original(f, z)
+
+    monkeypatch.setattr(core, "wirtinger", counting)
+    cfg = SuiteConfig(suites=("hl-17", "lipschitz-16"), fuzz=None, grid=grid)
+    assert len(cfg.majorants) == 2
+    maps = builtin_maps().values()
+    for _ in range(2):
+        scans.clear()
+        reports, summary = run_config(cfg)
+        assert summary["fail"] == 0
+        assert scans == Counter({**{("grid", f): 1 for f in maps}, **{((64,), f): 1 for f in maps}})
+
+
+def test_lipschitz_results_on_a_grid_do_not_reuse_another_grids_memos():
+    # Within a campaign's memo, scans on one grid serve no other grid.
+    import harmap.core as core
+    from harmap.functionals import bloch_seminorms
+    from harmap.lipschitz import cond_a_constants, verify_hl_equivalences
+
+    maps = list(builtin_maps().values())
+    omega = PowerMajorant(0.5)
+
+    def results(grid):
+        return (bloch_seminorms(maps, grid), cond_a_constants(maps, omega, grid),
+                verify_hl_equivalences(maps, omega, grid))
+
+    other = Grid(n_r=16, n_theta=32, r_max=0.9)
+    fresh = results(other)
+    with core._grid_stretch_memo():
+        default = results(Grid())  # the memo now holds the default grid's scans
+        assert len(core._GRID_STRETCH) == len(maps)
+        assert results(other) == fresh
+    assert default != fresh
+    assert core._GRID_STRETCH is None  # nothing outlives the block
 
 
 def _count_scalar_wirtinger(monkeypatch):

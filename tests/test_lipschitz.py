@@ -73,6 +73,12 @@ def test_sampled_majorant_rejects_bad_tables():
         SampledMajorant(table=((1.0, 1.0), (0.5, 2.0)))  # t not increasing
     with pytest.raises(ValueError):
         SampledMajorant(table=((1.0, 1.0),))
+    for table in (((1.0, 1.0), (math.nan, 2.0), (3.0, 2.5)),  # NaN passes a comparison
+                  ((1.0, 1.0), (2.0, math.nan)),
+                  ((math.nan, 1.0), (2.0, 1.5)),
+                  ((1.0, 1.0), (math.inf, 2.0))):
+        with pytest.raises(ValueError):
+            SampledMajorant(table=table)
 
 
 def test_majorant_config_round_trip():

@@ -217,17 +217,21 @@ def test_verifiers_report_sense_reversal_as_hypothesis():
 
 
 def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
+    # Sense preservation and K come from one evaluation of the derivative
+    # fields on the grid, shared by every verifier with that hypothesis.
     import harmap.verify as verify
 
-    calls = {"is_sense_preserving": 0, "qc_constant": 0}
-    for name in calls:
-        original = getattr(verify, name)
+    scans = []
+    original = verify.wirtinger
 
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(f, z):
+        if np.shape(z) == Grid().nodes.shape:
+            scans.append(f)
+        return original(f, z)
 
-        monkeypatch.setattr(verify, name, counting)
+    monkeypatch.setattr(verify, "wirtinger", counting)
+    for name in ("is_sense_preserving", "qc_constant"):  # fuzz admission's two scans
+        monkeypatch.setattr(verify, name, lambda *a, _name=name, **k: pytest.fail(_name))
     f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))  # used by no other test
     reports = [
         verify_area_overlap(f, q=QuadratureSpec(mc_samples=10_000)),
@@ -235,7 +239,7 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
         *verify_coeff_bound(f),
         *verify_gradient_bound(f),
     ]
-    assert calls == {"is_sense_preserving": 1, "qc_constant": 1}
+    assert scans == [f]
     assert all(rep.hypotheses["sense-preserving"] for rep in reports)
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
 
@@ -365,6 +369,11 @@ def test_fuzz_spec_validation():
         FuzzSpec(coeff_decay=1.5)
     with pytest.raises(ValueError):
         FuzzSpec(target_K=0.5)
+    # NaN passes a comparison like target_K < 1; a NaN target_K would turn
+    # the K admission gate off (k > nan is never true).
+    for kwargs in ({"target_K": math.nan}, {"count": math.nan}):
+        with pytest.raises(ValueError):
+            FuzzSpec(**kwargs)
 
 
 def test_report_moves_less_than_error_estimate(small_corpus):
