@@ -30,7 +30,6 @@ from .functionals import (
     area_sup,
     bloch_norm,
     bloch_seminorm,
-    golden_max,
     grid_sup,
     hardy_mean,
     hardy_norm,

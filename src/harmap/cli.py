@@ -126,8 +126,9 @@ def _chord_row(q: QuadratureSpec):
 
 def _per_majorant(fs, cfg: SuiteConfig, names, run):
     """Each map's rows for every majorant, named ``name[label]``; ``run(omega)``
-    gives one row list per map. A majorant table short of what ``run`` asks
-    for gives each map, per name, a hypothesis-violated row with that range."""
+    gives one row list per map (``fs`` is ``[None]`` for a global suite). A
+    majorant table short of what ``run`` asks for gives each map, per name,
+    a hypothesis-violated row with that range."""
     reports = [[] for _ in fs]
     for omega in cfg.majorants:
         try:
@@ -182,19 +183,18 @@ def _regularity_row(name: str, value: float | None, exact: float | None, details
 def _run_majorant_regularity(cfg: SuiteConfig):
     """Map-independent regularity rows. Majorants with closed-form constants
     (the power family: 1/alpha and 1/(1-alpha)) are compared against them at
-    5% tolerance; the others record their empirical constants."""
-    reports = []
-    for omega in cfg.majorants:
+    5% tolerance; the others record their empirical constants. A sampled
+    table that does not reach down to the probe scales gives
+    hypothesis-violated rows, as in the per-map majorant suites."""
+    names = ["majorant-head-integral", "majorant-tail-integral"]
+
+    def run(omega):
         rep = _regularity(omega)
         head, tail = omega.exact_regularity() or (None, None)
-        reports.append(
-            _regularity_row(f"majorant-head-integral[{omega.label()}]", rep.c_eq2, head, {})
-        )
-        reports.append(
-            _regularity_row(f"majorant-tail-integral[{omega.label()}]", rep.c_eq3, tail,
-                            {"truncation": rep.c_eq3_truncation})
-        )
-    return reports
+        return [[_regularity_row(names[0], rep.c_eq2, head, {}),
+                 _regularity_row(names[1], rep.c_eq3, tail, {"truncation": rep.c_eq3_truncation})]]
+
+    return _per_majorant([None], cfg, names, run)[0]
 
 
 # Suite name -> (runner, per_map). A per-map runner takes (maps, config,

@@ -15,8 +15,9 @@ Conventions
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish by
   golden-section search in radius and angle, and the gap closed by the last
   stage is the error estimate. A batch of problems (one per map, say) is
-  polished in lockstep, one array call per golden-section step, with each
-  problem's result equal to its run on its own. Circle maxima of |f| (the
+  polished by one array search, :func:`_golden_polish`, one call per
+  golden-section step, with each problem's result equal to its run on its
+  own. Circle maxima of |f| (the
   p = inf Hardy mean and norm) refine every circle at once by a batched
   angular zoom, :func:`_circle_max`, and the gain over the coarse max is
   the error estimate.
@@ -29,7 +30,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -56,7 +56,6 @@ __all__ = [
     "bloch_norm",
     "hyperbolic_distance",
     "lipschitz_ratio",
-    "golden_max",
     "grid_sup",
 ]
 
@@ -65,6 +64,9 @@ QUADRATURE = "quadrature"
 GRID_SUP = "grid-sup"
 
 _EPS = float(np.finfo(float).eps)
+# Abscissa tolerance of every sup's refinement: the golden-section bracket
+# of a disk sup, the zoom step of a circle max.
+_SUP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -231,9 +233,9 @@ def _circle_max(f: HarmonicMap, rs, n_ang: int):
     circle's best angle; then every circle is zoomed in lockstep: each round
     evaluates 2m + 1 = 17 angles spanning +-h around the current best (h
     starts at one grid spacing, the golden-section bracket) and divides h
-    by m, until h is within golden_max's tolerance 1e-10 (9 rounds at
-    n_ang = 1024). Returns ``(values, coarse maxima)``; a value never
-    falls below its coarse maximum.
+    by m, until h is within ``_SUP_TOL`` (9 rounds at n_ang = 1024).
+    Returns ``(values, coarse maxima)``; a value never falls below its
+    coarse maximum.
     """
     m = 8
     rs = np.atleast_1d(np.asarray(rs, dtype=float))[:, None]
@@ -245,7 +247,7 @@ def _circle_max(f: HarmonicMap, rs, n_ang: int):
     best_v, best_t = coarse, theta[j]
     steps = np.arange(-m, m + 1) / m
     h = theta[1] - theta[0]
-    while h > 1e-10:
+    while h > _SUP_TOL:
         t = best_t[:, None] + h * steps
         patch = np.abs(f(rs * np.exp(1j * t)))
         k = np.argmax(patch, axis=1)
@@ -287,74 +289,48 @@ def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> Fun
 
 
 # ---------------------------------------------------------------------------
-# Sup-estimation protocol
+# Disk suprema
 # ---------------------------------------------------------------------------
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_search(a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b] as a coroutine: it yields each
-    probe abscissa, is sent the value there, and returns (value, argmax)."""
-    if b < a:
-        a, b = b, a
+def _golden_polish(evaluate, lo, hi, v, x):
+    """Golden-section maximization of P scalar functions at once, each on
+    its bracket [lo, hi] (either order); returns the arrays (value, argmax)
+    of the better of each problem's incumbent (v, x) and its search result.
+
+    ``evaluate(xs)`` takes one abscissa per problem and returns the P
+    values. Every problem takes its own number of steps to shrink its
+    bracket below ``_SUP_TOL`` (one probe at the midpoint of a bracket
+    already that narrow), and each step evaluates every problem: one that
+    has finished runs on, and its result is read off its own last step, so
+    it equals the scalar search run alone. Ties go to the right probe.
+    """
+    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return (yield x), x
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = yield c
-    yd = yield d
-    for _ in range(n - 1):
-        h *= _INV_PHI
-        if yc > yd:
-            d, yd = c, yc
-            c = a + _INV_PHI2 * h
-            yc = yield c
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = yield d
-    return (yc, c) if yc > yd else (yd, d)
-
-
-def _golden_lockstep(evaluate, brackets, tol: float = 1e-10) -> list[tuple]:
-    """Golden-section maximization of P scalar functions side by side.
-
-    ``brackets`` holds each problem's (a, b); ``evaluate(xs)`` takes one
-    abscissa per problem and returns the P values from one call. Each
-    problem runs its own :func:`_golden_search`; one that has finished
-    rides along, its last probe evaluated again and ignored, until the
-    slowest is done. Returns (value, argmax) per problem.
-    """
-    searches = [_golden_search(a, b, tol) for a, b in brackets]
-    xs = [next(search) for search in searches]
-    results = [None] * len(searches)
-    live = range(len(searches))
-    while live:
-        ys = evaluate(xs)
-        running = []
-        for p in live:
-            try:
-                xs[p] = searches[p].send(ys[p])
-                running.append(p)
-            except StopIteration as done:
-                results[p] = done.value
-        live = running
-    return results
-
-
-def golden_max(fn, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [a, b].
-
-    Returns (value, argmax). Intended for local polishing after a coarse
-    grid scan, where the bracket contains a single interior extremum. The
-    one-problem case of the lockstep search :func:`grid_sup` polishes with.
-    """
-    return _golden_lockstep(lambda xs: [fn(xs[0])], [(a, b)], tol)[0]
+    steps = [math.ceil(math.log(_SUP_TOL / w) / math.log(_INV_PHI)) if w > _SUP_TOL else 1
+             for w in h.tolist()]
+    narrow = h <= _SUP_TOL
+    c = np.where(narrow, 0.5 * (a + b), a + _INV_PHI2 * h)
+    d = np.where(narrow, c, a + _INV_PHI * h)
+    yc, yd = evaluate(c), evaluate(d)
+    trail = [(c, d, yc, yd)]
+    for _ in range(max(steps, default=1) - 1):
+        h = h * _INV_PHI
+        # The max lies in [a, d]: d takes c's place and the probe is the new
+        # c. Else in [c, b]: a and c move to c and d, and it is the new d.
+        left = yc > yd
+        a = np.where(left, a, c)
+        probe = a + np.where(left, _INV_PHI2, _INV_PHI) * h
+        y = evaluate(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+        trail.append((c, d, yc, yd))
+    c, d, yc, yd = np.array(trail)[np.array(steps, dtype=int) - 1, :, np.arange(len(steps))].T
+    found, at = np.where(yc > yd, yc, yd), np.where(yc > yd, c, d)
+    return np.where(found > v, found, v), np.where(found > v, at, x)
 
 
 @dataclass(frozen=True)
@@ -376,49 +352,37 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     Protocol, per problem: coarse max over the tensor grid and the origin;
     golden-section refinement in radius at the best angle; then in angle;
     then in radius again. The value gained by the final stage is reported
-    as the error estimate. The polish runs every problem in lockstep, one
-    call of ``count`` points per golden-section step, and each result
-    equals the run of that problem alone.
+    as the error estimate. Each stage is one :func:`_golden_polish` of all
+    problems, one call of ``count`` points per golden-section step, and
+    each result equals the run of that problem alone.
     """
     radii, angles = grid.radii, grid.angles
-    best_v, best_r, best_t, lo, hi = [], [], [], [], []
-    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)
-    for p, vals in zip(range(count), coarse):
-        i, j = divmod(int(np.argmax(vals)), grid.n_theta)
-        v, r, t = float(vals[i, j]), float(radii[i]), float(angles[j])
-        if float(origin[p, 0]) > v:
-            v, r, t, i = float(origin[p, 0]), 0.0, 0.0, -1
-        best_v.append(v)
-        best_r.append(r)
-        best_t.append(t)
-        # The radius bracket spans the neighbouring rings; the origin's is [0, radii[0]].
-        lo.append(0.0 if i <= 0 else float(radii[i - 1]))
-        hi.append(grid.r_max if i >= grid.n_r - 1 else float(radii[i + 1]))
+    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)[:, 0]
+    v, flat = np.empty(count), np.empty(count, dtype=int)
+    for p, vals in enumerate(coarse):
+        flat[p] = np.argmax(vals)
+        v[p] = vals.flat[flat[p]]
+    i, j = np.divmod(flat, grid.n_theta)
+    centre = origin > v
+    v, i = np.where(centre, origin, v), np.where(centre, -1, i)
+    r, t = np.where(centre, 0.0, radii[i]), np.where(centre, 0.0, angles[j])
+    # The radius bracket spans the neighbouring rings; the origin's is [0, radii[0]].
+    ext = np.concatenate(([0.0], radii, [grid.r_max]))
+    lo, hi = ext[np.maximum(i, 0)], ext[i + 2]
 
-    def at(rs, ts) -> list[float]:
-        z = np.asarray([r * cmath.exp(1j * t) for r, t in zip(rs, ts)])
-        return fn(z[:, None], slice(None)).ravel().tolist()
+    def at(rs, ts):
+        return fn((rs * np.exp(1j * ts))[:, None], slice(None))[:, 0]
 
-    def polish(values, args, evaluate, brackets) -> list[float]:
-        """One golden-section stage over every problem; returns the best
-        value of each after it."""
-        for p, (v, x) in enumerate(_golden_lockstep(evaluate, brackets)):
-            if v > values[p]:
-                values[p], args[p] = v, x
-        return list(values)
-
-    stage1 = polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
-    dt = float(angles[1] - angles[0])
-    stage2 = polish(best_v, best_t, lambda xs: at(best_r, xs),
-                    [(t - dt, t + dt) for t in best_t])
-    polish(best_v, best_r, lambda xs: at(xs, best_t), list(zip(lo, hi)))
+    v, r = _golden_polish(lambda rs: at(rs, t), lo, hi, v, r)
+    stage1 = v
+    dt = angles[1] - angles[0]
+    v, t = _golden_polish(lambda ts: at(r, ts), t - dt, t + dt, v, t)
+    stage2 = v
+    v, r = _golden_polish(lambda rs: at(rs, t), lo, hi, v, r)
     return [
-        SupResult(
-            value=v,
-            argmax=complex(r * cmath.exp(1j * t)),
-            error_estimate=max(v - s2, s2 - s1, _error_floor(v)),
-        )
-        for v, r, t, s1, s2 in zip(best_v, best_r, best_t, stage1, stage2)
+        SupResult(value=val, argmax=z, error_estimate=max(val - s2, s2 - s1, _error_floor(val)))
+        for val, z, s1, s2 in zip(v.tolist(), (r * np.exp(1j * t)).tolist(),
+                                  stage1.tolist(), stage2.tolist())
     ]
 
 

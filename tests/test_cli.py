@@ -445,6 +445,47 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     assert digest == "45d9204f54393875dab6e6d6cf7fd0179288c3020c9f235e9043af2b072e0704"
 
 
+def test_verify_small_grid_digest(tmp_path):
+    # Pins the disk-sup suites on a second grid: the identity's Bloch ratio
+    # peaks at the origin, and a sampled majorant covers every probed range.
+    obj = {
+        "suites": ["gradient-bound", "lipschitz-16", "hl-17"],
+        "fuzz": {"count": 4, "degree": 5, "seed": 11},
+        "grid": {"n_r": 16, "n_theta": 32},
+        "majorants": [{"family": "power", "alpha": 0.75},
+                      {"family": "sampled",
+                       "table": [[1e-8, 1e-6], [1e-2, 0.05], [1.0, 1.0], [1e4, 10.0]]}],
+        "seed": 7,
+        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
+    assert digest == "240f5842ea0c6438e700c7669d5c5395f5fa3f8fdf8039d7230e077196357a3b"
+
+
+def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, capsys):
+    # The table starts at t = 2, above the regularity probes in (0, 1):
+    # every majorant suite reports the range it missed instead of crashing.
+    obj = {
+        "suites": ["majorant-regularity", "lipschitz-16", "hl-17"],
+        "majorants": [{"family": "sampled", "table": [[2, 1], [100, 3]]}],
+        "fuzz": None,
+        "grid": {"n_r": 16, "n_theta": 32},
+        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = {row["name"]: row for row in map(json.loads, (tmp_path / "rows.jsonl").open())}
+    for name in ("majorant-head-integral", "majorant-tail-integral"):
+        row = rows[f"{name}[sampled(2)]@-"]
+        assert row["status"] == "hypothesis-violated"
+        assert row["details"]["t_lo"] == row["details"]["t_hi"] < 2.0
+
+
 def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
     # C3's disk means depend on the map, not on the majorant: two majorants
     # need the 18 default probe means of each map once.

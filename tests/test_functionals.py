@@ -15,7 +15,6 @@ from harmap import (
     area_sup,
     bloch_norm,
     bloch_seminorm,
-    golden_max,
     grid_sup,
     hardy_mean,
     hardy_norm,
@@ -190,8 +189,6 @@ def test_circle_max_closed_form_oracle():
 def test_circle_max_matches_golden_polish(small_corpus):
     import cmath
 
-    from harmap.functionals import golden_max
-
     n_ang = 4 * QuadratureSpec().angular_nodes
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     dt = theta[1] - theta[0]
@@ -199,14 +196,13 @@ def test_circle_max_matches_golden_polish(small_corpus):
         for r in (0.3, 0.8, 0.99):
             vals = np.abs(f(r * np.exp(1j * theta)))
             j = int(np.argmax(vals))
-            ref, _ = golden_max(lambda t: abs(f(r * cmath.exp(1j * t))), theta[j] - dt, theta[j] + dt)
+            ref, _ = _golden_reference(lambda t: abs(f(r * cmath.exp(1j * t))),
+                                       theta[j] - dt, theta[j] + dt)
             ref = max(ref, float(vals[j]))
             assert hardy_mean(f, math.inf, r).value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
-    import harmap.functionals as functionals
-
     ndims = []
     call = HarmonicMap.__call__
 
@@ -215,7 +211,6 @@ def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
         return call(self, z)
 
     monkeypatch.setattr(HarmonicMap, "__call__", counting)
-    monkeypatch.setattr(functionals, "golden_max", lambda *a, **k: pytest.fail("golden_max"))
     hardy_norm(small_corpus[0], math.inf)
     assert 0 < len(ndims) <= 12 and 0 not in ndims
 
@@ -274,10 +269,27 @@ def _golden_reference(fn, a, b, tol=1e-10):
     return (yc, c) if yc > yd else (yd, d)
 
 
-@pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)])
-def test_golden_max_matches_the_scalar_search(bracket):
-    for fn in (lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x)):
-        assert golden_max(fn, *bracket) == _golden_reference(fn, *bracket)
+def test_golden_polish_matches_the_scalar_search():
+    # One batch of 4 brackets x 3 functions: mixed step counts, a reversed
+    # bracket and one already within the tolerance, all run at once.
+    from harmap.functionals import _golden_polish
+
+    brackets = [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)]
+    fns = [lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x)]
+    problems = [(fn, a, b) for fn in fns for a, b in brackets]
+    lo, hi = np.array([[a, b] for _, a, b in problems]).T
+    calls = []
+
+    def evaluate(xs):
+        calls.append(xs.size)
+        return np.array([fn(x) for (fn, _, _), x in zip(problems, xs.tolist())])
+
+    none = np.full(len(problems), -np.inf)
+    values, args = _golden_polish(evaluate, lo, hi, none, np.zeros(len(problems)))
+    assert list(zip(values.tolist(), args.tolist())) == [_golden_reference(*p) for p in problems]
+    assert set(calls) == {len(problems)}
+    # The widest bracket, 3, needs 51 steps: one call of 12 points per probe.
+    assert len(calls) == 52
 
 
 # -- Bloch seminorm and hyperbolic metric ---------------------------------------
@@ -290,6 +302,14 @@ def test_bloch_identity():
 def test_bloch_square_calculus_oracle():
     # maximize (1 - x^2) * 2x at x = 1/sqrt(3)
     assert bloch_seminorm(SQUARE).value == pytest.approx(4 / (3 * math.sqrt(3)), abs=1e-9)
+
+
+def test_bloch_seminorms_of_no_maps():
+    # verify_gradient_bounds asks for an empty batch when no map meets the
+    # hypotheses.
+    from harmap.functionals import bloch_seminorms
+
+    assert bloch_seminorms([]) == []
 
 
 def test_bloch_affine_and_norm():
