@@ -269,6 +269,22 @@ def _golden_reference(fn, a, b, tol=1e-10):
     return (yc, c) if yc > yd else (yd, d)
 
 
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)])
+def test_golden_max_matches_the_scalar_search(bracket):
+    # Each bracket on its own: the three functions share it in one array search.
+    from harmap.functionals import _golden_polish
+
+    fns = (lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x))
+    lo, hi = np.full(len(fns), bracket[0]), np.full(len(fns), bracket[1])
+
+    def evaluate(xs):
+        return np.array([fn(x) for fn, x in zip(fns, xs.tolist())])
+
+    none = np.full(len(fns), -np.inf)
+    values, args = _golden_polish(evaluate, lo, hi, none, np.zeros(len(fns)))
+    assert list(zip(values.tolist(), args.tolist())) == [_golden_reference(fn, *bracket) for fn in fns]
+
+
 def test_golden_polish_matches_the_scalar_search():
     # One batch of 4 brackets x 3 functions: mixed step counts, a reversed
     # bracket and one already within the tolerance, all run at once.
