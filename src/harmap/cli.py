@@ -13,11 +13,13 @@ configuration error, 3 corpus generation failure, 4 internal error (an
 unexpected exception, reported on one line as ``error: internal: ...``).
 Hypothesis-violated rows are counted separately and do not fail a run. A
 campaign runs each suite as one task over all its maps, so a suite's disk
-suprema are polished for every map at once. The tasks run one after
-another: the work is Python-bound under the interpreter lock, and on a
-2-core machine a 2-thread pool raised the default campaign's CPU time
-(4.1-4.6 s against 3.9-4.0 s serial). Report rows are emitted in sorted
-order, so identical seeds give byte-identical report files.
+suprema are polished for every map at once. It calls each Lipschitz-space
+constant once per majorant, and the campaign memo of ``core`` computes each
+map's majorant-free side once. The tasks run one after another: the work is
+Python-bound under the interpreter lock, and on a 2-core machine a 2-thread
+pool raised the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s
+serial). Report rows are emitted in sorted order, so identical seeds give
+byte-identical report files.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HarmonicMap, _grid_stretch_memo, from_json, json_fields, load_map, map_json_bytes
+from .core import HarmonicMap, _campaign_memo, from_json, json_fields, load_map, map_json_bytes
 from .functionals import (
     area_series,
     area_sup,
@@ -48,15 +50,12 @@ from .lipschitz import (
     Majorant,
     OutsideTable,
     PowerMajorant,
-    _disk_means,
-    _hl_map_side,
-    _hl_rows,
-    _mean_constant,
-    _pair_constant,
-    _pair_quotients,
     _regularity,
     chord_interpolation_bound,
     cond_a_constants,
+    cond_b_constant,
+    cond_c_constant,
+    verify_hl_equivalences,
 )
 from .report import (
     FAIL,
@@ -71,7 +70,6 @@ from .verify import (
     FuzzSpec,
     GenerationFailed,
     _gradient_sample,
-    _reset_map_memos,
     builtin_maps,
     fuzz_corpus,
     verify_area_overlap,
@@ -146,14 +144,10 @@ def _per_majorant(fs, cfg: SuiteConfig, names, run):
 
 
 def _lipschitz_16(fs, cfg: SuiteConfig, qs):
-    # C2's and C3's map sides, shared by every majorant (C1's is core's memo).
-    quotients = [_pair_quotients(f) for f in fs]
-    means = [_disk_means(f) for f in fs]
-
     def run(omega):
         chunks = []
-        for c1, qt, m in zip(cond_a_constants(fs, omega, cfg.grid), quotients, means):
-            c2, c3 = _pair_constant(qt, omega), _mean_constant(m, omega)
+        for f, c1 in zip(fs, cond_a_constants(fs, omega, cfg.grid)):
+            c2, c3 = cond_b_constant(f, omega), cond_c_constant(f, omega)
             chunks.append([make_report("cond-b-vs-a", c2, math.pi * c1, slack=1e-6,
                                        details={"C1": c1, "C2": c2, "C3": c3})])
         return chunks
@@ -165,8 +159,8 @@ def _lipschitz_16(fs, cfg: SuiteConfig, qs):
 
 
 def _hl_17(fs, cfg: SuiteConfig, qs):
-    side = _hl_map_side(fs, cfg.grid)  # shared by every majorant
-    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"], lambda omega: _hl_rows(side, omega))
+    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
+                         lambda omega: verify_hl_equivalences(fs, omega, cfg.grid))
 
 
 def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
@@ -180,7 +174,7 @@ def _regularity_row(name: str, value: float | None, exact: float | None, details
                        force_fail=value < exact * 0.95, details=details)
 
 
-def _run_majorant_regularity(cfg: SuiteConfig):
+def _run_majorant_regularity(fs, cfg: SuiteConfig, qs):
     """Map-independent regularity rows. Majorants with closed-form constants
     (the power family: 1/alpha and 1/(1-alpha)) are compared against them at
     5% tolerance; the others record their empirical constants. A sampled
@@ -194,34 +188,27 @@ def _run_majorant_regularity(cfg: SuiteConfig):
         return [[_regularity_row(names[0], rep.c_eq2, head, {}),
                  _regularity_row(names[1], rep.c_eq3, tail, {"truncation": rep.c_eq3_truncation})]]
 
-    return _per_majorant([None], cfg, names, run)[0]
+    return _per_majorant(fs, cfg, names, run)
 
 
-# Suite name -> (runner, per_map). A per-map runner takes (maps, config,
-# one task quadrature per map) and returns one list of rows per map, so a
-# suite's disk suprema are polished for every map at once; a global runner
-# takes the config and runs once per campaign.
+# Suite name -> runner. A runner takes (maps, config, one task quadrature per
+# map) and returns one list of rows per map, so a suite's disk suprema are
+# polished for every map at once. A global suite runs once per campaign, on
+# the one map None.
 SUITES = {
-    "three-circles": (
-        _per_map(lambda f, cfg, q: [verify_three_circles(f, r1, r)
-                                    for r1, r in cfg.three_circles_pairs]),
-        True,
-    ),
-    "area-overlap": (
-        _per_map(lambda f, cfg, q: [verify_area_overlap(f, q=q, grid=cfg.grid)]), True
-    ),
-    "hardy-area": (_per_map(lambda f, cfg, q: [verify_hardy_area(f, q, cfg.grid)]), True),
-    "coeff-bound": (_per_map(lambda f, cfg, q: verify_coeff_bound(f, q, cfg.grid)), True),
-    "gradient-bound": (_gradient_bound, True),
-    "isoperimetric": (
-        _per_map(lambda f, cfg, q: [verify_isoperimetric(f, r, q)
-                                    for r in cfg.isoperimetric_radii]),
-        True,
-    ),
-    "lipschitz-16": (_lipschitz_16, True),
-    "hl-17": (_hl_17, True),
-    "majorant-regularity": (_run_majorant_regularity, False),
+    "three-circles": _per_map(lambda f, cfg, q: [verify_three_circles(f, r1, r)
+                                                 for r1, r in cfg.three_circles_pairs]),
+    "area-overlap": _per_map(lambda f, cfg, q: [verify_area_overlap(f, q=q, grid=cfg.grid)]),
+    "hardy-area": _per_map(lambda f, cfg, q: [verify_hardy_area(f, q, cfg.grid)]),
+    "coeff-bound": _per_map(lambda f, cfg, q: verify_coeff_bound(f, q, cfg.grid)),
+    "gradient-bound": _gradient_bound,
+    "isoperimetric": _per_map(lambda f, cfg, q: [verify_isoperimetric(f, r, q)
+                                                 for r in cfg.isoperimetric_radii]),
+    "lipschitz-16": _lipschitz_16,
+    "hl-17": _hl_17,
+    "majorant-regularity": _run_majorant_regularity,
 }
+GLOBAL_SUITES = ("majorant-regularity",)
 SUITE_NAMES = tuple(SUITES)
 
 
@@ -262,8 +249,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown output format: {self.output_format!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.gradient_sample_count < 1:
-            raise ConfigError("gradient_sample_count must be >= 1")
+        if not 1 <= self.gradient_sample_count <= 1 << 20:  # as many as the largest grid
+            raise ConfigError("gradient_sample_count must lie in 1..2^20")
         for r1, r in self.three_circles_pairs:
             if not 0.0 < r1 <= r < 1.0:
                 raise ConfigError(f"three_circles_pairs: need 0 < r1 <= r < 1, got {[r1, r]}")
@@ -346,11 +333,8 @@ def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, indices):
     pairs) at once, each map with the Monte Carlo stream of its task index
     in ``indices``; or once (targets [("-", None)]) for a global suite. Row
     names end in @map_id."""
-    runner, per_map = SUITES[suite]
-    if per_map:
-        chunks = runner([f for _, f in targets], cfg, [_task_quadrature(cfg, i) for i in indices])
-    else:
-        chunks = [runner(cfg)]
+    qs = [_task_quadrature(cfg, i) for i in indices]
+    chunks = SUITES[suite]([f for _, f in targets], cfg, qs)
     reports = []
     for (map_id, _), chunk in zip(targets, chunks):
         for rep in chunk:
@@ -364,21 +348,20 @@ def run_config(cfg: SuiteConfig):
 
     Each suite is one task over all its maps, run in suite order. A map
     keeps the Monte Carlo stream of its (suite, map_id) position in sorted
-    order.
+    order. The campaign memo of ``core`` holds each map's majorant-free
+    scans, so suites and majorants share them, and drops them at the end.
     """
     cfg.validate()
-    _reset_map_memos()
     try:
-        with _grid_stretch_memo():  # Lambda_f grids are kept for this campaign only
+        with _campaign_memo():
             sources = sorted(_load_sources(cfg), key=lambda s: s[0])
             reports, index = [], 0
             for suite in sorted(set(cfg.suites)):
-                targets = sources if SUITES[suite][1] else [("-", None)]
+                targets = [("-", None)] if suite in GLOBAL_SUITES else sources
                 indices = range(index, index + len(targets))
                 reports.extend(_run_suite_on_map(suite, targets, cfg, indices))
                 index += len(targets)
     finally:
-        _reset_map_memos()
         cfg.__dict__.pop("_file_maps", None)
     reports.sort(key=lambda r: (r.name, -1 if r.n is None else r.n))
     return reports, summarize(reports)
@@ -389,7 +372,29 @@ def run_config(cfg: SuiteConfig):
 # ---------------------------------------------------------------------------
 
 
+def _is_file_path(path: str) -> bool:
+    """Whether ``path`` can name a file to write: not a directory, in an existing one."""
+    return not Path(path).is_dir() and Path(path).parent.is_dir()
+
+
+def _functional_usage(args) -> str | None:
+    """What makes a ``functional`` command unusable, found before any work."""
+    if args.r is not None and args.name == "bloch":
+        return "--r does not apply to bloch, a sup over the disk"
+    if args.p is not None and args.name != "hardy":
+        return "--p applies to hardy only"
+    if args.r1 is not None and not (args.emit_table and 0.0 < args.r1 < 1.0):
+        return "--r1 needs --emit-table and must lie in (0, 1)"
+    if args.emit_table and not _is_file_path(args.emit_table):
+        return f"--emit-table: {args.emit_table!r} is not a file path in an existing directory"
+    return None
+
+
 def _cmd_functional(args) -> int:
+    usage = _functional_usage(args)
+    if usage:
+        print(f"error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         f = load_map(args.map)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -450,9 +455,8 @@ def _cmd_verify(args) -> int:
             cfg.output_format = args.format
         cfg.validate()
         cfg._file_maps  # read the map files now: a bad one is a usage error, not a mid-run crash
-        out = Path(cfg.output_path)  # refused before the campaign, not after it
-        if out.is_dir() or not out.parent.is_dir():
-            raise ConfigError(f"output: {str(out)!r} is not a file path in an existing directory")
+        if not _is_file_path(cfg.output_path):  # refused before the campaign, not after it
+            raise ConfigError(f"output: {cfg.output_path!r} is not a file path in an existing directory")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -475,15 +479,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     try:
-        spec = FuzzSpec(
-            count=args.count,
-            degree=args.degree,
-            seed=args.seed,
-            coeff_decay=args.decay,
-            enforce_coeff_dominance=args.dominance,
-            target_K=args.target_k,
-            rescale_area=not args.no_rescale,
-        )
+        spec = FuzzSpec(count=args.count, degree=args.degree, seed=args.seed, coeff_decay=args.decay,
+                        enforce_coeff_dominance=args.dominance, target_K=args.target_k,
+                        rescale_area=not args.no_rescale)
+        outdir = Path(args.out)  # its nearest existing part must be a directory
+        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+            raise ValueError(f"--out: {args.out!r} is not a directory path")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -492,7 +493,6 @@ def _cmd_fuzz(args) -> int:
     except GenerationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     for i, f in enumerate(maps):

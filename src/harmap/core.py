@@ -14,7 +14,9 @@ dilatation |f_zbar| / |f_z|.
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
 numpy's pairwise summation on fixed-shape arrays, which makes results
-independent of evaluation order.
+independent of evaluation order. The one per-campaign memo lives here:
+while :func:`_campaign_memo` is open, the :func:`_memoized` per-map scans of
+every module are kept by argument within one byte budget, and dropped after.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import types
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -312,32 +314,51 @@ def _stretch(f: HarmonicMap | MapStack, z: np.ndarray) -> np.ndarray:
     return np.abs(fz) + np.abs(fzbar)
 
 
-_GRID_STRETCH: dict | None = None  # (map, grid) -> Lambda_f, oldest use first, in a campaign
+_MEMO: dict | None = None  # in a campaign: (function, *args) -> (value, bytes of its arrays)
+_MEMO_BYTES = 0  # their total, least recently used first out past the budget
+_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in 324 entries
 
 
 @contextmanager
-def _grid_stretch_memo():
-    """Memoize :func:`_grid_stretch` while the block (a campaign) runs."""
-    global _GRID_STRETCH
-    _GRID_STRETCH = {}
+def _campaign_memo():
+    """Memoize every :func:`_memoized` function while the block (a campaign) runs."""
+    global _MEMO, _MEMO_BYTES
+    _MEMO, _MEMO_BYTES = {}, 0
     try:
         yield
     finally:
-        _GRID_STRETCH = None
+        _MEMO = None
 
 
+def _memoized(fn):
+    """``fn`` memoized by its hashable arguments while a campaign memo is
+    open, and not outside one. Values are shared, so ``fn`` returns read-only ones."""
+
+    @wraps(fn)
+    def memoized(*args):
+        global _MEMO_BYTES
+        if _MEMO is None:
+            return fn(*args)
+        key = (fn, *args)
+        hit = _MEMO.pop(key, None)
+        if hit is None:
+            value = fn(*args)
+            parts = value if isinstance(value, tuple) else (value,)
+            hit = value, sum(getattr(v, "nbytes", 0) for v in parts)
+            _MEMO_BYTES += hit[1]
+        _MEMO[key] = hit
+        while _MEMO_BYTES > _MEMO_BUDGET:  # only an insert can pass the budget
+            _MEMO_BYTES -= _MEMO.pop(next(iter(_MEMO)))[1]
+        return hit[0]
+
+    return memoized
+
+
+@_memoized
 def _grid_stretch(f: HarmonicMap, grid: Grid) -> np.ndarray:
-    """Lambda_f on ``grid.nodes``, read-only. A campaign memoizes it, so the
-    disk suprema of its suites and majorants share one scan per map, in at
-    most 8 MiB (64 maps on the default grid); outside one nothing is kept."""
-    memo = {} if _GRID_STRETCH is None else _GRID_STRETCH
-    lam = memo.pop((f, grid), None)
-    if lam is None:
-        lam = _read_only(_stretch(f, grid.nodes))
-    memo[f, grid] = lam
-    while sum(v.nbytes for v in memo.values()) > 8 << 20:
-        del memo[next(iter(memo))]
-    return lam
+    """Lambda_f on ``grid.nodes``, read-only: the disk suprema of a
+    campaign's suites and majorants share one scan per map."""
+    return _read_only(_stretch(f, grid.nodes))
 
 
 def derivatives(f: HarmonicMap, z: complex) -> PointwiseData:

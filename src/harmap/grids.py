@@ -81,13 +81,17 @@ class QuadratureSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.radial_nodes < 1:
-            raise ValueError("radial_nodes must be >= 1")
-        if self.angular_nodes < 8 or self.angular_nodes % 2 != 0:
-            raise ValueError("angular_nodes must be even and >= 8")
+        # Gauss-Legendre nodes cost time quadratic in their number (area_quadrature doubles them).
+        if not 1 <= self.radial_nodes <= 1024:
+            raise ValueError("radial_nodes must lie in 1..1024")
+        # A p = inf Hardy norm scans 20 x 4 angular_nodes points.
+        if not 8 <= self.angular_nodes <= 1 << 14 or self.angular_nodes % 2 != 0:
+            raise ValueError("angular_nodes must be even and lie in 8..16384")
+        if self.radial_nodes * self.angular_nodes > 1 << 20:  # area_quadrature doubles both
+            raise ValueError("radial_nodes * angular_nodes must be at most 2^20")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be >= 10000 for area verdicts")
-        if self.mc_samples > 4_000_000:  # an overlap estimate peaks at about 130 B a sample
+        if self.mc_samples > 4_000_000:  # an overlap estimate peaks at about 45 B a sample
             raise ValueError("mc_samples must be at most 4000000")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")

@@ -17,7 +17,10 @@ majorant are estimated as empirical constants:
 * ``cond_b``: sup over pairs of (|f(z)-f(w)| / |z-w|) / omega(1/sqrt(d(z)d(w))),
 * ``cond_c``: sup of disk means of |f - f(z)| over r omega(1/r),
 
-with d(z) = 1 - |z| the boundary distance. :func:`verify_hl_equivalence`
+with d(z) = 1 - |z| the boundary distance. Each takes a map side that no
+majorant enters (Lambda_f on the grid, the pair quotients, the disk means,
+the segment fields of hl-17), which a campaign's memo keeps once per map for
+all its majorants (``core._memoized``). :func:`verify_hl_equivalence`
 checks the two implications between the gradient bound
 Lambda_f <= C omega(d)/d and the modulus-of-continuity bound
 |f(z)-f(w)| <= C omega(|z-w|) on the unit disk, using straight segments as
@@ -35,7 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .core import _PAIRS, HarmonicMap, _abs2, _grid_stretch, _stretch, from_json
+from .core import _PAIRS, HarmonicMap, _abs2, _grid_stretch, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
 from .functionals import _stretch_sups
 from .grids import Grid, _read_only, disk_sample, gauss_legendre_01
@@ -354,7 +357,7 @@ def _regularity(omega: Majorant) -> RegularityReport:
 def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
     """:func:`cond_a_constant` for each map, all polished in lockstep by one
     batched :func:`~harmap.functionals.grid_sup`. The map side, Lambda_f on
-    the grid, is memoized per map by ``core._grid_stretch``."""
+    the grid, is ``core._grid_stretch``."""
     sups = _stretch_sups(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))),
                          grid or Grid())
     return [res.value for res in sups]
@@ -395,20 +398,17 @@ def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) 
 
 def cond_b_constant(f: HarmonicMap, omega: Majorant) -> float:
     """Smallest empirical C with |f(z)-f(w)| / |z-w| <= C omega(1/sqrt(d d'))
-    over :func:`default_pair_sample`. The map side is :func:`_pair_quotients`."""
-    return _pair_constant(_pair_quotients(f), omega)
+    over :func:`default_pair_sample`."""
+    z, w = default_pair_sample()
+    weight = omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w))))
+    return float(np.max(_pair_quotients(f) / weight))
 
 
+@_memoized
 def _pair_quotients(f: HarmonicMap) -> np.ndarray:
     """|f(z)-f(w)| / |z-w| on the pairs: the map's side of :func:`cond_b_constant`."""
     z, w = default_pair_sample()
-    return np.abs(f(z) - f(w)) / np.abs(z - w)
-
-
-def _pair_constant(quotients: np.ndarray, omega: Majorant) -> float:
-    """The majorant's side of :func:`cond_b_constant`."""
-    z, w = default_pair_sample()
-    return float(np.max(quotients / omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w))))))
+    return _read_only(np.abs(f(z) - f(w)) / np.abs(z - w))
 
 
 def _disk_mean_abs_dev(f: HarmonicMap, z0: complex, r: float, f0: complex) -> float:
@@ -428,11 +428,12 @@ def default_mean_probes() -> tuple[tuple[complex, tuple[float, ...]], ...]:
     return tuple((z, (0.25, 0.5, 1.0)) for z in centers)
 
 
-def _disk_means(f: HarmonicMap, probes=None) -> list[tuple[float, float]]:
+@_memoized
+def _disk_means(f: HarmonicMap, probes) -> tuple[tuple[float, float], ...]:
     """(r, disk mean of |f - f(z0)| over D(z0, r)) for each probe of
     :func:`cond_c_constant`, the map's side of that constant."""
     means = []
-    for z0, fractions in probes or default_mean_probes():
+    for z0, fractions in probes:
         z0 = complex(z0)
         d, f0 = 1.0 - abs(z0), f(z0)  # one evaluation per centre, for all its radii
         for frac in fractions:
@@ -442,16 +443,7 @@ def _disk_means(f: HarmonicMap, probes=None) -> list[tuple[float, float]]:
             if r > d * (1.0 + 1e-12):
                 raise ValueError("probe radius exceeds the boundary distance")
             means.append((r, _disk_mean_abs_dev(f, z0, r, f0)))
-    return means
-
-
-def _mean_constant(means, omega: Majorant) -> float:
-    """The majorant's side of :func:`cond_c_constant`: the largest
-    mean / (r omega(1/r)) over the (r, mean) pairs of :func:`_disk_means`."""
-    best = 0.0
-    for r, mean in means:
-        best = max(best, mean / (r * omega(1.0 / r)))
-    return best
+    return tuple(means)
 
 
 def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
@@ -461,7 +453,8 @@ def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
     ``probes`` lists (center, radius fractions of d(center)); absolute radii
     beyond d(center) are rejected.
     """
-    return _mean_constant(_disk_means(f, probes), omega)
+    probes = tuple((z0, tuple(fr)) for z0, fr in probes or default_mean_probes())
+    return max([0.0, *(mean / (r * omega(1.0 / r)) for r, mean in _disk_means(f, probes))])
 
 
 # ---------------------------------------------------------------------------
@@ -574,30 +567,37 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(z[keep], w[keep])
 
 
-def _hl_map_side(maps, grid: Grid):
-    """The majorant-free half of :func:`verify_hl_equivalences`: (maps, grid,
-    the pairs (z, w), |z - w|, the segment nodes' boundary distances and
-    weights, and per map |f(z) - f(w)| and Lambda_f integrated per segment)."""
-    z, w = _hl_pairs(512, 11, grid.r_max * (1.0 - 1e-3))
-    sep = np.abs(z - w)
+@lru_cache(maxsize=8)
+def _hl_segments(r_max: float):
+    """hl-17's pairs (z, w) for a grid reaching r_max, |z - w|, the nodes of the
+    segments from w to z, their boundary distances and weights. Cached, read-only."""
+    z, w = _hl_pairs(512, 11, r_max * (1.0 - 1e-3))
     x, wts = gauss_legendre_01(64)
     seg = w[:, None] + x[None, :] * (z - w)[:, None]
-    fields = [(np.abs(f(z) - f(w)), sep * (_stretch(f, seg) @ wts)) for f in maps]
-    return maps, grid, (z, w, sep, 1.0 - np.abs(seg), wts), fields
+    return (z, w, *_read_only(np.abs(z - w), seg, 1.0 - np.abs(seg)), wts)
 
 
-def _hl_rows(side, omega: Majorant) -> list[tuple[VerificationReport, VerificationReport]]:
-    """The majorant's side of :func:`verify_hl_equivalences` on a map side
-    of :func:`_hl_map_side`: C4, the segment constant and each map's rows."""
-    maps, grid, (z, w, sep, d_seg, wts), fields = side
+@_memoized
+def _hl_fields(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The map's side of :func:`verify_hl_equivalences`: |f(z) - f(w)| on the
+    pairs and Lambda_f integrated along each segment."""
+    z, w, sep, seg, _, wts = _hl_segments(grid.r_max)
+    return _read_only(np.abs(f(z) - f(w)), sep * (_stretch(f, seg) @ wts))
+
+
+def verify_hl_equivalences(
+    maps, omega: Majorant, grid: Grid | None = None
+) -> list[tuple[VerificationReport, VerificationReport]]:
+    """:func:`verify_hl_equivalence` for each map, C4 from one batched
+    :func:`~harmap.functionals.grid_sup`. The map sides, :func:`_hl_fields`
+    and the Lambda_f grids, involve no majorant: a campaign memoizes them,
+    so its majorants share one computation per map."""
+    grid = grid or Grid()
     reg = _regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):
-        return [
-            (make_report("hl-forward", None, None, 0.0, hypotheses=hyp),
-             make_report("hl-reverse", None, None, 0.0, hypotheses=hyp))
-            for _ in maps
-        ]
+        return [(make_report("hl-forward", None, None, 0.0, hypotheses=hyp),
+                 make_report("hl-reverse", None, None, 0.0, hypotheses=hyp)) for _ in maps]
 
     def grad_ratio(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         d = 1.0 - np.abs(z)
@@ -605,6 +605,7 @@ def _hl_rows(side, omega: Majorant) -> list[tuple[VerificationReport, Verificati
 
     c4s = _stretch_sups(maps, grad_ratio, grid)
 
+    z, w, sep, _, d_seg, wts = _hl_segments(grid.r_max)
     int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
     omega_sep = omega(sep)
     c_seg = float(np.max(int_omega / omega_sep))
@@ -613,7 +614,8 @@ def _hl_rows(side, omega: Majorant) -> list[tuple[VerificationReport, Verificati
     inner = 1.0 - np.abs(nodes) >= 1e-3  # hl-reverse's nodes
 
     out = []
-    for f, sup, (df, int_lambda) in zip(maps, c4s, fields):
+    for f, sup in zip(maps, c4s):
+        df, int_lambda = _hl_fields(f, grid)
         c4 = sup.value
         c5 = float(np.max(df / omega_sep))
 
@@ -641,16 +643,6 @@ def _hl_rows(side, omega: Majorant) -> list[tuple[VerificationReport, Verificati
                           witnesses=[(complex(nodes[inner][k]), lhs_rev)], details={"C5": c5})
         out.append((fwd, rev))
     return out
-
-
-def verify_hl_equivalences(
-    maps, omega: Majorant, grid: Grid | None = None
-) -> list[tuple[VerificationReport, VerificationReport]]:
-    """:func:`verify_hl_equivalence` for each map, C4 from one batched
-    :func:`~harmap.functionals.grid_sup`. The map side, :func:`_hl_map_side`
-    and the memoized Lambda_f grids, involves no majorant: a caller with
-    several majorants builds it once and runs :func:`_hl_rows` per majorant."""
-    return _hl_rows(_hl_map_side(maps, grid or Grid()), omega)
 
 
 def verify_hl_equivalence(

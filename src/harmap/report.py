@@ -78,13 +78,8 @@ class VerificationReport:
             "status": self.status,
             "slack": _jsonable(self.slack),
             "hypotheses": {k: bool(v) for k, v in self.hypotheses.items()},
-            "witnesses": [
-                [
-                    [p.real, p.imag] if isinstance(p, complex) else _jsonable(p),
-                    _jsonable(v),
-                ]
-                for p, v in self.witnesses
-            ],
+            "witnesses": [[[p.real, p.imag] if isinstance(p, complex) else _jsonable(p), _jsonable(v)]
+                          for p, v in self.witnesses],
             "error_estimate": _jsonable(self.error_estimate),
             "details": {k: _jsonable(v) for k, v in self.details.items()},
         }
@@ -93,14 +88,8 @@ class VerificationReport:
         def fmt(x):
             return "" if x is None else repr(float(x))
 
-        return [
-            self.name,
-            "" if self.n is None else str(self.n),
-            fmt(self.lhs),
-            fmt(self.rhs),
-            fmt(self.margin),
-            self.status,
-        ]
+        return [self.name, "" if self.n is None else str(self.n), fmt(self.lhs), fmt(self.rhs),
+                fmt(self.margin), self.status]
 
 
 def make_report(
@@ -128,10 +117,7 @@ def make_report(
     hyp = dict(hypotheses or {})
     lhs = None if lhs is None else float(lhs)
     rhs = None if rhs is None else float(rhs)
-    if lhs is None or rhs is None:
-        margin = None
-    else:
-        margin = rhs - lhs if orientation == "le" else lhs - rhs
+    margin = None if lhs is None or rhs is None else rhs - lhs if orientation == "le" else lhs - rhs
     if not all(bool(v) for v in hyp.values()):
         status = HYPOTHESIS_VIOLATED
     elif force_fail or margin is None or margin < -slack:
@@ -139,16 +125,8 @@ def make_report(
     else:
         status = PASS
     return VerificationReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        status=status,
-        slack=float(slack),
-        hypotheses=hyp,
-        witnesses=list(witnesses),
-        n=n,
-        error_estimate=float(error_estimate),
+        name=name, lhs=lhs, rhs=rhs, margin=margin, status=status, slack=float(slack),
+        hypotheses=hyp, witnesses=list(witnesses), n=n, error_estimate=float(error_estimate),
         details=dict(details or {}),
     )
 

@@ -2,8 +2,8 @@
 
 Each verifier computes both sides of one inequality, validates its
 hypotheses (the quasiconformal ones, sense preservation and a finite
-distortion constant K, come from one cached per-map preamble,
-``_distortion``), and returns a :class:`~harmap.report.VerificationReport`
+distortion constant K, come from one per-map preamble, ``_distortion``,
+memoized for a campaign like ``_boundary_length``), and returns a :class:`~harmap.report.VerificationReport`
 (or a list of them, one per coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
 sides, and a 3-sigma band for Monte Carlo verdicts.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .core import (
     HarmonicMap,
     _abs2,
+    _memoized,
     _qc_scan,
     _sense_scan,
     _stretch,
@@ -64,6 +64,8 @@ __all__ = [
 # quadrature-backed ones.
 CLOSED_FORM_SLACK = 1e-12
 QUADRATURE_SLACK_REL = 1e-9
+
+_MC_CHUNK = 1 << 16  # Monte Carlo points whose derivative fields are held at once
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,11 @@ class FuzzSpec:
 
     MAX_DEGREE = 64
     MAX_ATTEMPTS = 100
+    MAX_COUNT = 10_000  # 10 000 maps of degree 64 peak at about 75 MB
 
     def __post_init__(self):
-        if not self.count >= 1:  # each check is written so that NaN fails it
-            raise ValueError("count must be >= 1")
+        if not 1 <= self.count <= self.MAX_COUNT:  # each check is written so that NaN fails it
+            raise ValueError(f"count must lie in 1..{self.MAX_COUNT}")
         if not 1 <= self.degree <= self.MAX_DEGREE:
             raise ValueError(f"degree must lie in 1..{self.MAX_DEGREE}")
         if not 0.0 < self.coeff_decay < 1.0:
@@ -220,13 +223,13 @@ def builtin_maps() -> dict[str, HarmonicMap]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@_memoized
 def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     """The shared quasiconformal hypothesis: (K, hypotheses) on the grid.
 
     K is the grid distortion constant, or inf when the Jacobian scan finds
-    f not sense-preserving; both read one evaluation on the grid. Cached per
-    (map, grid), so the verifiers that share this hypothesis scan each map
+    f not sense-preserving; both read one evaluation on the grid. A campaign
+    memoizes it, so the verifiers that share this hypothesis scan each map
     once; the read-only hypotheses keep one caller from editing another's.
     """
     fields = wirtinger(f, grid.nodes)
@@ -237,20 +240,13 @@ def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     )
 
 
-@lru_cache(maxsize=256)
+@_memoized
 def _boundary_length(f: HarmonicMap, angular_nodes: int):
-    """l_f(1), shared by the coefficient and gradient bounds. Cached per
-    (map, angular nodes), the only part of the task quadrature that
-    :func:`~harmap.functionals.length_sup` reads, so each map's boundary
-    length is computed once."""
+    """l_f(1), shared by the coefficient and gradient bounds. Memoized in a
+    campaign per (map, angular nodes), the only part of the task quadrature
+    that :func:`~harmap.functionals.length_sup` reads, so each map's
+    boundary length is computed once."""
     return length_sup(f, QuadratureSpec(angular_nodes=angular_nodes))
-
-
-def _reset_map_memos() -> None:
-    """Empty the per-map memos (:func:`_distortion`, :func:`_boundary_length`),
-    so that each campaign does its own maps' scans."""
-    _distortion.cache_clear()
-    _boundary_length.cache_clear()
 
 
 def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationReport:
@@ -323,15 +319,19 @@ def verify_area_overlap(
         return make_report(name, None, None, 0.0, hypotheses=hyp)
 
     rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x41524541)))
-    w = omega1.sample(rng, q.mc_samples)
-    zeta = (w - omega1.center) / omega1.radius
-    fz, fzbar = wirtinger(f, zeta)
-    jac = (_abs2(fz) - _abs2(fzbar)) / omega1.radius**2
-    fw = f(zeta) - f(-omega1.center / omega1.radius)
-    inside = omega2.contains(fw)
-
+    w = omega1.sample(rng, q.mc_samples)  # drawn whole: a chunked draw changes the stream
+    f0 = f(-omega1.center / omega1.radius)
     area1 = omega1.radius**2  # normalized area of a radius-R disk is R^2
-    stat = (K * jac + 1.0) * inside * area1
+    stat, overlap = np.empty(len(w)), np.empty(len(w))
+    inside = np.empty(len(w), dtype=bool)
+    for s in range(0, len(w), _MC_CHUNK):  # elementwise, so chunking keeps every bit
+        part = slice(s, s + _MC_CHUNK)
+        zeta = (w[part] - omega1.center) / omega1.radius
+        fz, fzbar = wirtinger(f, zeta)
+        jac = (_abs2(fz) - _abs2(fzbar)) / omega1.radius**2
+        inside[part] = omega2.contains(f(zeta) - f0)
+        stat[part] = (K * jac + 1.0) * inside[part] * area1
+        overlap[part] = jac * inside[part]
     lhs = float(np.mean(stat))
     sigma = float(np.std(stat) / math.sqrt(q.mc_samples))
     d1 = omega1.boundary_distance(0j)
@@ -347,7 +347,7 @@ def verify_area_overlap(
         error_estimate=3.0 * sigma,
         details={
             "K": K,
-            "image_overlap_area": float(np.mean(jac * inside) * area1),
+            "image_overlap_area": float(np.mean(overlap) * area1),
             "preimage_area": float(np.mean(inside) * area1),
             "mc_sigma": sigma,
         },

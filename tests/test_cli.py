@@ -92,6 +92,31 @@ def test_functional_bad_params(capsys, id_map_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--name", "area", "--emit-table", "t.csv", "--r1", "2"],
+        ["--name", "area", "--emit-table", "t.csv", "--r1", "-0.5"],
+        ["--name", "area", "--emit-table", "no-such-dir/t.csv"],
+        ["--name", "bloch", "--r", "7"],
+        ["--name", "area", "--p", "3"],
+        ["--name", "area", "--r1", "0.1"],
+    ],
+    ids=["r1-above-one", "negative-r1", "table-in-missing-directory", "bloch-with-r",
+         "p-without-hardy", "r1-without-table"],
+)
+def test_functional_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        id_map_file, argv):
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "load_map", lambda path: pytest.fail("map loaded"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["functional", "--map", str(id_map_file), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["id.json"]  # no table written
+
+
 def test_functional_emit_table(tmp_path, capsys, id_map_file):
     table = tmp_path / "curves.csv"
     code = main([
@@ -133,6 +158,23 @@ def test_fuzz_nan_target_k_is_a_usage_error(tmp_path, capsys):
     assert main(["fuzz", "--count", "1", "--target-k", "nan", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: target_K must be >= 1"]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--out", "taken"], ["--out", "taken/sub"], ["--count", str(10**12), "--out", "new"]],
+    ids=["out-is-a-file", "out-below-a-file", "count-over-cap"],
+)
+def test_fuzz_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "fuzz_corpus", lambda spec: pytest.fail("corpus started"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("x")
+    assert main(["fuzz", "--count", "1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_fuzz_generation_failure_exit_code(tmp_path):
@@ -223,6 +265,11 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"fuzz": {"target_K": math.nan}},
         {"output": {"path": "no-such-dir/rows.jsonl"}},
         {"output": {"path": "."}},
+        {"quadrature": {"angular_nodes": 10**9}},
+        {"quadrature": {"radial_nodes": 10**9}},
+        {"quadrature": {"radial_nodes": 1024, "angular_nodes": 2048}},
+        {"fuzz": {"count": 10**12}},
+        {"gradient_sample_count": 10**12},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -232,7 +279,8 @@ def test_verify_malformed_config(tmp_path, capsys):
          "map-boolean-coefficient", "map-three-entry-pair", "map-unknown-key",
          "map-degree-over-cap", "grid-too-many-nodes", "too-many-mc-samples",
          "integer-beyond-float-range", "nan-target-k", "output-in-missing-directory",
-         "output-is-a-directory"],
+         "output-is-a-directory", "too-many-angular-nodes", "too-many-radial-nodes",
+         "too-many-quadrature-nodes", "fuzz-count-over-cap", "too-many-gradient-samples"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -445,9 +493,7 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     assert digest == "45d9204f54393875dab6e6d6cf7fd0179288c3020c9f235e9043af2b072e0704"
 
 
-def test_verify_small_grid_digest(tmp_path):
-    # Pins the disk-sup suites on a second grid: the identity's Bloch ratio
-    # peaks at the origin, and a sampled majorant covers every probed range.
+def _small_grid_digest(tmp_path):
     obj = {
         "suites": ["gradient-bound", "lipschitz-16", "hl-17"],
         "fuzz": {"count": 4, "degree": 5, "seed": 11},
@@ -461,8 +507,29 @@ def test_verify_small_grid_digest(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
-    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
-    assert digest == "240f5842ea0c6438e700c7669d5c5395f5fa3f8fdf8039d7230e077196357a3b"
+    return hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
+
+
+SMALL_GRID_DIGEST = "240f5842ea0c6438e700c7669d5c5395f5fa3f8fdf8039d7230e077196357a3b"
+
+
+def test_verify_small_grid_digest(tmp_path):
+    # Pins the disk-sup suites on a second grid: the identity's Bloch ratio
+    # peaks at the origin, and a sampled majorant covers every probed range.
+    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+
+
+def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
+    # With no byte budget every insert of an array evicts it, so each map's
+    # Lambda_f grid is scanned again each time a suite or majorant needs it.
+    import harmap.core as core
+
+    scans = Counter()
+    original = core._stretch
+    monkeypatch.setattr(core, "_stretch", lambda f, z: scans.update([f]) or original(f, z))
+    monkeypatch.setattr(core, "_MEMO_BUDGET", 0)
+    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+    assert len(scans) == 10 and min(scans.values()) > 1  # 6 builtin and 4 fuzz maps
 
 
 def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, capsys):
@@ -505,6 +572,29 @@ def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
     assert sorted(Counter(calls).values()) == [18, 18, 18]
+
+
+def test_lipschitz_16_computes_each_maps_pair_quotients_once(monkeypatch):
+    # C2's |f(z) - f(w)| on the pairs depends on the map only: with two
+    # majorants each map is evaluated on the pair sample once (f(z), f(w)).
+    import harmap.core as core
+    from harmap.lipschitz import default_pair_sample
+
+    shape = default_pair_sample()[0].shape
+    calls = Counter()
+    original = core.HarmonicMap.__call__
+
+    def counting(f, z):
+        if np.shape(z) == shape:
+            calls[f] += 1
+        return original(f, z)
+
+    monkeypatch.setattr(core.HarmonicMap, "__call__", counting)
+    cfg = SuiteConfig(suites=("lipschitz-16",), fuzz=None, grid=Grid(n_r=16, n_theta=32))
+    assert len(cfg.majorants) == 2
+    reports, summary = run_config(cfg)
+    assert summary["fail"] == 0
+    assert calls == Counter({f: 2 for f in builtin_maps().values()})
 
 
 def test_lipschitz_suites_scan_each_maps_side_once(monkeypatch):
@@ -550,12 +640,12 @@ def test_lipschitz_results_on_a_grid_do_not_reuse_another_grids_memos():
 
     other = Grid(n_r=16, n_theta=32, r_max=0.9)
     fresh = results(other)
-    with core._grid_stretch_memo():
+    with core._campaign_memo():
         default = results(Grid())  # the memo now holds the default grid's scans
-        assert len(core._GRID_STRETCH) == len(maps)
+        assert sum(key[0] is core._grid_stretch.__wrapped__ for key in core._MEMO) == len(maps)
         assert results(other) == fresh
     assert default != fresh
-    assert core._GRID_STRETCH is None  # nothing outlives the block
+    assert core._MEMO is None  # nothing outlives the block
 
 
 def _count_scalar_wirtinger(monkeypatch):

@@ -26,6 +26,7 @@ from harmap import (
     write_csv,
     write_json_lines,
 )
+from harmap.core import _campaign_memo
 from harmap.report import FAIL, HYPOTHESIS_VIOLATED, PASS, make_report, summarize
 
 from conftest import AFFINE_HALF, AFFINE_ROOT2, FOLD, IDENTITY, MIXED, SQUARE
@@ -233,15 +234,29 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     for name in ("is_sense_preserving", "qc_constant"):  # fuzz admission's two scans
         monkeypatch.setattr(verify, name, lambda *a, _name=name, **k: pytest.fail(_name))
     f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))  # used by no other test
-    reports = [
-        verify_area_overlap(f, q=QuadratureSpec(mc_samples=10_000)),
-        verify_hardy_area(f),
-        *verify_coeff_bound(f),
-        *verify_gradient_bound(f),
-    ]
+    with _campaign_memo():  # sharing is a property of a campaign
+        reports = [
+            verify_area_overlap(f, q=QuadratureSpec(mc_samples=10_000)),
+            verify_hardy_area(f),
+            *verify_coeff_bound(f),
+            *verify_gradient_bound(f),
+        ]
     assert scans == [f]
     assert all(rep.hypotheses["sense-preserving"] for rep in reports)
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
+
+
+def test_outside_a_campaign_each_verifier_call_scans_and_keeps_nothing(monkeypatch):
+    import harmap.core as core
+    import harmap.verify as verify
+
+    scans = []
+    original = verify.wirtinger
+    monkeypatch.setattr(verify, "wirtinger", lambda f, z: scans.append(f) or original(f, z))
+    f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))
+    assert verify_hardy_area(f) == verify_hardy_area(f)
+    assert scans == [f, f]
+    assert core._MEMO is None
 
 
 def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
@@ -250,10 +265,10 @@ def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
     calls = []
     original = verify.length_sup
     monkeypatch.setattr(verify, "length_sup", lambda f, q: calls.append(q) or original(f, q))
-    verify._boundary_length.cache_clear()
     f = HarmonicMap(a=(0, 1.0, 0.07), b=(0.05, 0.03))
-    coeff = verify_coeff_bound(f, QuadratureSpec(seed=1))
-    verify_gradient_bound(f, q=QuadratureSpec(seed=2))
+    with _campaign_memo():  # sharing is a property of a campaign
+        coeff = verify_coeff_bound(f, QuadratureSpec(seed=1))
+        verify_gradient_bound(f, q=QuadratureSpec(seed=2))
     assert len(calls) == 1
     assert coeff[0].details["length_sup"] == original(f, QuadratureSpec()).value
 
