@@ -11,6 +11,16 @@ directional stretches Lambda = |f_z| + |f_zbar| and lambda = ||f_z| - |f_zbar||,
 the Jacobian |f_z|^2 - |f_zbar|^2, and the modulus of the second complex
 dilatation |f_zbar| / |f_z|.
 
+There are two evaluation paths. Scattered points (a sup's polish, Monte
+Carlo samples, disk means) go through Horner's recurrence, two array
+operations per degree over every point: :func:`wirtinger` and
+``HarmonicMap.__call__``. A polar tensor grid of radii times n uniform angles
+goes through :func:`_on_rings`, one inverse FFT of length n per ring, whose
+cost hardly grows with the degree. It is not a matrix product because a BLAS
+product of that size starts a pool of spinning threads. The grids whose
+values feed the pinned campaign digest (the Lambda_f, sense and K scans,
+the circle lengths) stay on Horner until that digest is re-pinned.
+
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
 numpy's pairwise summation on fixed-shape arrays, which makes results
@@ -293,6 +303,31 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_rings(c: np.ndarray, rs, n_ang: int) -> np.ndarray:
+    """sum_k c[k] z^k on the polar tensor grid z = rs[i] e^(2 pi i j / n_ang),
+    shape (len(rs), n_ang). On a ring the sum is the inverse DFT of the
+    coefficients c[k] rs[i]^k; e^(ik theta_j) has period n_ang in k, so a
+    longer row is first folded mod n_ang, which is exact. numpy's FFT runs
+    on one thread, where a BLAS product of this size would start a pool."""
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    ring = c * rs[:, None] ** np.arange(len(c))
+    if len(c) > n_ang:
+        ring = np.pad(ring, ((0, 0), (0, -len(c) % n_ang)))
+        ring = ring.reshape(len(rs), -1, n_ang).sum(axis=1)
+    return np.fft.ifft(ring, n=n_ang, axis=1, norm="forward")  # unscaled: the plain sum
+
+
+def _ring_fields(f: HarmonicMap, rs, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f_z, f_zbar) on the polar tensor grid of :func:`_on_rings`."""
+    fzbar = _on_rings(f._db, rs, n_ang)
+    return _on_rings(f._da, rs, n_ang), np.conjugate(fzbar, out=fzbar)
+
+
+def _ring_values(f: HarmonicMap, rs, n_ang: int) -> np.ndarray:
+    """f on the polar tensor grid of :func:`_on_rings`."""
+    return _on_rings(f._a_arr, rs, n_ang) + np.conjugate(_on_rings(f._b_full, rs, n_ang))
+
+
 def wirtinger(f: HarmonicMap | MapStack, z):
     """Vectorized derivative fields (f_z, f_zbar) = (h'(z), conj(g'(z))).
 
@@ -433,9 +468,10 @@ def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[comple
 
     n a_n and n b_n are the means over |z| = r of f_z(z) z^(1-n) and of
     conj(f_zbar(z)) z^(1-n); the trapezoid rule on m uniform nodes evaluates
-    both exactly (up to rounding) once m clears the aliasing threshold. This
-    path goes through pointwise evaluation only, so it serves as an oracle
-    for the stored coefficients.
+    both exactly (up to rounding) once m clears the aliasing threshold. The
+    fields come from the ring kernel :func:`_on_rings` and the weights from
+    the contour points, so the round trip checks the stored coefficients
+    against that kernel; a test holds the kernel to Horner on the same grids.
     """
     if not 1 <= n <= f.degree:
         raise ValueError("n must lie in 1..N")
@@ -444,11 +480,10 @@ def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[comple
     if m < 4 * f.degree:
         raise ValueError("m must be at least 4N contour nodes")
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    z = r * np.exp(1j * theta)
-    fz, fzbar = wirtinger(f, z)
-    w = z ** (1 - n)
-    a_n = complex(np.mean(fz * w) / n)
-    b_n = complex(np.mean(np.conjugate(fzbar) * w) / n)
+    fz, fzbar = _ring_fields(f, r, m)
+    w = (r * np.exp(1j * theta)) ** (1 - n)
+    a_n = complex(np.mean(fz[0] * w) / n)
+    b_n = complex(np.mean(np.conjugate(fzbar[0]) * w) / n)
     return a_n, b_n
 
 

@@ -11,6 +11,13 @@ Conventions
 * Areas are normalized (the identity map has S(r) = r^2); lengths are not.
 * Quadrature values report the finer of two resolutions, with the difference
   between the two as ``error_estimate`` (an a-posteriori bound, not a guess).
+* Polar tensor grids (radii times uniform angles) are evaluated one ring at
+  a time by an inverse FFT, ``core._ring_fields`` and ``core._ring_values``:
+  the area quadrature, the finite-p Hardy means and the coarse scan of a
+  circle max. Scattered points (polish steps, zoom rounds) go through
+  Horner. The grids whose values feed the pinned campaign digest (the
+  memoized Lambda_f scan and the circle lengths) stay on Horner until that
+  digest is re-pinned.
 * Suprema start from a coarse grid max and refine it; the value never
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish by
   golden-section search in radius and angle, and the gap closed by the last
@@ -36,6 +43,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import HarmonicMap, MapStack, _abs2, _grid_stretch, _stretch, wirtinger
+from .core import _ring_fields, _ring_values
 from .grids import Grid, QuadratureSpec, gauss_legendre_01, r_ladder
 
 __all__ = [
@@ -78,7 +86,7 @@ class FunctionalValue:
     error_estimate: float = 0.0
 
     def __post_init__(self):
-        if self.error_estimate < 0.0:
+        if not self.error_estimate >= 0.0:  # NaN fails too
             raise ValueError("error_estimate must be nonnegative")
 
     def to_json_dict(self) -> dict:
@@ -130,9 +138,7 @@ def area_sup(f: HarmonicMap) -> FunctionalValue:
 def _area_polar(f: HarmonicMap, r: float, n_rad: int, n_ang: int) -> float:
     x, w = gauss_legendre_01(n_rad)
     rho = r * x
-    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    z = rho[:, None] * np.exp(1j * theta)[None, :]
-    fz, fzbar = wirtinger(f, z)
+    fz, fzbar = _ring_fields(f, rho, n_ang)
     jac = _abs2(fz) - _abs2(fzbar)
     # (1/pi) * int_0^{2pi} int_0^r J rho drho dtheta, trapezoid x Gauss-Legendre
     return float((2.0 * r / n_ang) * np.sum((w * rho) @ jac))
@@ -219,29 +225,32 @@ def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalVal
 
 
 def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    z = rs[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(f(z))
-    return np.mean(vals**p, axis=1) ** (1.0 / p)
+    """M_p(r, f) for an array of radii, by the periodic trapezoid rule. Each
+    ring's |f| is scaled by its maximum m first, m * mean((|f|/m)^p)^(1/p),
+    so a large p neither underflows nor overflows; a ring where f = 0 gives 0."""
+    vals = np.abs(_ring_values(f, rs, n_ang))
+    top = vals.max(axis=1)
+    scaled = vals / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.mean(scaled**p, axis=1) ** (1.0 / p)
 
 
 def _circle_max(f: HarmonicMap, rs, n_ang: int):
     """Maximum of |f| on each circle |z| = r, r in ``rs``, all at once.
 
-    A coarse scan on the ``len(rs) x n_ang`` tensor grid picks each
-    circle's best angle; then every circle is zoomed in lockstep: each round
-    evaluates 2m + 1 = 17 angles spanning +-h around the current best (h
-    starts at one grid spacing, the golden-section bracket) and divides h
-    by m, until h is within ``_SUP_TOL`` (9 rounds at n_ang = 1024).
+    A coarse scan on the ``len(rs) x n_ang`` tensor grid (one inverse FFT
+    per circle) picks each circle's best angle; then every circle is zoomed
+    in lockstep, on Horner: each round evaluates 2m + 1 = 17 angles spanning
+    +-h around the current best (h starts at one grid spacing, the
+    golden-section bracket) and divides h by m, until h is within
+    ``_SUP_TOL`` (9 rounds at n_ang = 1024).
     Returns ``(values, coarse maxima)``; a value never falls below its
     coarse maximum.
     """
     m = 8
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))[:, None]
-    rows = np.arange(rs.shape[0])
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    rows = np.arange(len(rs))
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    vals = np.abs(f(rs * np.exp(1j * theta)))
+    vals = np.abs(_ring_values(f, rs, n_ang))
     j = np.argmax(vals, axis=1)
     coarse = vals[rows, j]
     best_v, best_t = coarse, theta[j]
@@ -249,7 +258,7 @@ def _circle_max(f: HarmonicMap, rs, n_ang: int):
     h = theta[1] - theta[0]
     while h > _SUP_TOL:
         t = best_t[:, None] + h * steps
-        patch = np.abs(f(rs * np.exp(1j * t)))
+        patch = np.abs(f(rs[:, None] * np.exp(1j * t)))
         k = np.argmax(patch, axis=1)
         v = patch[rows, k]
         best_t = np.where(v > best_v, t[rows, k], best_t)

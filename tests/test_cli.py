@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
-from harmap.core import MAX_FILE_DEGREE, map_json_bytes
+from harmap.core import MAX_FILE_DEGREE, HarmonicMap, map_json_bytes
 from harmap.grids import Grid, QuadratureSpec
 from harmap.lipschitz import PowerMajorant
 from harmap.verify import FuzzSpec, builtin_maps
@@ -60,6 +60,23 @@ def test_functional_hardy_norm(capsys, id_map_file):
     code, obj = run_json(capsys, ["functional", "--map", str(id_map_file), "--name", "hardy", "--p", "2"])
     assert code == 0
     assert obj["value"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("a1, p, scale", [(0.5, "1200", 0.5), (3.0, "800", 3.0), (0.0, "1200", 0.0)],
+                         ids=["underflow", "overflow", "zero"])
+def test_functional_hardy_at_large_p(capsys, tmp_path, a1, p, scale):
+    # |f| = scale r on every circle: mean scale r, norm scale, for every p.
+    path = tmp_path / "linear.json"
+    path.write_bytes(map_json_bytes(HarmonicMap(a=(0, a1), b=(0,))))
+    base = ["functional", "--map", str(path), "--name", "hardy", "--p", p]
+    code, obj = run_json(capsys, base)
+    assert code == 0
+    assert obj["value"] == pytest.approx(scale, rel=1e-12, abs=0.0)
+    assert 0.0 <= obj["error_estimate"] <= 1e-11
+    code, obj = run_json(capsys, base + ["--r", "0.9"])
+    assert code == 0
+    assert obj["value"] == pytest.approx(0.9 * scale, rel=1e-14, abs=0.0)
+    assert 0.0 <= obj["error_estimate"] <= 1e-13
 
 
 def test_functional_hardy_defaults_and_mean(capsys, affine_map_file):

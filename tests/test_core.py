@@ -207,6 +207,27 @@ def test_contour_rejects_small_node_count():
         coeff_from_contour(MIXED, 1, 1.0, 64)
 
 
+@pytest.mark.parametrize(
+    "degree, n_ang",
+    [(32, 256), (100, 16), (32, 33), (32, 34)],
+    ids=["degree-32", "fold", "n-equals-L", "n-equals-L-plus-1"],
+)
+def test_ring_kernel_matches_horner(degree, n_ang):
+    # The FFT ring kernel against Horner on the same polar tensor grid,
+    # within 64 eps of each ring's sum of |c_k| r^k.
+    from harmap.core import _horner, _on_rings
+
+    rng = np.random.default_rng(degree + n_ang)
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    rs = np.array([0.0, 0.3, 0.9, 1.0 - 2.0**-10, 1.0 - 2.0**-20])
+    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
+    want = _horner(c, rs[:, None] * np.exp(1j * theta))
+    got = _on_rings(c, rs, n_ang)
+    scale = (np.abs(c) * rs[:, None] ** np.arange(degree + 1)).sum(axis=1)
+    assert got.shape == (len(rs), n_ang)
+    assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale[:, None])
+
+
 @given(harmonic_maps(max_degree=8), st.floats(0.3, 0.9))
 def test_contour_round_trips_all_coefficients(f, r):
     m = 8 * f.degree

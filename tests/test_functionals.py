@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from harmap import (
     r_ladder,
     wirtinger,
 )
+
+from harmap.functionals import FunctionalValue
 
 from conftest import (
     AFFINE_HALF,
@@ -213,6 +216,63 @@ def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
     monkeypatch.setattr(HarmonicMap, "__call__", counting)
     hardy_norm(small_corpus[0], math.inf)
     assert 0 < len(ndims) <= 12 and 0 not in ndims
+
+
+def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_corpus):
+    # Tensor grids go through the ring kernel; only the p = inf zoom
+    # patches (20 ladder circles x 17 angles a round) are evaluated pointwise.
+    import harmap.core as core
+    import harmap.functionals as functionals
+
+    points = []
+    call, wirt = HarmonicMap.__call__, core.wirtinger
+
+    def counting_call(self, z):
+        points.append(np.size(z))
+        return call(self, z)
+
+    def counting_wirtinger(f, z):
+        points.append(np.size(z))
+        return wirt(f, z)
+
+    monkeypatch.setattr(HarmonicMap, "__call__", counting_call)
+    monkeypatch.setattr(core, "wirtinger", counting_wirtinger)
+    monkeypatch.setattr(functionals, "wirtinger", counting_wirtinger)
+    f = small_corpus[0]
+    area_quadrature(f, 0.9)
+    hardy_norm(f, 2)
+    core.coeff_from_contour(f, 1, 0.9, 4 * f.degree)
+    assert points == []
+    hardy_norm(f, math.inf)
+    assert points and max(points) <= 20 * 17
+
+
+LINEAR_HALF = HarmonicMap(a=(0, 0.5), b=(0,))
+LINEAR_THREE = HarmonicMap(a=(0, 3.0), b=(0,))
+ZERO = HarmonicMap(a=(0, 0), b=(0,))
+
+
+@pytest.mark.parametrize(
+    "f, p, scale",
+    [(LINEAR_HALF, 1200, 0.5), (LINEAR_THREE, 800, 3.0), (ZERO, 1200, 0.0), (ZERO, 2, 0.0)],
+    ids=["underflow", "overflow", "zero", "zero-p2"],
+)
+def test_hardy_means_at_large_p(f, p, scale):
+    # |f| = scale r on every circle, so M_p(r, f) = scale r for every p.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = hardy_mean(f, p, 0.9)
+        norm = hardy_norm(f, p)
+    assert mean.value == pytest.approx(scale * 0.9, rel=1e-14, abs=0.0)
+    assert norm.value == pytest.approx(scale, rel=1e-12, abs=0.0)
+    assert 0.0 <= mean.error_estimate <= 1e-13 and 0.0 <= norm.error_estimate <= 1e-11
+
+
+def test_functional_value_refuses_nan_error():
+    with pytest.raises(ValueError):
+        FunctionalValue(1.0, "quadrature", math.nan)
+    with pytest.raises(ValueError):
+        FunctionalValue(1.0, "quadrature", -1e-300)
 
 
 @pytest.mark.parametrize("weight", [lambda z: 1.0 - np.abs(z) ** 2, lambda z: 1.0],
