@@ -18,8 +18,9 @@ operations per degree over every point: :func:`wirtinger` and
 goes through :func:`_on_rings`, one inverse FFT of length n per ring, whose
 cost hardly grows with the degree. It is not a matrix product because a BLAS
 product of that size starts a pool of spinning threads. The grids whose
-values feed the pinned campaign digest (the Lambda_f, sense and K scans,
-the circle lengths) stay on Horner until that digest is re-pinned.
+values feed the pinned campaign digest stay on Horner until that digest is
+re-pinned: the circle lengths, and :func:`_grid_scan`, the one evaluation of
+a map's fields on a grid that its Lambda_f suprema and sense and K scans share.
 
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
@@ -269,7 +270,7 @@ class PointwiseData:
 class MapStack:
     """P maps evaluated side by side: their h' and g' coefficients stacked as
     the columns of read-only (L, P) matrices, each zero-padded to the largest
-    degree L. Indexing with a slice gives the stack of those maps."""
+    degree L."""
 
     def __init__(self, maps):
         maps = tuple(maps)
@@ -280,14 +281,6 @@ class MapStack:
             self._da[: f.degree, p] = f._da
             self._db[: f.degree, p] = f._db
         _read_only(self._da, self._db)
-
-    def __len__(self) -> int:
-        return self._da.shape[1]
-
-    def __getitem__(self, rows: slice) -> "MapStack":
-        sub = object.__new__(MapStack)
-        sub._da, sub._db = self._da[:, rows], self._db[:, rows]
-        return sub
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -351,7 +344,7 @@ def _stretch(f: HarmonicMap | MapStack, z: np.ndarray) -> np.ndarray:
 
 _MEMO: dict | None = None  # in a campaign: (function, *args) -> (value, bytes of its arrays)
 _MEMO_BYTES = 0  # their total, least recently used first out past the budget
-_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in 324 entries
+_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in 270 entries
 
 
 @contextmanager
@@ -362,7 +355,7 @@ def _campaign_memo():
     try:
         yield
     finally:
-        _MEMO = None
+        _MEMO, _MEMO_BYTES = None, 0
 
 
 def _memoized(fn):
@@ -387,13 +380,6 @@ def _memoized(fn):
         return hit[0]
 
     return memoized
-
-
-@_memoized
-def _grid_stretch(f: HarmonicMap, grid: Grid) -> np.ndarray:
-    """Lambda_f on ``grid.nodes``, read-only: the disk suprema of a
-    campaign's suites and majorants share one scan per map."""
-    return _read_only(_stretch(f, grid.nodes))
 
 
 def derivatives(f: HarmonicMap, z: complex) -> PointwiseData:
@@ -461,6 +447,19 @@ def _qc_scan(fz: np.ndarray, fzbar: np.ndarray) -> float:
     if np.any(m1 <= m2):
         raise ValueError("map is sense-reversing on the grid; no distortion constant")
     return float(np.max((m1 + m2) / lam))
+
+
+@_memoized
+def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservation, float]:
+    """One evaluation of (f_z, f_zbar) on ``grid.nodes`` and all a campaign
+    reads of it: Lambda_f on the nodes (read-only), the Jacobian scan of
+    :func:`is_sense_preserving`, and the :func:`qc_constant` K, or inf when f
+    is not sense-preserving on the grid. The quasiconformal hypotheses and
+    the disk suprema of Lambda_f share it; fuzz admission calls it unmemoized."""
+    fz, fzbar = wirtinger(f, grid.nodes)
+    sense = _sense_scan(grid.nodes, fz, fzbar)
+    K = _qc_scan(fz, fzbar) if sense.ok else math.inf
+    return _read_only(np.abs(fz) + np.abs(fzbar)), sense, K
 
 
 def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[complex, complex]:

@@ -16,8 +16,8 @@ Conventions
   the area quadrature, the finite-p Hardy means and the coarse scan of a
   circle max. Scattered points (polish steps, zoom rounds) go through
   Horner. The grids whose values feed the pinned campaign digest (the
-  memoized Lambda_f scan and the circle lengths) stay on Horner until that
-  digest is re-pinned.
+  memoized grid scan ``core._grid_scan``, whose Lambda_f the disk suprema
+  read, and the circle lengths) stay on Horner until that digest is re-pinned.
 * Suprema start from a coarse grid max and refine it; the value never
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish by
   golden-section search in radius and angle, and the gap closed by the last
@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import HarmonicMap, MapStack, _abs2, _grid_stretch, _stretch, wirtinger
+from .core import HarmonicMap, MapStack, _abs2, _grid_scan, _stretch, wirtinger
 from .core import _ring_fields, _ring_values
 from .grids import Grid, QuadratureSpec, gauss_legendre_01, r_ladder
 
@@ -75,6 +75,7 @@ _EPS = float(np.finfo(float).eps)
 # Abscissa tolerance of every sup's refinement: the golden-section bracket
 # of a disk sup, the zoom step of a circle max.
 _SUP_TOL = 1e-10
+_AREA_BLOCK = 1 << 16  # quadrature nodes whose derivative fields are held at once
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,17 @@ def area_sup(f: HarmonicMap) -> FunctionalValue:
 
 
 def _area_polar(f: HarmonicMap, r: float, n_rad: int, n_ang: int) -> float:
+    """(1/pi) * int_0^{2pi} int_0^r J rho drho dtheta, trapezoid x Gauss-Legendre,
+    summed over blocks of rings of at most _AREA_BLOCK nodes (one by default)."""
     x, w = gauss_legendre_01(n_rad)
     rho = r * x
-    fz, fzbar = _ring_fields(f, rho, n_ang)
-    jac = _abs2(fz) - _abs2(fzbar)
-    # (1/pi) * int_0^{2pi} int_0^r J rho drho dtheta, trapezoid x Gauss-Legendre
-    return float((2.0 * r / n_ang) * np.sum((w * rho) @ jac))
+    wr = w * rho
+    step = _AREA_BLOCK // n_ang  # at least 2: QuadratureSpec caps n_ang at 2^15 here
+    for s in range(0, n_rad, step):
+        fz, fzbar = _ring_fields(f, rho[s : s + step], n_ang)
+        part = wr[s : s + step] @ (_abs2(fz) - _abs2(fzbar))
+        total = part if s == 0 else total + part
+    return float((2.0 * r / n_ang) * np.sum(total))
 
 
 def area_quadrature(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
@@ -356,8 +362,8 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     ``coarse`` yields each problem's values on ``grid.nodes``, say its
     memoized Lambda_f grid under a weight, and is read after ``fn`` has been
     evaluated at the origin.
-    ``fn(z, rows)`` evaluates the problems ``rows`` (a slice) and returns a
-    real array of z's shape, z's leading axis running over those problems.
+    ``fn(z)`` evaluates every problem and returns a real array of z's shape,
+    z's leading axis running over the problems.
     Protocol, per problem: coarse max over the tensor grid and the origin;
     golden-section refinement in radius at the best angle; then in angle;
     then in radius again. The value gained by the final stage is reported
@@ -366,7 +372,7 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     each result equals the run of that problem alone.
     """
     radii, angles = grid.radii, grid.angles
-    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex), slice(None)), dtype=float)[:, 0]
+    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex)), dtype=float)[:, 0]
     v, flat = np.empty(count), np.empty(count, dtype=int)
     for p, vals in enumerate(coarse):
         flat[p] = np.argmax(vals)
@@ -380,7 +386,7 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     lo, hi = ext[np.maximum(i, 0)], ext[i + 2]
 
     def at(rs, ts):
-        return fn((rs * np.exp(1j * ts))[:, None], slice(None))[:, 0]
+        return fn((rs * np.exp(1j * ts))[:, None])[:, 0]
 
     v, r = _golden_polish(lambda rs: at(rs, t), lo, hi, v, r)
     stage1 = v
@@ -397,10 +403,10 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
 
 def _stretch_sups(maps, ratio, grid: Grid) -> list[SupResult]:
     """:func:`grid_sup` of ratio(Lambda_f(z), z) for each map: the coarse
-    scans weigh the memoized Lambda_f grids, the polish runs on the stack."""
+    scans weigh Lambda_f of the memoized grid scans, the polish runs on the stack."""
     stack = MapStack(maps)
-    coarse = (ratio(_grid_stretch(f, grid), grid.nodes) for f in maps)
-    return grid_sup(lambda z, rows: ratio(_stretch(stack[rows], z), z), grid, len(stack), coarse)
+    coarse = (ratio(_grid_scan(f, grid)[0], grid.nodes) for f in maps)
+    return grid_sup(lambda z: ratio(_stretch(stack, z), z), grid, len(maps), coarse)
 
 
 # ---------------------------------------------------------------------------

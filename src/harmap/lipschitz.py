@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .core import _PAIRS, HarmonicMap, _abs2, _grid_stretch, _memoized, _stretch, from_json
+from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
 from .functionals import _stretch_sups
 from .grids import Grid, _read_only, disk_sample, gauss_legendre_01
@@ -357,7 +357,7 @@ def _regularity(omega: Majorant) -> RegularityReport:
 def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
     """:func:`cond_a_constant` for each map, all polished in lockstep by one
     batched :func:`~harmap.functionals.grid_sup`. The map side, Lambda_f on
-    the grid, is ``core._grid_stretch``."""
+    the grid, is read off ``core._grid_scan``."""
     sups = _stretch_sups(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))),
                          grid or Grid())
     return [res.value for res in sups]
@@ -636,7 +636,7 @@ def verify_hl_equivalences(
         )
 
         # The reverse scan reads C4's coarse array at the nodes with d >= 1e-3.
-        ratios = grad_ratio(_grid_stretch(f, grid), grid.nodes).ravel()[inner]
+        ratios = grad_ratio(_grid_scan(f, grid)[0], grid.nodes).ravel()[inner]
         k = int(np.argmax(ratios))
         lhs_rev = float(ratios[k])
         rev = make_report("hl-reverse", lhs_rev, 21.0 * c5 / math.pi, slack=1e-6, hypotheses=hyp,

@@ -2,15 +2,17 @@
 
 Each verifier computes both sides of one inequality, validates its
 hypotheses (the quasiconformal ones, sense preservation and a finite
-distortion constant K, come from one per-map preamble, ``_distortion``,
-memoized for a campaign like ``_boundary_length``), and returns a :class:`~harmap.report.VerificationReport`
+distortion constant K, are read by ``_distortion`` off the map's one grid
+scan, ``core._grid_scan``, which a campaign memoizes like
+``_boundary_length``), and returns a :class:`~harmap.report.VerificationReport`
 (or a list of them, one per coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
 sides, and a 3-sigma band for Monte Carlo verdicts.
 
 The fuzzer draws coefficient vectors with geometric decay, optionally
 rescaled to coefficient dominance (|b_n| <= |a_n|), rejects draws that fail
-the Jacobian sign scan or exceed the target distortion constant, and
+the Jacobian sign scan or exceed the target distortion constant (both from
+one unmemoized grid scan per draw), and
 rescales accepted maps so the total area S_f(1) is at most 1. Streams are
 derived from (seed, index), so corpora are reproducible and order
 independent.
@@ -27,12 +29,9 @@ import numpy as np
 from .core import (
     HarmonicMap,
     _abs2,
+    _grid_scan,
     _memoized,
-    _qc_scan,
-    _sense_scan,
     _stretch,
-    is_sense_preserving,
-    qc_constant,
     wirtinger,
 )
 from .functionals import (
@@ -182,11 +181,10 @@ def fuzz_corpus(spec: FuzzSpec, grid: Grid | None = None) -> list[HarmonicMap]:
         last_k = math.nan
         for _ in range(spec.MAX_ATTEMPTS):
             cand = _draw_candidate(rng, spec)
-            sp = is_sense_preserving(cand, grid)
-            last_min_j = sp.min_jacobian
-            if not sp.ok:
+            _, sense, k = _grid_scan.__wrapped__(cand, grid)  # a draw stays out of the memo
+            last_min_j = sense.min_jacobian
+            if not sense.ok:
                 continue
-            k = qc_constant(cand, grid)
             last_k = k
             if k > spec.target_K:
                 continue
@@ -223,20 +221,13 @@ def builtin_maps() -> dict[str, HarmonicMap]:
 # ---------------------------------------------------------------------------
 
 
-@_memoized
 def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
-    """The shared quasiconformal hypothesis: (K, hypotheses) on the grid.
-
-    K is the grid distortion constant, or inf when the Jacobian scan finds
-    f not sense-preserving; both read one evaluation on the grid. A campaign
-    memoizes it, so the verifiers that share this hypothesis scan each map
-    once; the read-only hypotheses keep one caller from editing another's.
-    """
-    fields = wirtinger(f, grid.nodes)
-    sense_ok = _sense_scan(grid.nodes, *fields).ok
-    K = _qc_scan(*fields) if sense_ok else math.inf
+    """The shared quasiconformal hypothesis: (K, hypotheses) on the grid, read
+    off :func:`~harmap.core._grid_scan`. K is the grid distortion constant,
+    or inf when the Jacobian scan finds f not sense-preserving."""
+    _, sense, K = _grid_scan(f, grid)
     return K, MappingProxyType(
-        {"sense-preserving": sense_ok, "finite distortion constant": math.isfinite(K)}
+        {"sense-preserving": sense.ok, "finite distortion constant": math.isfinite(K)}
     )
 
 

@@ -12,7 +12,7 @@ from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_confi
 from harmap.core import MAX_FILE_DEGREE, HarmonicMap, map_json_bytes
 from harmap.grids import Grid, QuadratureSpec
 from harmap.lipschitz import PowerMajorant
-from harmap.verify import FuzzSpec, builtin_maps
+from harmap.verify import FuzzSpec, builtin_maps, fuzz_corpus
 
 
 @pytest.fixture()
@@ -536,14 +536,38 @@ def test_verify_small_grid_digest(tmp_path):
     assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
 
 
-def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
-    # With no byte budget every insert of an array evicts it, so each map's
-    # Lambda_f grid is scanned again each time a suite or majorant needs it.
+def _count_grid_scans(monkeypatch, shape):
+    """Count, by map, the evaluations of one map's derivative fields on a grid
+    of ``shape`` while a campaign's suites run. The fuzzer's admission scans,
+    made while the sources load, are left out."""
+    import harmap.cli as cli
     import harmap.core as core
 
     scans = Counter()
-    original = core._stretch
-    monkeypatch.setattr(core, "_stretch", lambda f, z: scans.update([f]) or original(f, z))
+    wirtinger, load = core.wirtinger, cli._load_sources
+
+    def counting(f, z):
+        if isinstance(f, HarmonicMap) and np.shape(z) == shape:
+            scans[f] += 1
+        return wirtinger(f, z)
+
+    def loading(cfg):
+        sources = load(cfg)
+        scans.clear()
+        return sources
+
+    monkeypatch.setattr(core, "wirtinger", counting)
+    monkeypatch.setattr(cli, "_load_sources", loading)
+    return scans
+
+
+def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
+    # With no byte budget every insert of an array evicts it, so each map's
+    # grid scan (core._grid_scan) is done again each time a suite or
+    # majorant needs it.
+    import harmap.core as core
+
+    scans = _count_grid_scans(monkeypatch, (16, 32))
     monkeypatch.setattr(core, "_MEMO_BUDGET", 0)
     assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
     assert len(scans) == 10 and min(scans.values()) > 1  # 6 builtin and 4 fuzz maps
@@ -659,7 +683,7 @@ def test_lipschitz_results_on_a_grid_do_not_reuse_another_grids_memos():
     fresh = results(other)
     with core._campaign_memo():
         default = results(Grid())  # the memo now holds the default grid's scans
-        assert sum(key[0] is core._grid_stretch.__wrapped__ for key in core._MEMO) == len(maps)
+        assert sum(key[0] is core._grid_scan.__wrapped__ for key in core._MEMO) == len(maps)
         assert results(other) == fresh
     assert default != fresh
     assert core._MEMO is None  # nothing outlives the block
@@ -723,24 +747,37 @@ def test_per_map_memos_live_for_one_campaign(monkeypatch):
     # first: it does not reuse the first one's memos.
     import harmap.verify as verify
 
-    calls = Counter()
-    for name in ("length_sup", "is_sense_preserving"):
-        original = getattr(verify, name)
-
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(verify, name, counting)
+    lengths = Counter()
+    original = verify.length_sup
+    monkeypatch.setattr(verify, "length_sup", lambda f, q: lengths.update([f]) or original(f, q))
     cfg = SuiteConfig(
         suites=("coeff-bound", "gradient-bound", "hardy-area"),
         fuzz=FuzzSpec(count=2, degree=3, seed=8),
         quadrature=QuadratureSpec(mc_samples=10_000, seed=8),
     )
+    scans = _count_grid_scans(monkeypatch, cfg.grid.nodes.shape)
     per_run = []
     for _ in range(2):
-        calls.clear()
+        lengths.clear()
         run_config(cfg)
-        per_run.append(dict(calls))
+        per_run.append((Counter(lengths), Counter(scans)))
     assert per_run[0] == per_run[1]
-    assert per_run[0]["length_sup"] > 0 and per_run[0]["is_sense_preserving"] > 0
+    assert per_run[0][0] and per_run[0][1]
+
+
+def test_a_campaign_evaluates_each_maps_fields_on_its_grid_once(monkeypatch):
+    # The quasiconformal hypotheses of four suites, the Bloch, C1 and C4
+    # suprema and hl-reverse all read one grid scan per map.
+    grid = Grid(n_r=16, n_theta=32)
+    cfg = SuiteConfig(
+        suites=("area-overlap", "hardy-area", "coeff-bound", "gradient-bound",
+                "lipschitz-16", "hl-17"),
+        fuzz=FuzzSpec(count=3, degree=4, seed=5),
+        quadrature=QuadratureSpec(mc_samples=10_000, seed=5),
+        grid=grid,
+    )
+    maps = [*builtin_maps().values(), *fuzz_corpus(cfg.fuzz, grid)]
+    scans = _count_grid_scans(monkeypatch, grid.nodes.shape)
+    reports, summary = run_config(cfg)
+    assert summary["fail"] == 0
+    assert scans == Counter({f: 1 for f in maps})

@@ -266,5 +266,3 @@ def test_wirtinger_on_a_stack_matches_each_map_bit_for_bit(small_corpus):
     for p, f in enumerate(maps):
         ref = wirtinger(f, z[p])
         assert np.array_equal(fz[p], ref[0]) and np.array_equal(fzbar[p], ref[1])
-    sub = stack[2:4]
-    assert len(sub) == 2 and np.array_equal(wirtinger(sub, z[2:4])[0], fz[2:4])

@@ -284,8 +284,8 @@ def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
     grid = Grid(n_r=24, n_theta=64)
     stack = MapStack(maps)
 
-    def batch(z, rows):
-        fz, fzbar = wirtinger(stack[rows], z)
+    def batch(z):
+        fz, fzbar = wirtinger(stack, z)
         return weight(z) * (np.abs(fz) + np.abs(fzbar))
 
     def one(f):
@@ -296,7 +296,7 @@ def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
         return fn
 
     results = grid_sup(batch, grid, len(maps), (one(f)(grid.nodes) for f in maps))
-    assert results == [grid_sup(lambda z, rows: one(f)(z[0])[None], grid, 1, [one(f)(grid.nodes)])[0]
+    assert results == [grid_sup(lambda z: one(f)(z[0])[None], grid, 1, [one(f)(grid.nodes)])[0]
                        for f in maps]
     if weight(0.5) != 1.0:
         assert results[0].argmax == 0j

@@ -317,12 +317,12 @@ def test_map_independent_pair_samples_are_built_once():
 
 
 def test_memoized_map_sides_are_read_only_and_shared():
-    from harmap.core import _campaign_memo, _grid_stretch
+    from harmap.core import _campaign_memo, _grid_scan
     from harmap.grids import Grid
     from harmap.lipschitz import _hl_fields, _pair_quotients
 
     grid = Grid(n_r=16, n_theta=32)
     with _campaign_memo():
-        sides = [_grid_stretch(IDENTITY, grid), _pair_quotients(IDENTITY), *_hl_fields(IDENTITY, grid)]
-        assert _grid_stretch(IDENTITY, grid) is sides[0] and _pair_quotients(IDENTITY) is sides[1]
+        sides = [_grid_scan(IDENTITY, grid)[0], _pair_quotients(IDENTITY), *_hl_fields(IDENTITY, grid)]
+        assert _grid_scan(IDENTITY, grid)[0] is sides[0] and _pair_quotients(IDENTITY) is sides[1]
     assert not any(arr.flags.writeable for arr in sides)

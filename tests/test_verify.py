@@ -219,20 +219,19 @@ def test_verifiers_report_sense_reversal_as_hypothesis():
 
 def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     # Sense preservation and K come from one evaluation of the derivative
-    # fields on the grid, shared by every verifier with that hypothesis.
-    import harmap.verify as verify
+    # fields on the grid, core._grid_scan, shared by every verifier with
+    # that hypothesis.
+    import harmap.core as core
 
     scans = []
-    original = verify.wirtinger
+    original = core.wirtinger
 
     def counting(f, z):
         if np.shape(z) == Grid().nodes.shape:
             scans.append(f)
         return original(f, z)
 
-    monkeypatch.setattr(verify, "wirtinger", counting)
-    for name in ("is_sense_preserving", "qc_constant"):  # fuzz admission's two scans
-        monkeypatch.setattr(verify, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    monkeypatch.setattr(core, "wirtinger", counting)
     f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))  # used by no other test
     with _campaign_memo():  # sharing is a property of a campaign
         reports = [
@@ -241,6 +240,8 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
             *verify_coeff_bound(f),
             *verify_gradient_bound(f),
         ]
+        scanned = [key[1:] for key in core._MEMO if key[0] is core._grid_scan.__wrapped__]
+        assert scanned == [(f, Grid())]
     assert scans == [f]
     assert all(rep.hypotheses["sense-preserving"] for rep in reports)
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
@@ -248,15 +249,45 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
 
 def test_outside_a_campaign_each_verifier_call_scans_and_keeps_nothing(monkeypatch):
     import harmap.core as core
-    import harmap.verify as verify
 
     scans = []
-    original = verify.wirtinger
-    monkeypatch.setattr(verify, "wirtinger", lambda f, z: scans.append(f) or original(f, z))
+    original = core.wirtinger
+    monkeypatch.setattr(core, "wirtinger", lambda f, z: scans.append(f) or original(f, z))
     f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))
     assert verify_hardy_area(f) == verify_hardy_area(f)
     assert scans == [f, f]
     assert core._MEMO is None
+
+
+def test_fuzz_admission_scans_each_draw_once_and_keeps_nothing(monkeypatch):
+    # One evaluation of the derivative fields on the grid per draw, from
+    # which both the sense and the K gate read; an open campaign memo is
+    # left as it was.
+    import harmap.core as core
+    import harmap.verify as verify
+
+    grid = Grid(n_r=16, n_theta=32)
+    draws, scans = [], []
+    draw, wirtinger = verify._draw_candidate, core.wirtinger
+
+    def drawing(rng, spec):
+        draws.append(draw(rng, spec))
+        return draws[-1]
+
+    def counting(f, z):
+        if z is grid.nodes:
+            scans.append(f)
+        return wirtinger(f, z)
+
+    monkeypatch.setattr(verify, "_draw_candidate", drawing)
+    monkeypatch.setattr(core, "wirtinger", counting)
+    spec = FuzzSpec(count=6, degree=4, seed=1, target_K=1.5, enforce_coeff_dominance=False)
+    with _campaign_memo():
+        maps = fuzz_corpus(spec, grid)
+        assert core._MEMO == {}
+    assert len(draws) == 50 and len(maps) == spec.count  # 44 draws rejected, one by the sense gate
+    assert scans == draws
+    assert maps == fuzz_corpus(spec, grid)
 
 
 def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
