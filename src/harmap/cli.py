@@ -18,8 +18,10 @@ constant once per majorant, and the campaign memo of ``core`` computes each
 map's majorant-free side once. The tasks run one after another: the work is
 Python-bound under the interpreter lock, and on a 2-core machine a 2-thread
 pool raised the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s
-serial). Report rows are emitted in sorted order, so identical seeds give
-byte-identical report files.
+serial, measured when the pool was removed; the campaign now takes about
+1 s of CPU). Report rows are emitted in sorted order, so identical seeds give
+byte-identical report files. ``functional`` and ``fuzz`` never load scipy
+(see :mod:`harmap.grids`).
 """
 
 from __future__ import annotations

@@ -169,6 +169,13 @@ class HarmonicMap:
             raise ValueError(f"malformed map object: {exc}") from None
         if len(a) > MAX_FILE_DEGREE + 1:
             raise ValueError(f"map degree must be at most {MAX_FILE_DEGREE}, got {len(a) - 1}")
+        # |f|, Lambda_f and l_f(r) / (2 pi) stay below s = sum max(n, 1) (|a_n| + |b_n|):
+        # with (2 pi s)^2 N finite, no square or N-term sum of a functional overflows.
+        s = sum(max(n, 1) * math.hypot(*p) for n, p in enumerate(a))
+        s += sum(n * math.hypot(*p) for n, p in enumerate(b, 1))
+        if not math.isfinite((2.0 * math.pi * s) * (2.0 * math.pi * s) * (len(a) - 1)):
+            raise ValueError(f"map coefficients too large: sum max(n, 1) (|a_n| + |b_n|) = {s:.3g}"
+                             " would overflow the functionals")
         return cls(a=tuple(complex(*p) for p in a), b=tuple(complex(*p) for p in b))
 
 

@@ -231,13 +231,16 @@ def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalVal
 
 
 def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
-    """M_p(r, f) for an array of radii, by the periodic trapezoid rule. Each
-    ring's |f| is scaled by its maximum m first, m * mean((|f|/m)^p)^(1/p),
-    so a large p neither underflows nor overflows; a ring where f = 0 gives 0."""
+    """M_p(r, f) for an array of radii, by the periodic trapezoid rule, as
+    m exp(log1p(mean(expm1(p log(|f|/m)))) / p) with m each ring's maximum of
+    |f|: a large p neither underflows nor overflows, and a small one does not
+    cancel (M_p tends to exp(mean log|f|) as p -> 0). A zero of f adds
+    expm1(-inf) = -1 to the mean; a ring where f = 0 gives 0."""
     vals = np.abs(_ring_values(f, rs, n_ang))
     top = vals.max(axis=1)
-    scaled = vals / np.where(top > 0.0, top, 1.0)[:, None]
-    return top * np.mean(scaled**p, axis=1) ** (1.0 / p)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and log1p(-1) where f = 0 on a ring
+        logs = np.log(vals / np.where(top > 0.0, top, 1.0)[:, None])
+        return top * np.exp(np.log1p(np.mean(np.expm1(p * logs), axis=1)) / p)
 
 
 def _circle_max(f: HarmonicMap, rs, n_ang: int):

@@ -6,6 +6,13 @@ radial Gauss-Legendre x angular trapezoid quadrature, Monte Carlo sample
 sizes, the ladder of radii 1 - 2^-k used to approach the boundary, and
 :func:`disk_sample`, the one area-uniform random sampler of a disk that every
 Monte Carlo estimate and random pair set draws from.
+
+numpy is the one module-level dependency of the package. scipy loads on first
+use: :func:`gauss_legendre_01` imports ``scipy.special`` for
+``area_quadrature`` and the segment and disk-mean quadratures of the Lipschitz
+constants, and the majorant integrals import ``scipy.integrate`` (see
+:mod:`harmap.lipschitz`). The fuzzer and the length, Hardy and Bloch
+functionals never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = ["Grid", "QuadratureSpec", "r_ladder", "gauss_legendre_01", "disk_sample"]
 
@@ -106,6 +112,7 @@ def r_ladder() -> np.ndarray:
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
+    from scipy.special import roots_legendre  # loaded on first use: see the module docstring
     x, w = roots_legendre(n)
     return _read_only(0.5 * (x + 1.0), 0.5 * w)
 

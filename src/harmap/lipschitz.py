@@ -8,7 +8,10 @@ interpolation. A majorant is *regular* when two integral conditions hold,
     int_0^delta omega(t)/t dt       <= C omega(delta)   (head),
     delta int_delta^inf omega/t^2 dt <= C omega(delta)   (tail),
 
-whose smallest empirical constants :func:`regularity_check` estimates.
+whose smallest empirical constants :func:`regularity_check` estimates. Both
+integrals go through one adaptive quadrature helper, the one importer of
+``scipy.integrate``, on first use; the Gauss-Legendre nodes of the disk means
+and hl-17's segments load ``scipy.special`` (:func:`~harmap.grids.gauss_legendre_01`).
 
 The three equivalent growth conditions for a harmonic map f against a
 majorant are estimated as empirical constants:
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
@@ -79,18 +81,13 @@ PAIR_MIN_BOUNDARY_DISTANCE = 1e-9
 TAIL_TRUNCATION = 1e6
 
 
-def _head_quad(omega, u_cap: float, delta: float) -> float:
-    """int_0^delta omega(t)/t dt, cut at t = delta e^-u_cap, via t = delta e^-u."""
-    val, _ = quad(lambda u: omega(delta * math.exp(-u)), 0.0, u_cap, limit=200)
-    return val
-
-
-def _tail_quad(omega, u_cap: float, delta: float) -> float:
-    """delta int_delta^T omega(t)/t^2 dt with T = delta e^u_cap, via t = delta e^u."""
-    val, _ = quad(
-        lambda u: omega(delta * math.exp(u)) * math.exp(-u), 0.0, u_cap, limit=200
-    )
-    return val
+def _majorant_quad(omega, delta: float, u_cap: float, tail: bool = False) -> float:
+    """The head int_0^delta omega(t)/t dt, cut at t = delta e^-u_cap, via t = delta e^-u;
+    with ``tail``, delta int_delta^T omega(t)/t^2 dt, T = delta e^u_cap, via t = delta e^u."""
+    from scipy.integrate import quad  # loaded on first use: see the module docstring
+    if tail:
+        return quad(lambda u: omega(delta * math.exp(u)) * math.exp(-u), 0.0, u_cap, limit=200)[0]
+    return quad(lambda u: omega(delta * math.exp(-u)), 0.0, u_cap, limit=200)[0]
 
 
 _CONFIG_FIELDS = {"family": str, "alpha": float, "table": _PAIRS}
@@ -169,7 +166,7 @@ class PowerMajorant(Majorant):
 
     def head_integral(self, delta: float) -> float:
         """int_0^delta omega(t)/t dt."""
-        return _head_quad(self, np.inf, delta)
+        return _majorant_quad(self, delta, np.inf)
 
     def tail_integral(self, delta: float) -> tuple[float, float] | None:
         """delta int_delta^T omega(t)/t^2 dt with T = TAIL_TRUNCATION * delta,
@@ -177,7 +174,7 @@ class PowerMajorant(Majorant):
         alpha = self.alpha
         if alpha >= 1.0:
             return None
-        val = _tail_quad(self, math.log(TAIL_TRUNCATION), delta)
+        val = _majorant_quad(self, delta, math.log(TAIL_TRUNCATION), tail=True)
         # Exact remainder: delta^alpha T^(alpha-1) / (1 - alpha).
         tail = delta**alpha * TAIL_TRUNCATION ** (alpha - 1.0) / (1.0 - alpha)
         return val + tail, 0.0
@@ -256,12 +253,12 @@ class SampledMajorant(Majorant):
     def head_integral(self, delta: float) -> float:
         # Integrate down to the table floor only; omega(t) <= t omega(t_min)/t_min
         # below it, so the missing head is bounded by omega(t_min).
-        return _head_quad(self, max(math.log(delta / self.t_min), 0.0), delta)
+        return _majorant_quad(self, delta, max(math.log(delta / self.t_min), 0.0))
 
     def tail_integral(self, delta: float) -> tuple[float, float]:
         u_cap = min(math.log(TAIL_TRUNCATION), math.log(self.t_max / delta))
         u_cap = max(u_cap, 0.0)
-        val = _tail_quad(self, u_cap, delta)
+        val = _majorant_quad(self, delta, u_cap, tail=True)
         # Mass of one more e-fold at the cut, the scale of what the cut hides.
         t_cap = delta * math.exp(u_cap)
         return val, self(min(t_cap, self.t_max)) * math.exp(-u_cap)

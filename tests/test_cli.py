@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -332,6 +333,54 @@ def test_functional_rejects_malformed_map_files(tmp_path, capsys):
         assert main(["functional", "--map", str(path), "--name", "area"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot load map: malformed map object")
+
+
+def _linear_map_file(path, a1: float):
+    path.write_text(json.dumps({"a": [[0.0, 0.0], [a1, 0.0]], "b": [[0.0, 0.0]]}))
+    return path
+
+
+# (2 pi a1)^2 is the largest float at this a1, the scale of l_f(1)^2 for a1 z.
+LARGEST_A1 = math.sqrt(np.finfo(float).max) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["area", "length", "hardy", "bloch"])
+def test_functional_refuses_coefficients_that_overflow(tmp_path, capsys, name):
+    for a1 in (1e200, 1e308, 1.001 * LARGEST_A1):
+        path = _linear_map_file(tmp_path / "huge.json", a1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["functional", "--map", str(path), "--name", name]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: cannot load map: map coefficients too large")
+    path = _linear_map_file(tmp_path / "edge.json", 0.999 * LARGEST_A1)
+    extras = [[]] if name == "bloch" else [[], ["--r", "0.5"]]
+    extras += [["--p", "inf"], ["--p", "1e-16"]] if name == "hardy" else []
+    for extra in extras:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, obj = run_json(capsys, ["functional", "--map", str(path), "--name", name, *extra])
+        assert code == 0 and math.isfinite(obj["value"]) and math.isfinite(obj["error_estimate"])
+
+
+def test_verify_refuses_coefficients_that_overflow(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    obj = small_config(tmp_path)
+    obj.update(include_builtin=False, fuzz=None)
+    obj["suites"].append("coeff-bound")
+    obj["maps"] = [str(_linear_map_file(tmp_path / "huge.json", 1e200))]
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: bad configuration: maps: map coefficients too large")
+    obj["maps"] = [str(_linear_map_file(tmp_path / "edge.json", 0.999 * LARGEST_A1))]
+    cfg.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(cfg)]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
 
 
 def test_readme_config_example_parses():

@@ -268,6 +268,27 @@ def test_hardy_means_at_large_p(f, p, scale):
     assert 0.0 <= mean.error_estimate <= 1e-13 and 0.0 <= norm.error_estimate <= 1e-11
 
 
+@pytest.mark.parametrize("p", [1e-4, 1e-8, 1e-12, 1e-16])
+def test_hardy_means_at_small_p_match_the_cumulant_series(p):
+    # log M_p = k1 + p k2 / 2 + p^2 k3 / 6 + O(p^3), with k_j the cumulants of
+    # L = log|f| on the circle. For z + 0.2 conj(z), k1 = log r (Jensen), so M_p
+    # tends to r. The p^2 term is 5e-13 at p = 1e-4, above the error estimate.
+    f = HarmonicMap(a=(0, 1), b=(0.2,))
+    theta = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = ((0.5, hardy_mean(f, p, 0.5)), (1.0, hardy_norm(f, p)))
+        zero = hardy_mean(ZERO, p, 0.5), hardy_norm(ZERO, p)
+    for r, fv in values:
+        logs = np.log(np.abs(f(r * np.exp(1j * theta))))
+        dev = logs - logs.mean()
+        cumulants = logs.mean() + p * np.mean(dev**2) / 2 + p * p * np.mean(dev**3) / 6
+        assert abs(fv.value - math.exp(cumulants)) <= fv.error_estimate
+        if p <= 1e-16:
+            assert abs(fv.value - r) <= fv.error_estimate
+    assert [fv.value for fv in zero] == [0.0, 0.0]
+
+
 def test_functional_value_refuses_nan_error():
     with pytest.raises(ValueError):
         FunctionalValue(1.0, "quadrature", math.nan)
