@@ -2,23 +2,19 @@
 """Sweep a fuzz corpus and tabulate the worst margins of each inequality.
 
 Shows how close random admissible maps come to the sharp bounds: the minimum
-margin per check over the corpus, with the map index attaining it. Margins
-are oriented so that >= 0 means the inequality holds.
+margin per check over the corpus, with the map index attaining it. The rows
+come from one campaign (``harmap.cli.run_config``) of five suites on the
+corpus alone, at the campaign's defaults. Margins are oriented so that >= 0
+means the inequality holds.
 """
 
 import argparse
 import sys
 
-from harmap import (
-    FuzzSpec,
-    QuadratureSpec,
-    fuzz_corpus,
-    verify_coeff_bound,
-    verify_gradient_bound,
-    verify_hardy_area,
-    verify_isoperimetric,
-    verify_three_circles,
-)
+from harmap import FuzzSpec
+from harmap.cli import SuiteConfig, run_config
+
+SUITES = ("three-circles", "hardy-area", "coeff-bound", "gradient-bound", "isoperimetric")
 
 
 def main() -> int:
@@ -28,25 +24,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    corpus = fuzz_corpus(FuzzSpec(count=args.count, degree=args.degree, seed=args.seed))
-    q = QuadratureSpec()
+    cfg = SuiteConfig(suites=SUITES, include_builtin=False, seed=args.seed,
+                      fuzz=FuzzSpec(count=args.count, degree=args.degree, seed=args.seed))
+    reports, _ = run_config(cfg)
     worst: dict[str, tuple[float, int]] = {}
-
-    def record(name, margin, idx):
-        if margin is not None and (name not in worst or margin < worst[name][0]):
-            worst[name] = (margin, idx)
-
-    for idx, f in enumerate(corpus):
-        for r1, r in ((0.1, 0.5), (0.3, 0.9)):
-            rep = verify_three_circles(f, r1, r)
-            record("three-circles", rep.margin, idx)
-        record("hardy-area", verify_hardy_area(f).margin, idx)
-        for rep in verify_coeff_bound(f, q):
-            record("coeff-bound", rep.margin, idx)
-        for rep in verify_gradient_bound(f, q=q):
-            record(rep.name, rep.margin, idx)
-        for r in (0.3, 0.6, 0.9):
-            record("isoperimetric", verify_isoperimetric(f, r, q).margin, idx)
+    for rep in reports:
+        check, map_id = rep.name.split("@")  # check(parameters)@fuzz-NNNN
+        name, idx = check.split("(")[0], int(map_id.removeprefix("fuzz-"))
+        if rep.margin is not None and (name not in worst or rep.margin < worst[name][0]):
+            worst[name] = (rep.margin, idx)
 
     width = max(len(k) for k in worst)
     print(f"{'check':<{width}}  {'min margin':>14}  map")

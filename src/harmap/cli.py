@@ -445,12 +445,15 @@ def _emit_table(f: HarmonicMap, path: str, r1: float | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.config and args.seed is not None:
+        print('error: --seed applies to the default campaign only; a config sets "seed"', file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = SuiteConfig.from_json_dict(json.load(fh))
         else:
-            cfg = default_config(seed=args.seed)
+            cfg = default_config() if args.seed is None else default_config(seed=args.seed)
         if args.out:
             cfg.output_path = args.out
         if args.format:
@@ -532,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--config", default=None, help="suite config JSON (omit for the default campaign)")
     p_ver.add_argument("--out", default=None, help="override the report output path")
     p_ver.add_argument("--format", default=None, choices=("json", "csv"))
-    p_ver.add_argument("--seed", type=int, default=42, help="campaign seed for the default config")
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="seed of the default campaign (default 42); not with --config")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_fz = sub.add_parser("fuzz", help="write a reproducible corpus of map files")

@@ -19,20 +19,18 @@ Conventions
   memoized grid scan ``core._grid_scan``, whose Lambda_f the disk suprema
   read, and the circle lengths) stay on Horner until that digest is re-pinned.
 * Suprema start from a coarse grid max and refine it; the value never
-  falls below the coarse max. Disk suprema (:func:`grid_sup`) polish by
-  golden-section search in radius and angle, and the gap closed by the last
-  stage is the error estimate. A batch of problems (one per map, say) is
-  polished by one array search, :func:`_golden_polish`, one call per
-  golden-section step, with each problem's result equal to its run on its
-  own. Circle maxima of |f| (the
-  p = inf Hardy mean and norm) refine every circle at once by a batched
-  angular zoom, :func:`_circle_max`, and the gain over the coarse max is
-  the error estimate.
-* Boundary suprema over 0 < r < 1 use the dyadic ladder 1 - 2^-k, k <= 20,
-  plus a Richardson extrapolant from the two finest rungs, all in one
-  helper, :func:`_ladder_sup`; the bare ladder is ~1e-6 short for
-  functionals still growing at the boundary and the extrapolant restores
-  near machine accuracy for polynomial maps.
+  falls below the coarse max. Disk suprema (:func:`grid_sup`) polish a
+  batch of problems by one array golden-section search in radius and
+  angle, :func:`_golden_polish`, each problem's result equal to its run on
+  its own, and the gap closed by the last stage is the error estimate. The
+  max of |f| on a circle is refined by an angular zoom, :func:`_circle_max`,
+  and its gain over the coarse max is the error estimate.
+* Boundary values follow the maximum principle: for p >= 1, |f|^p is
+  subharmonic, so the h^p norm is M_p(1, f) (Hardy's convexity theorem),
+  and S_f(1) is the exact maximum of a polynomial in r^2. The dyadic ladder
+  1 - 2^-k, k <= 20, with a Richardson extrapolant, :func:`_ladder_sup`,
+  serves l_f(1), whose bits feed the pinned campaign digest, and the h^p
+  norm at 0 < p < 1, where M_p need not be monotone.
 """
 
 from __future__ import annotations
@@ -120,20 +118,18 @@ def area_series(f: HarmonicMap, r: float) -> FunctionalValue:
 
 
 def area_sup(f: HarmonicMap) -> FunctionalValue:
-    """S_f(1) = sup over 0 < r < 1 of S_f(r).
-
-    For coefficient-dominant maps (|b_n| <= |a_n|) every series term is
-    nonnegative, S_f is increasing and the series value at r = 1 is the
-    supremum. With mixed signs the sup can sit inside, so the maximum of the
-    series value and the dyadic-ladder values is returned; overestimating is
-    the safe direction for every check that consumes S_f(1).
-    """
+    """S_f(1) = sup over 0 < r < 1 of S_f(r): the exact maximum of
+    S(x) = sum c_n x^n, x = r^2, on [0, 1]. If c_1 + sum_{n>=2} n min(c_n, 0)
+    >= 0, then S' >= 0 there and the value is S(1); else the largest of
+    S(0) = 0, S(1) and S at the roots' real parts of S', clipped to [0, 1]."""
     c = _area_coeffs(f)
     n = np.arange(1, f.degree + 1)
     s_one = float(np.sum(c))
-    ladder = r_ladder()
-    s_ladder = (c[None, :] * ladder[:, None] ** (2 * n[None, :])).sum(axis=1)
-    return FunctionalValue(max(s_one, float(np.max(s_ladder))), SERIES, 0.0)
+    if c[0] + n[1:] @ np.minimum(c[1:], 0.0) >= 0.0:
+        return FunctionalValue(s_one, SERIES, 0.0)
+    x = np.clip(np.roots((n * c)[::-1]).real, 0.0, 1.0)
+    s_crit = (c[None, :] * x[:, None] ** n[None, :]).sum(axis=1)
+    return FunctionalValue(max(0.0, s_one, *s_crit.tolist()), SERIES, 0.0)
 
 
 def _area_polar(f: HarmonicMap, r: float, n_rad: int, n_ang: int) -> float:
@@ -197,22 +193,17 @@ def length_function(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -
     return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
 
 
-def _ladder_sup(fine: np.ndarray, coarse: np.ndarray | None = None) -> FunctionalValue:
-    """Boundary sup of a functional sampled on the radius ladder.
-
-    The value is the larger of the ladder maximum and the Richardson
-    extrapolant in the boundary gap h = 2^-k (halves per rung),
-    l(1) ~= 2 l_K - l_{K-1} with O(h^2) error, bounded by the difference of
-    consecutive extrapolants. With a ``coarse`` ladder at half the angular
-    resolution the quadrature gap joins the error estimate; without one the
-    rungs are grid sups.
-    """
+def _ladder_sup(fine: np.ndarray, coarse: np.ndarray) -> FunctionalValue:
+    """Boundary sup of a quadrature sampled on the radius ladder at two
+    angular resolutions, ``coarse`` at half the nodes of ``fine``: the larger
+    of the ladder maximum and the Richardson extrapolant in the boundary gap
+    h = 2^-k (halves per rung), l(1) ~= 2 l_K - l_{K-1} with O(h^2) error,
+    bounded by the difference of consecutive extrapolants, plus the gap
+    between the two resolutions."""
     extrap = 2.0 * fine[-1] - fine[-2]
     extrap_prev = 2.0 * fine[-2] - fine[-3]
     value = max(float(np.max(fine)), float(extrap))
     err = max(abs(float(extrap - extrap_prev)), _error_floor(value))
-    if coarse is None:
-        return FunctionalValue(value, GRID_SUP, err)
     return FunctionalValue(value, QUADRATURE, max(float(np.max(np.abs(fine - coarse))), err))
 
 
@@ -243,49 +234,40 @@ def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
         return top * np.exp(np.log1p(np.mean(np.expm1(p * logs), axis=1)) / p)
 
 
-def _circle_max(f: HarmonicMap, rs, n_ang: int):
-    """Maximum of |f| on each circle |z| = r, r in ``rs``, all at once.
-
-    A coarse scan on the ``len(rs) x n_ang`` tensor grid (one inverse FFT
-    per circle) picks each circle's best angle; then every circle is zoomed
-    in lockstep, on Horner: each round evaluates 2m + 1 = 17 angles spanning
-    +-h around the current best (h starts at one grid spacing, the
-    golden-section bracket) and divides h by m, until h is within
-    ``_SUP_TOL`` (9 rounds at n_ang = 1024).
-    Returns ``(values, coarse maxima)``; a value never falls below its
-    coarse maximum.
-    """
+def _circle_max(f: HarmonicMap, r: float, n_ang: int) -> tuple[float, float]:
+    """The max of |f| on |z| = r and the coarse max: a scan of ``n_ang`` angles
+    (one inverse FFT) picks the best angle; each zoom round evaluates 2m + 1 = 17
+    angles on Horner, spanning +-h around the best (h starts at one grid
+    spacing), and divides h by m, until h is within ``_SUP_TOL`` (9 rounds
+    at n_ang = 1024)."""
     m = 8
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    rows = np.arange(len(rs))
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    vals = np.abs(_ring_values(f, rs, n_ang))
-    j = np.argmax(vals, axis=1)
-    coarse = vals[rows, j]
-    best_v, best_t = coarse, theta[j]
+    vals = np.abs(_ring_values(f, r, n_ang)[0])
+    j = int(np.argmax(vals))
+    coarse = best_v = float(vals[j])
+    best_t = theta[j]
     steps = np.arange(-m, m + 1) / m
     h = theta[1] - theta[0]
     while h > _SUP_TOL:
-        t = best_t[:, None] + h * steps
-        patch = np.abs(f(rs[:, None] * np.exp(1j * t)))
-        k = np.argmax(patch, axis=1)
-        v = patch[rows, k]
-        best_t = np.where(v > best_v, t[rows, k], best_t)
-        best_v = np.maximum(v, best_v)
+        t = best_t + h * steps
+        patch = np.abs(f(r * np.exp(1j * t)))
+        k = int(np.argmax(patch))
+        if patch[k] > best_v:
+            best_v, best_t = float(patch[k]), t[k]
         h /= m
     return best_v, coarse
 
 
 def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """Integral mean M_p(r, f); for p = inf, the maximum of |f| on |z| = r."""
+    """Integral mean M_p(r, f), 0 < r <= 1; for p = inf, the max of |f| on
+    |z| = r, whose error estimate is the zoom's gain over the coarse scan."""
     q = q or QuadratureSpec()
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    if not 0.0 < r <= 1.0:
+        raise ValueError("r must lie in (0, 1]")
     if p != math.inf and not p > 0.0:
         raise ValueError("p must be positive or inf")
     if p == math.inf:
         v, coarse = _circle_max(f, r, 4 * q.angular_nodes)
-        v, coarse = float(v[0]), float(coarse[0])
         return FunctionalValue(v, GRID_SUP, max(v - coarse, _error_floor(v)))
     v1 = float(_circle_pmeans(f, r, p, q.angular_nodes)[0])
     v2 = float(_circle_pmeans(f, r, p, 2 * q.angular_nodes)[0])
@@ -293,14 +275,14 @@ def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = No
 
 
 def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """h^p norm: sup of M_p over the radius ladder (sup of |f| when p = inf),
-    via :func:`_ladder_sup`."""
-    q = q or QuadratureSpec()
-    rs = r_ladder()
-    if p == math.inf:
-        return _ladder_sup(_circle_max(f, rs, 4 * q.angular_nodes)[0])
+    """h^p norm, sup over 0 < r < 1 of M_p(r, f): M_p(1, f) for p >= 1 and
+    p = inf, where M_p is nondecreasing in r, else the ladder sup."""
+    if p >= 1.0:
+        return hardy_mean(f, p, 1.0, q)
     if not p > 0.0:
         raise ValueError("p must be positive or inf")
+    q = q or QuadratureSpec()
+    rs = r_ladder()
     return _ladder_sup(
         _circle_pmeans(f, rs, p, 2 * q.angular_nodes), _circle_pmeans(f, rs, p, q.angular_nodes)
     )

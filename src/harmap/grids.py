@@ -90,7 +90,7 @@ class QuadratureSpec:
         # Gauss-Legendre nodes cost time quadratic in their number (area_quadrature doubles them).
         if not 1 <= self.radial_nodes <= 1024:
             raise ValueError("radial_nodes must lie in 1..1024")
-        # A p = inf Hardy norm scans 20 x 4 angular_nodes points.
+        # The ladder sups scan 20 x 2 angular_nodes points, a p = inf Hardy mean 4 angular_nodes.
         if not 8 <= self.angular_nodes <= 1 << 14 or self.angular_nodes % 2 != 0:
             raise ValueError("angular_nodes must be even and lie in 8..16384")
         if self.radial_nodes * self.angular_nodes > 1 << 20:  # area_quadrature doubles both

@@ -286,7 +286,8 @@ def verify_area_overlap(
     for the set area, and exact for injective maps). The map is read on O1
     through its affine chart w -> (w - c1)/R1 and recentered so it vanishes
     at the origin. Both areas come from one Monte Carlo sample of O1; the
-    verdict allows a 3-sigma band.
+    verdict allows a 3-sigma band. When no draw lands in f^-1(O2), sigma is
+    a third of a 95% bound on what the sample cannot see.
 
     Injectivity is a hypothesis this artifact cannot certify beyond degree
     one (linear sense-preserving maps are injective); for higher degree pass
@@ -325,6 +326,10 @@ def verify_area_overlap(
         overlap[part] = jac * inside[part]
     lhs = float(np.mean(stat))
     sigma = float(np.std(stat) / math.sqrt(q.mc_samples))
+    if not inside.any():  # no hit in n draws: the hit fraction is below 3/n at 95%, and a
+        # hit adds at most area1 (K sup J + 1), with J R1^2 <= Lambda_f^2 <= (sum n (|a_n| + |b_n|))^2
+        sup_jac = (np.abs(f._da).sum() + np.abs(f._db).sum()) ** 2 / omega1.radius**2
+        sigma = float(area1 * (K * sup_jac + 1.0) / q.mc_samples)
     d1 = omega1.boundary_distance(0j)
     d2 = omega2.boundary_distance(0j)
     rhs = min(d1, d2) ** 2

@@ -244,6 +244,19 @@ def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+def test_verify_refuses_seed_beside_config(tmp_path, capsys, monkeypatch):
+    # A config carries its own seed; --seed would be silently ignored.
+    import harmap.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(tmp_path)))
+    monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("the campaign ran"))
+    assert main(["verify", "--config", str(cfg), "--seed", "7"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed")
+    assert not (tmp_path / "rows.json").exists()
+
+
 def test_verify_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{")

@@ -88,6 +88,29 @@ def test_area_sup_takes_interior_ladder_peak():
     assert sup >= area_series(f, rung).value - 1e-15
 
 
+@pytest.mark.parametrize(
+    "f, want",
+    [(HarmonicMap(a=(0, 1, 0), b=(0, 1.2)), 25 / 288), (HarmonicMap(a=(0, 0), b=(1.0,)), 0.0)],
+    ids=["interior-peak", "anti-identity"],
+)
+def test_area_sup_closed_forms(f, want):
+    # z + 1.2 conj(z)^2: S(x) = x - 2.88 x^2 peaks at x = 1/5.76 with 25/288;
+    # conj(z): S(x) = -x, whose sup over [0, 1] is S(0) = 0.
+    assert area_sup(f).value == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+
+@given(harmonic_maps(max_degree=8))
+def test_area_sup_is_the_max_of_the_area_polynomial(f):
+    # S is Lipschitz in x = r^2 with constant sum n |c_n|, so a 10^4-point
+    # grid comes within that / 2e4 of the sup, and no grid value exceeds it.
+    n = np.arange(1, f.degree + 1)
+    c = np.array([k * (abs(a) ** 2 - abs(b) ** 2) for k, (a, b) in enumerate(zip(f.a[1:], f.b), 1)])
+    x = np.linspace(0.0, 1.0, 10_001)
+    dense = float(np.max((c * x[:, None] ** n).sum(axis=1)))
+    sup = area_sup(f).value
+    assert dense - 1e-15 <= sup <= dense + float(np.sum(n * np.abs(c))) / 2e4
+
+
 @given(harmonic_maps(max_degree=8), st.sampled_from([0.3, 0.6, 0.9]))
 def test_area_series_vs_quadrature_oracle(f, r):
     assert abs(area_series(f, r).value - area_quadrature(f, r).value) <= 1e-10
@@ -165,6 +188,54 @@ def test_hardy_mean_parseval_property(f, r):
     assert hardy_mean(f, 2, r).value ** 2 == pytest.approx(coeff, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.5, math.inf])
+def test_hardy_norm_is_the_mean_at_the_boundary(small_corpus, p):
+    for f in (IDENTITY, AFFINE_HALF, MIXED, SQUARE, CONSTANT, *small_corpus[:6]):
+        assert hardy_norm(f, p) == hardy_mean(f, p, 1.0)
+
+
+@pytest.mark.parametrize("a1, b1", [(1.0, 0.5), (0.3 - 0.4j, 0.2j), (2.0, 0.0)])
+def test_hardy_norm_affine_closed_forms(a1, b1):
+    # f = a1 z + conj(b1 z): M_2^2 = |a1|^2 + |b1|^2 and max |f| = |a1| + |b1|.
+    f = HarmonicMap(a=(0, a1), b=(b1,))
+    m2, m_inf = hardy_norm(f, 2), hardy_norm(f, math.inf)
+    assert m2.value**2 == pytest.approx(abs(a1) ** 2 + abs(b1) ** 2, rel=1e-14)
+    assert abs(m_inf.value - (abs(a1) + abs(b1))) <= m_inf.error_estimate
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_hardy_norm_of_a_power(n):
+    # |z^n| = 1 on the unit circle, so every h^p norm is 1.
+    f = HarmonicMap(a=(0,) * n + (1,), b=(0,) * n)
+    for p in (1.0, 2.0, 4.0, math.inf):
+        fv = hardy_norm(f, p)
+        assert abs(fv.value - 1.0) <= fv.error_estimate
+
+
+def test_hardy_means_nondecreasing_in_r(small_corpus):
+    # Hardy's convexity theorem: for p >= 1, M_p(r, f) is nondecreasing.
+    rs = np.linspace(0.1, 1.0, 10)
+    for f in small_corpus[:8]:
+        for p in (1.0, 2.0, 4.0, math.inf):
+            means = [hardy_mean(f, p, r) for r in rs]
+            for lo, hi in zip(means, means[1:]):
+                assert hi.value >= lo.value - lo.error_estimate - hi.error_estimate
+
+
+@pytest.mark.parametrize(
+    "f, p, value, error",
+    [(MIXED, 0.3, 1.0068801700652028, 1.176836406102666e-13),
+     (MIXED, 0.9, 1.0204119428605172, 3.410605131648481e-13),
+     (AFFINE_HALF, 0.3, 1.0198252423808944, 1.81157354429632e-15),
+     (AFFINE_HALF, 0.9, 1.0575549591794855, 1.8785949847801318e-15)],
+)
+def test_hardy_norm_below_one_keeps_the_ladder(f, p, value, error):
+    # 0 < p < 1 is still the ladder sup with its Richardson extrapolant; the
+    # values are pinned bit for bit.
+    fv = hardy_norm(f, p)
+    assert (fv.value, fv.error_estimate, fv.method) == (value, error, "quadrature")
+
+
 def test_hardy_norm_sup_mode():
     fv = hardy_norm(AFFINE_HALF, math.inf)
     assert fv.method == "grid-sup"
@@ -206,21 +277,22 @@ def test_circle_max_matches_golden_polish(small_corpus):
 
 
 def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
-    ndims = []
+    calls = []
     call = HarmonicMap.__call__
 
     def counting(self, z):
-        ndims.append(np.ndim(z))
+        calls.append((np.ndim(z), np.size(z)))
         return call(self, z)
 
     monkeypatch.setattr(HarmonicMap, "__call__", counting)
     hardy_norm(small_corpus[0], math.inf)
-    assert 0 < len(ndims) <= 12 and 0 not in ndims
+    # One circle: 9 zoom rounds at 1024 coarse angles, each one call of 17 angles.
+    assert calls == [(1, 17)] * 9
 
 
 def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_corpus):
     # Tensor grids go through the ring kernel; only the p = inf zoom
-    # patches (20 ladder circles x 17 angles a round) are evaluated pointwise.
+    # patches (one circle x 17 angles a round) are evaluated pointwise.
     import harmap.core as core
     import harmap.functionals as functionals
 
@@ -244,7 +316,7 @@ def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_co
     core.coeff_from_contour(f, 1, 0.9, 4 * f.degree)
     assert points == []
     hardy_norm(f, math.inf)
-    assert points and max(points) <= 20 * 17
+    assert points and max(points) <= 17
 
 
 LINEAR_HALF = HarmonicMap(a=(0, 0.5), b=(0,))

@@ -166,6 +166,28 @@ def test_area_overlap_hypothesis_gates():
         verify_area_overlap(IDENTITY, DiskDomain(center=5 + 0j), q=q)
 
 
+@pytest.mark.parametrize("scale, hits", [(1e5, 0), (1e3, 1)])
+def test_area_overlap_of_a_large_map(tmp_path, scale, hits):
+    # f^-1(O2) has area scale^-2. With no draw in it (1e5 z) the row carries
+    # the 95% bound of what the sample cannot see and may not fail; with
+    # one draw in 10^6 (1e3 z) the estimate is 1 + 1e-6 with sigma 1.
+    from harmap.cli import SuiteConfig, run_config
+    from harmap.core import map_json_bytes
+
+    path = tmp_path / "large.json"
+    path.write_bytes(map_json_bytes(HarmonicMap(a=(0, scale), b=(0,))))
+    (rep,), _ = run_config(SuiteConfig(suites=("area-overlap",), map_files=(str(path),),
+                                       include_builtin=False))
+    assert rep.details["preimage_area"] == hits * 1e-6
+    assert rep.status == PASS
+    if hits:
+        assert rep.lhs == pytest.approx(1.000001, rel=1e-12)
+        assert rep.error_estimate == pytest.approx(3.0, rel=1e-6)
+    else:
+        assert rep.lhs == 0.0 and abs(rep.margin) <= rep.error_estimate
+        assert rep.error_estimate == pytest.approx(3.0 * (scale**2 + 1.0) / 10**6, rel=1e-12)
+
+
 def test_area_overlap_general_disks():
     q = QuadratureSpec(mc_samples=100_000)
     rep = verify_area_overlap(
