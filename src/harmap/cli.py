@@ -475,9 +475,14 @@ def _cmd_verify(args) -> int:
             write_csv(reports, fh)
         else:
             write_json_lines(reports, fh)
+    # A pass is unresolved when |margin| <= error_estimate: at the computed
+    # accuracy the row cannot tell the claim from its failure.
+    unresolved = sum(rep.status == PASS and abs(rep.margin) <= rep.error_estimate
+                     for rep in reports)
     print(
-        f"{len(reports)} checks: {counts[PASS]} pass, {counts[FAIL]} fail, "
-        f"{counts[HYPOTHESIS_VIOLATED]} hypothesis-violated -> {cfg.output_path}"
+        f"{len(reports)} checks: {counts[PASS]} pass ({unresolved} unresolved), "
+        f"{counts[FAIL]} fail, {counts[HYPOTHESIS_VIOLATED]} hypothesis-violated "
+        f"-> {cfg.output_path}"
     )
     return EXIT_FAIL if counts[FAIL] else EXIT_OK
 

@@ -22,9 +22,14 @@ Conventions
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish a
   batch of problems by one array golden-section search in radius and
   angle, :func:`_golden_polish`, each problem's result equal to its run on
-  its own, and the gap closed by the last stage is the error estimate. The
-  max of |f| on a circle is refined by an angular zoom, :func:`_circle_max`,
-  and its gain over the coarse max is the error estimate.
+  its own, and the gap closed by the last stage is the error estimate.
+  A probe's abscissa depends on the left/right decisions before it and
+  not on the values, so one evaluation covers several steps: every
+  abscissa they could probe, a tree of up to 127 a problem and 128 a call,
+  computed by the float operations of the step-by-step search, so with
+  its bits. The max of |f| on a circle is refined by an angular zoom,
+  :func:`_circle_max`, and its gain over the coarse max is the error
+  estimate.
 * Boundary values follow the maximum principle: for p >= 1, |f|^p is
   subharmonic, so the h^p norm is M_p(1, f) (Hardy's convexity theorem),
   and S_f(1) is the exact maximum of a polynomial in r^2. The dyadic ladder
@@ -37,12 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import HarmonicMap, MapStack, _abs2, _grid_scan, _stretch, wirtinger
+from .core import HarmonicMap, MapStack, _abs2, _grid_scan, _memoized, _stretch, wirtinger
 from .core import _ring_fields, _ring_values
-from .grids import Grid, QuadratureSpec, gauss_legendre_01, r_ladder
+from .grids import Grid, QuadratureSpec, _read_only, gauss_legendre_01, r_ladder
 
 __all__ = [
     "FunctionalValue",
@@ -117,11 +123,13 @@ def area_series(f: HarmonicMap, r: float) -> FunctionalValue:
     return FunctionalValue(value, SERIES, 0.0)
 
 
+@_memoized
 def area_sup(f: HarmonicMap) -> FunctionalValue:
     """S_f(1) = sup over 0 < r < 1 of S_f(r): the exact maximum of
     S(x) = sum c_n x^n, x = r^2, on [0, 1]. If c_1 + sum_{n>=2} n min(c_n, 0)
     >= 0, then S' >= 0 there and the value is S(1); else the largest of
-    S(0) = 0, S(1) and S at the roots' real parts of S', clipped to [0, 1]."""
+    S(0) = 0, S(1) and S at the roots' real parts of S', clipped to [0, 1].
+    Memoized in a campaign, whose verifiers read it once per row."""
     c = _area_coeffs(f)
     n = np.arange(1, f.degree + 1)
     s_one = float(np.sum(c))
@@ -294,6 +302,31 @@ def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> Fun
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_PROBES = 128  # abscissas an evaluate call of a polish may take, all problems together (k > 1)
+
+
+@lru_cache(maxsize=None)
+def _probe_tree(k: int):
+    """The k golden-section steps that one evaluate call covers, as a binary
+    tree in heap order over a table with the columns [a, c, d, probe of node
+    0, probe of node 1, ...]. Node 0 is the first step, whose decision is
+    already known; columns 0-2 hold its (a, c, d) after it. The children
+    2n + 1 and 2n + 2 of node n are the next step after the max is found in
+    [a, d] (left) and in [c, b]. Returns the (a, c, d) columns of each node,
+    the children of each node above the last level, and per later level the
+    columns of its nodes' a, their probes' weights and the columns they fill."""
+    cols = [(0, 1, 2)]
+    for n in range(1, (1 << k) - 1):
+        a, c, d = cols[(n - 1) // 2]
+        cols.append((a, 3 + n, c) if n % 2 else (c, d, 3 + n))
+    cols = np.array(cols).T
+    inner = np.arange((1 << (k - 1)) - 1)
+    levels = []
+    for j in range(1, k):
+        nodes = np.arange((1 << j) - 1, (1 << (j + 1)) - 1)
+        weight = np.where(nodes % 2, _INV_PHI2, _INV_PHI)
+        levels.append((*_read_only(cols[0, nodes], weight), slice(3 + nodes[0], 4 + nodes[-1])))
+    return (*_read_only(cols, np.stack((2 * inner + 1, 2 * inner + 2))), levels)
 
 
 def _golden_polish(evaluate, lo, hi, v, x):
@@ -301,12 +334,22 @@ def _golden_polish(evaluate, lo, hi, v, x):
     its bracket [lo, hi] (either order); returns the arrays (value, argmax)
     of the better of each problem's incumbent (v, x) and its search result.
 
-    ``evaluate(xs)`` takes one abscissa per problem and returns the P
-    values. Every problem takes its own number of steps to shrink its
-    bracket below ``_SUP_TOL`` (one probe at the midpoint of a bracket
-    already that narrow), and each step evaluates every problem: one that
-    has finished runs on, and its result is read off its own last step, so
-    it equals the scalar search run alone. Ties go to the right probe.
+    ``evaluate(xs)`` takes a (P, M) array of abscissas, row p for problem p,
+    and returns their (P, M) values. Every problem takes its own number of
+    steps to shrink its bracket below ``_SUP_TOL`` (one probe at the
+    midpoint of a bracket already that narrow), and each step evaluates
+    every problem: one that has finished runs on, and its result is read
+    off its own last step, so it equals the scalar search run alone. Ties
+    go to the right probe.
+
+    A probe's abscissa depends on the left/right decisions before it, not
+    on the values, so one call evaluates every abscissa that the next k
+    steps could probe: the 2^k - 1 nodes of :func:`_probe_tree` a problem,
+    with k >= 1 the largest such that (2^k - 1) P <= ``_PROBES``. The tree
+    repeats the float operations of a step (h = h * phi once a step, then
+    the probe a + w * h), so each abscissa has the bits the step would give
+    it, and the step's comparison picks the next node. At k = 1 a call is
+    one step.
     """
     a, b = np.minimum(lo, hi), np.maximum(lo, hi)
     h = b - a
@@ -315,20 +358,43 @@ def _golden_polish(evaluate, lo, hi, v, x):
     narrow = h <= _SUP_TOL
     c = np.where(narrow, 0.5 * (a + b), a + _INV_PHI2 * h)
     d = np.where(narrow, c, a + _INV_PHI * h)
-    yc, yd = evaluate(c), evaluate(d)
+    yc, yd = evaluate(np.stack((c, d), axis=1)).T
     trail = [(c, d, yc, yd)]
-    for _ in range(max(steps, default=1) - 1):
-        h = h * _INV_PHI
+    count, total = len(steps), max(steps, default=1)
+    rows = np.arange(count)
+    depth = max(1, (_PROBES // max(count, 1) + 1).bit_length() - 1)
+    while len(trail) < total:
+        cols, children, levels = _probe_tree(min(depth, total - len(trail)))
         # The max lies in [a, d]: d takes c's place and the probe is the new
         # c. Else in [c, b]: a and c move to c and d, and it is the new d.
         left = yc > yd
+        h = h * _INV_PHI
         a = np.where(left, a, c)
         probe = a + np.where(left, _INV_PHI2, _INV_PHI) * h
-        y = evaluate(probe)
         c, d = np.where(left, probe, d), np.where(left, c, probe)
-        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+        xs = np.empty((count, 3 + cols.shape[1]))
+        xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3] = a, c, d, probe
+        for src, weight, fill in levels:
+            h = h * _INV_PHI
+            xs[:, fill] = xs[:, src] + h[:, None] * weight
+        ys = np.empty_like(xs)
+        ys[:, 3:] = evaluate(xs[:, 3:])
+        yc, yd = np.where(left, ys[:, 3], yd), np.where(left, yc, ys[:, 3])
         trail.append((c, d, yc, yd))
-    c, d, yc, yd = np.array(trail)[np.array(steps, dtype=int) - 1, :, np.arange(len(steps))].T
+        if levels:
+            # Each node's comparison names its next node; walk them from
+            # node 0 and read each step's state off the table.
+            ys[:, 1], ys[:, 2] = yc, yd
+            inner = cols[1:, : children.shape[1]]
+            after = np.where(ys[:, inner[0]] > ys[:, inner[1]], children[0], children[1])
+            path = np.zeros((count, len(levels) + 1), dtype=int)
+            for j in range(len(levels)):
+                path[:, j + 1] = after[rows, path[:, j]]
+            at = cols[:, path[:, 1:]] + (rows * xs.shape[1])[:, None]
+            (pa, pc, pd), (pyc, pyd) = xs.take(at), ys.take(at[1:])
+            trail.extend(zip(pc.T, pd.T, pyc.T, pyd.T))
+            a, (c, d, yc, yd) = pa[:, -1], trail[-1]
+    c, d, yc, yd = np.array(trail)[np.array(steps, dtype=int) - 1, :, rows].T
     found, at = np.where(yc > yd, yc, yd), np.where(yc > yd, c, d)
     return np.where(found > v, found, v), np.where(found > v, at, x)
 
@@ -353,8 +419,12 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     golden-section refinement in radius at the best angle; then in angle;
     then in radius again. The value gained by the final stage is reported
     as the error estimate. Each stage is one :func:`_golden_polish` of all
-    problems, one call of ``count`` points per golden-section step, and
-    each result equals the run of that problem alone.
+    problems, whose calls of ``fn`` cover several golden-section steps
+    each when ``count`` is small (7 for one problem, 1 from 43 problems
+    on), and each result equals the run of that problem alone. The
+    abscissas reach ``fn`` as contiguous (count, M) arrays of radii and
+    angles, each point evaluated by the same elementwise operations as
+    when each call held one point a problem.
     """
     radii, angles = grid.radii, grid.angles
     origin = np.asarray(fn(np.zeros((count, 1), dtype=complex)), dtype=float)[:, 0]
@@ -371,14 +441,17 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     lo, hi = ext[np.maximum(i, 0)], ext[i + 2]
 
     def at(rs, ts):
-        return fn((rs * np.exp(1j * ts))[:, None])[:, 0]
+        return fn(np.ascontiguousarray(rs) * np.exp(1j * np.ascontiguousarray(ts)))
 
-    v, r = _golden_polish(lambda rs: at(rs, t), lo, hi, v, r)
+    def along(fixed, m):  # each problem's fixed coordinate at each of its m probes
+        return fixed[:, None].repeat(m, axis=1)
+
+    v, r = _golden_polish(lambda rs: at(rs, along(t, rs.shape[1])), lo, hi, v, r)
     stage1 = v
     dt = angles[1] - angles[0]
-    v, t = _golden_polish(lambda ts: at(r, ts), t - dt, t + dt, v, t)
+    v, t = _golden_polish(lambda ts: at(along(r, ts.shape[1]), ts), t - dt, t + dt, v, t)
     stage2 = v
-    v, r = _golden_polish(lambda rs: at(rs, t), lo, hi, v, r)
+    v, r = _golden_polish(lambda rs: at(rs, along(t, rs.shape[1])), lo, hi, v, r)
     return [
         SupResult(value=val, argmax=z, error_estimate=max(val - s2, s2 - s1, _error_floor(val)))
         for val, z, s1, s2 in zip(v.tolist(), (r * np.exp(1j * t)).tolist(),

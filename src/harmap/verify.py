@@ -196,7 +196,7 @@ def fuzz_corpus(spec: FuzzSpec, grid: Grid | None = None) -> list[HarmonicMap]:
                 f"(last min Jacobian {last_min_j:.3e}, last K {last_k:.3g})"
             )
         if spec.rescale_area:
-            s = area_sup(accepted).value
+            s = area_sup.__wrapped__(accepted).value  # out of the memo: it may be rescaled next
             if s > 1.0:
                 accepted = accepted.scaled(1.0 / math.sqrt(s))
         maps.append(accepted)

@@ -227,6 +227,58 @@ def test_verify_small_config_json(tmp_path, capsys):
     assert names == sorted(names)
 
 
+def test_verify_summary_counts_unresolved_passes(tmp_path, capsys):
+    # The builtin equality cases pass with |margin| <= error_estimate: 6
+    # isoperimetric rows (identity, scale-half) and 6 three-circles rows
+    # (identity, affine-quarters) of the 34 passes.
+    obj = small_config(tmp_path)
+    obj["suites"] = ["three-circles", "isoperimetric"]
+    obj["fuzz"] = None
+    obj["grid"] = {"n_r": 16, "n_theta": 32}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "rows.json").read_text().splitlines()]
+    unresolved = [row["name"] for row in rows
+                  if row["status"] == "pass" and abs(row["margin"]) <= row["error_estimate"]]
+    assert len(unresolved) == 12
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"42 checks: 34 pass (12 unresolved), 0 fail, 8 hypothesis-violated -> {tmp_path / 'rows.json'}"
+    )
+
+
+def test_area_sup_runs_once_per_map_in_a_campaign(tmp_path, monkeypatch):
+    # S_f(1) of a map whose area polynomial is not monotone takes the
+    # roots of S'. Each of the four three-circles rows reads it (one
+    # np.roots call a row before the campaign memo kept it).
+    import harmap.functionals as functionals
+
+    calls = []
+    roots = functionals.np.roots
+
+    def counting(p):
+        calls.append(len(p))
+        return roots(p)
+
+    degree = 96
+    path = tmp_path / "wavy.json"
+    path.write_bytes(map_json_bytes(HarmonicMap(a=(0, 1) + (0,) * (degree - 1),
+                                                b=(0,) * (degree - 1) + (0.2,))))
+    obj = {
+        "suites": ["three-circles", "hardy-area", "gradient-bound"],
+        "maps": [str(path)],
+        "include_builtin": False,
+        "fuzz": None,
+        "grid": {"n_r": 16, "n_theta": 32},
+        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    monkeypatch.setattr(functionals.np, "roots", counting)
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert calls == [degree]
+
+
 def test_verify_csv_format(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(small_config(tmp_path, fmt="csv")))

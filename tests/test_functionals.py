@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from harmap import (
+    FuzzSpec,
     Grid,
     HarmonicMap,
     MapStack,
@@ -16,6 +18,7 @@ from harmap import (
     area_sup,
     bloch_norm,
     bloch_seminorm,
+    fuzz_corpus,
     grid_sup,
     hardy_mean,
     hardy_norm,
@@ -422,43 +425,49 @@ def _golden_reference(fn, a, b, tol=1e-10):
     return (yc, c) if yc > yd else (yd, d)
 
 
-@pytest.mark.parametrize("bracket", [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)])
-def test_golden_max_matches_the_scalar_search(bracket):
-    # Each bracket on its own: the three functions share it in one array search.
+BRACKETS = [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001), (0.25, 0.5)]
+GOLDEN_FNS = (lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x))
+
+
+def _polish_each(problems, calls=None):
+    """Run _golden_polish on (fn, a, b) problems at once, recording the shape
+    of each evaluate call in ``calls``; (value, argmax) per problem."""
     from harmap.functionals import _golden_polish
 
-    fns = (lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x))
-    lo, hi = np.full(len(fns), bracket[0]), np.full(len(fns), bracket[1])
-
-    def evaluate(xs):
-        return np.array([fn(x) for fn, x in zip(fns, xs.tolist())])
-
-    none = np.full(len(fns), -np.inf)
-    values, args = _golden_polish(evaluate, lo, hi, none, np.zeros(len(fns)))
-    assert list(zip(values.tolist(), args.tolist())) == [_golden_reference(fn, *bracket) for fn in fns]
-
-
-def test_golden_polish_matches_the_scalar_search():
-    # One batch of 4 brackets x 3 functions: mixed step counts, a reversed
-    # bracket and one already within the tolerance, all run at once.
-    from harmap.functionals import _golden_polish
-
-    brackets = [(0.0, 1.0), (2.0, -1.0), (0.3, 0.3 + 1e-11), (0.1, 0.1001)]
-    fns = [lambda x: -(x - 0.37) ** 2, lambda x: math.sin(3.0 * x), lambda x: abs(x)]
-    problems = [(fn, a, b) for fn in fns for a, b in brackets]
     lo, hi = np.array([[a, b] for _, a, b in problems]).T
-    calls = []
 
     def evaluate(xs):
-        calls.append(xs.size)
-        return np.array([fn(x) for (fn, _, _), x in zip(problems, xs.tolist())])
+        if calls is not None:
+            calls.append(xs.shape)
+        return np.array([[fn(x) for x in row] for (fn, _, _), row in zip(problems, xs.tolist())])
 
     none = np.full(len(problems), -np.inf)
     values, args = _golden_polish(evaluate, lo, hi, none, np.zeros(len(problems)))
-    assert list(zip(values.tolist(), args.tolist())) == [_golden_reference(*p) for p in problems]
-    assert set(calls) == {len(problems)}
-    # The widest bracket, 3, needs 51 steps: one call of 12 points per probe.
-    assert len(calls) == 52
+    return list(zip(values.tolist(), args.tolist()))
+
+
+@pytest.mark.parametrize("bracket", BRACKETS)
+def test_golden_max_matches_the_scalar_search(bracket):
+    # Each bracket on its own: the three functions share it in one array
+    # search, 5 steps a call, and each also runs alone, 7 steps a call.
+    # (0.25, 0.5) takes 45 steps: the 44 after the first pair are a
+    # multiple of neither, so the last call covers a shorter tree.
+    problems = [(fn, *bracket) for fn in GOLDEN_FNS]
+    expected = [_golden_reference(*p) for p in problems]
+    assert _polish_each(problems) == expected
+    assert [_polish_each([p])[0] for p in problems] == expected
+
+
+def test_golden_polish_matches_the_scalar_search():
+    # One batch of 5 brackets x 3 functions: mixed step counts, a reversed
+    # bracket and one already within the tolerance, all run at once.
+    problems = [(fn, a, b) for fn in GOLDEN_FNS for a, b in BRACKETS]
+    calls = []
+    assert _polish_each(problems, calls) == [_golden_reference(*p) for p in problems]
+    # The widest bracket, 3, needs 51 steps: one call for the first pair
+    # (c, d), then 15 problems x 7 probes cover 3 steps a call, and the
+    # last 2 steps take a tree of 3 probes.
+    assert calls == [(15, 2)] + [(15, 7)] * 16 + [(15, 3)]
 
 
 # -- Bloch seminorm and hyperbolic metric ---------------------------------------
@@ -479,6 +488,42 @@ def test_bloch_seminorms_of_no_maps():
     from harmap.functionals import bloch_seminorms
 
     assert bloch_seminorms([]) == []
+
+
+# sha256 of (value, error_estimate) as little-endian doubles, for the Bloch
+# seminorms of the 8 maps of FuzzSpec(count=8, degree=32, seed=42), each
+# polished alone; recorded when the polish ran one golden-section step a call.
+BLOCH_DEGREE_32_DIGEST = "410f0c3fbaccf49b735ae25694a9108a2232682814cdfca4ed84063d54d36d23"
+
+
+@pytest.fixture(scope="module")
+def degree_32_maps():
+    return fuzz_corpus(FuzzSpec(count=8, degree=32, seed=42))
+
+
+def test_bloch_seminorm_of_one_degree_32_map_keeps_its_bits(degree_32_maps):
+    values = [(fv.value, fv.error_estimate) for fv in map(bloch_seminorm, degree_32_maps)]
+    digest = hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
+    assert digest == BLOCH_DEGREE_32_DIGEST
+
+
+def test_bloch_seminorm_of_one_map_polishes_in_few_calls(monkeypatch, degree_32_maps):
+    # One problem: a call covers 7 golden-section steps (127 probes), so
+    # the three stages of about 41 steps take 7 calls each, plus the
+    # origin: 22 calls, where one step a call took 126.
+    import harmap.functionals as functionals
+
+    shapes = []
+    stretch = functionals._stretch
+
+    def counting(f, z):
+        shapes.append(np.shape(z))
+        return stretch(f, z)
+
+    monkeypatch.setattr(functionals, "_stretch", counting)
+    bloch_seminorm(degree_32_maps[0])
+    assert len(shapes) <= 30
+    assert max(math.prod(shape) for shape in shapes) <= 128
 
 
 def test_bloch_affine_and_norm():

@@ -1,9 +1,13 @@
-"""Smoke tests of the scripts that call the library from outside it."""
+"""Tests of the scripts that call the library from outside it."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,3 +21,71 @@ def test_corpus_margins_runs():
     assert lines[0].split() == ["check", "min", "margin", "map"]
     names = {line.split()[0] for line in lines[1:]}
     assert {"three-circles", "hardy-area", "coeff-bound", "bloch-bound", "isoperimetric"} <= names
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_output(cpu_s, rss_mb, bloch_ms):
+    """The lines of one perfbench/run.py run that the summary reads."""
+    result = {"correct": True, "attempted": 192, "failed": 0, "metrics": {
+        "setup_s": {"value": 0.3, "unit": "s"},
+        "cpu_s": {"value": cpu_s, "unit": "s"},
+        "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
+    }}
+    return "\n".join([
+        "manifest " + json.dumps({"workload": "query", "seed": 42, "digest": "ab" * 32}),
+        "query seed 42: 16 iterations, attempted 192, failed 0, failed_ratio 0",
+        "end-to-end (wall_s and below: not in the result line; per-kind latencies: query only)",
+        f"  {'cpu_s':44s} {cpu_s:12.6g} {'s':6s} n={16:<6d} -",
+        f"  {'peak_rss_mb':44s} {rss_mb:12.6g} {'MB':6s} n={1:<6d} -",
+        f"  {'bloch_ms':44s} {bloch_ms:12.6g} {'ms':6s} n={512:<6d} p98=30",
+        f"  {'hardy_inf_ms':44s} {'n/a':>12s} {'ms':6s} n={0:<6d} -",
+        json.dumps(result),
+    ])
+
+
+DECLARED = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "cpu_s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]
+
+
+def test_bench_pairs_summary_applies_the_pair_rule():
+    bench = _bench_pairs()
+    parent_cpu = [1.00, 1.10, 0.90, 1.05, 0.95, 1.02, 0.98, 1.08, 0.92, 1.00]
+    change_cpu = [0.70, 0.72, 0.95, 0.74, 0.70, 0.71, 0.73, 0.75, 0.69, 0.70]  # loses pair 3
+    pairs = [(bench.parse_output(_run_output(p, 70.0, 20.0)),
+              bench.parse_output(_run_output(c, 71.5 + (i % 2), 10.0)))
+             for i, (p, c) in enumerate(zip(parent_cpu, change_cpu))]
+    assert pairs[0][0]["digest"] == "ab" * 32
+    assert "hardy_inf_ms" not in pairs[0][0]["metrics"]
+    m = bench.summarize(pairs, DECLARED)
+    assert set(m) == {"setup_s", "cpu_s", "peak_rss_mb", "bloch_ms"}
+    cpu = m["cpu_s"]
+    assert (cpu["wins"], cpu["losses"], cpu["pairs"]) == (9, 1, 10)
+    assert cpu["parent_median"] == 1.0 and cpu["change_median"] == 0.715
+    assert cpu["parent_quartiles"] == pytest.approx([0.9575, 1.0425])
+    assert cpu["gain_claimed"] and cpu["within_bound"]
+    # Ties count for neither side; no gain is claimed without wins.
+    assert (m["setup_s"]["wins"], m["setup_s"]["losses"]) == (0, 0)
+    assert not m["setup_s"]["gain_claimed"] and m["setup_s"]["within_bound"]
+    # Memory 2-3 % higher: every pair lost, within the 15 % bound.
+    rss = m["peak_rss_mb"]
+    assert rss["losses"] == 10 and rss["within_bound"] and not rss["gain_claimed"]
+    assert m["bloch_ms"]["gain_claimed"] and m["bloch_ms"]["within_bound"] is None
+
+
+def test_bench_pairs_claims_no_gain_inside_the_parents_spread():
+    # The change wins every pair, but its median gain (0.01) is less than
+    # the parent's interquartile range (0.1).
+    bench = _bench_pairs()
+    parent_cpu = [0.9, 1.1] * 5
+    pairs = [(bench.parse_output(_run_output(p, 70.0, 20.0)),
+              bench.parse_output(_run_output(p - 0.01, 70.0, 20.0 + 0.2 * p))) for p in parent_cpu]
+    m = bench.summarize(pairs, DECLARED)
+    assert m["cpu_s"]["wins"] == 10 and not m["cpu_s"]["gain_claimed"]
+    assert m["bloch_ms"]["losses"] == 10 and m["bloch_ms"]["relative_change"] > 0
