@@ -12,15 +12,16 @@ the Jacobian |f_z|^2 - |f_zbar|^2, and the modulus of the second complex
 dilatation |f_zbar| / |f_z|.
 
 There are two evaluation paths. Scattered points (a sup's polish, Monte
-Carlo samples, disk means) go through Horner's recurrence, two array
-operations per degree over every point: :func:`wirtinger` and
-``HarmonicMap.__call__``. A polar tensor grid of radii times n uniform angles
+Carlo samples, disk means) go through Horner's recurrence, two in-place
+ufunc calls per degree on one buffer over every point: :func:`wirtinger`
+and ``HarmonicMap.__call__``. A polar tensor grid of radii times n uniform angles
 goes through :func:`_on_rings`, one inverse FFT of length n per ring, whose
 cost hardly grows with the degree. It is not a matrix product because a BLAS
 product of that size starts a pool of spinning threads. The grids whose
 values feed the pinned campaign digest stay on Horner until that digest is
 re-pinned: the circle lengths, and :func:`_grid_scan`, the one evaluation of
-a map's fields on a grid that its Lambda_f suprema and sense and K scans share.
+a map's fields on a grid that its Lambda_f suprema and sense and K scans share
+(|f_z| and |f_zbar| are taken once for Lambda_f and K).
 
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
@@ -43,7 +44,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grids import Grid, _read_only
+from .grids import _DEFAULT_GRID, Grid, _read_only
 
 __all__ = [
     "HarmonicMap",
@@ -294,12 +295,16 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k c[k] z^k by numpy polyval's recurrence (out = c_k + out*z), so
     a result matches polyval bit for bit, zero padding included. ``c`` holds
     the coefficients of one polynomial (L,), or of P polynomials (L, P) with
-    z's leading axis running over them. The steps stay out of place: numpy's
-    in-place complex multiply rounds differently in the last bit."""
+    z's leading axis running over them. An array z is stepped in place in one
+    buffer, with the bits of the out-of-place recurrence (a test holds it to
+    them); a 0-d z stays on numpy scalars."""
     c = c.reshape(c.shape + (1,) * (z.ndim - c.ndim + 1))
     out = c[-1] + z * 0
     for k in range(len(c) - 2, -1, -1):
-        out = c[k] + out * z
+        if z.ndim:
+            np.add(c[k], np.multiply(out, z, out=out), out=out)
+        else:
+            out = c[k] + out * z
     return out
 
 
@@ -418,7 +423,7 @@ class SensePreservation:
 
 def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None) -> SensePreservation:
     """True iff the Jacobian is positive at every node of the grid."""
-    grid = grid or Grid()
+    grid = grid or _DEFAULT_GRID
     return _sense_scan(grid.nodes, *wirtinger(f, grid.nodes))
 
 
@@ -441,19 +446,18 @@ def qc_constant(f: HarmonicMap, grid: Grid | None = None) -> float:
     the map is sense-reversing on the grid while lambda stays resolvable,
     since the constant is then meaningless.
     """
-    grid = grid or Grid()
-    return _qc_scan(*wirtinger(f, grid.nodes))
+    m1, m2 = map(np.abs, wirtinger(f, (grid or _DEFAULT_GRID).nodes))
+    return _qc_scan(m1, m2, m1 + m2)
 
 
-def _qc_scan(fz: np.ndarray, fzbar: np.ndarray) -> float:
-    """:func:`qc_constant` from the derivative fields on the grid."""
-    m1, m2 = np.abs(fz), np.abs(fzbar)
+def _qc_scan(m1: np.ndarray, m2: np.ndarray, stretch: np.ndarray) -> float:
+    """:func:`qc_constant` from |f_z|, |f_zbar| and Lambda_f = their sum on the grid."""
     lam = np.abs(m1 - m2)
     if np.any(lam < LAMBDA_FLOOR):
         return math.inf
     if np.any(m1 <= m2):
         raise ValueError("map is sense-reversing on the grid; no distortion constant")
-    return float(np.max((m1 + m2) / lam))
+    return float(np.max(stretch / lam))
 
 
 @_memoized
@@ -465,8 +469,10 @@ def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservatio
     the disk suprema of Lambda_f share it; fuzz admission calls it unmemoized."""
     fz, fzbar = wirtinger(f, grid.nodes)
     sense = _sense_scan(grid.nodes, fz, fzbar)
-    K = _qc_scan(fz, fzbar) if sense.ok else math.inf
-    return _read_only(np.abs(fz) + np.abs(fzbar)), sense, K
+    m1, m2 = np.abs(fz), np.abs(fzbar)
+    stretch = m1 + m2
+    K = _qc_scan(m1, m2, stretch) if sense.ok else math.inf
+    return _read_only(stretch), sense, K
 
 
 def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[complex, complex]:

@@ -72,6 +72,10 @@ class Grid:
         return _read_only(self.radii[:, None] * np.exp(1j * self.angles[None, :]))
 
 
+# The grid of every ``grid=None`` default: one instance, so its nodes are built once.
+_DEFAULT_GRID = Grid()
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution settings for disk/circle integrals and Monte Carlo areas.

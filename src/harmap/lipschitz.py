@@ -43,7 +43,7 @@ import numpy as np
 from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
 from .functionals import _stretch_sups
-from .grids import Grid, _read_only, disk_sample, gauss_legendre_01
+from .grids import _DEFAULT_GRID, Grid, _read_only, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -356,7 +356,7 @@ def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[fl
     batched :func:`~harmap.functionals.grid_sup`. The map side, Lambda_f on
     the grid, is read off ``core._grid_scan``."""
     sups = _stretch_sups(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))),
-                         grid or Grid())
+                         grid or _DEFAULT_GRID)
     return [res.value for res in sups]
 
 
@@ -408,39 +408,49 @@ def _pair_quotients(f: HarmonicMap) -> np.ndarray:
     return _read_only(np.abs(f(z) - f(w)) / np.abs(z - w))
 
 
-def _disk_mean_abs_dev(f: HarmonicMap, z0: complex, r: float, f0: complex) -> float:
-    """(1 / |D(z0, r)|) int |f - f0| dA over the disk D(z0, r), f0 = f(z0)."""
-    n_ang = 128
-    x, wts = gauss_legendre_01(32)
-    rho = r * x
-    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    zeta = z0 + rho[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(f(zeta) - f0)
-    # mean = (2 / r^2) int_0^r rho mean_theta(rho) drho
-    return float((2.0 / r) * np.sum((wts * rho) @ vals) / n_ang)
-
-
 def default_mean_probes() -> tuple[tuple[complex, tuple[float, ...]], ...]:
     centers = (0j, 0.3 + 0j, 0.25 + 0.43j, -0.7 + 0j, 0.45j, -0.2 - 0.55j)
     return tuple((z, (0.25, 0.5, 1.0)) for z in centers)
 
 
-@_memoized
-def _disk_means(f: HarmonicMap, probes) -> tuple[tuple[float, float], ...]:
-    """(r, disk mean of |f - f(z0)| over D(z0, r)) for each probe of
-    :func:`cond_c_constant`, the map's side of that constant."""
-    means = []
-    for z0, fractions in probes:
+@lru_cache(maxsize=8)
+def _probe_grids(probes):
+    """The map-independent side of :func:`_disk_means`, one entry per probe
+    radius: its centre's index, the radius r, the radial weights w rho and the
+    polar nodes z0 + rho e^(i theta) of D(z0, r), rho = r x for 32 Gauss-Legendre
+    x on [0, 1] and 128 uniform theta. Cached; the arrays are read-only."""
+    x, wts = gauss_legendre_01(32)
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))
+    centre, radii, weights, nodes = [], [], [], []
+    for i, (z0, fractions) in enumerate(probes):
         z0 = complex(z0)
-        d, f0 = 1.0 - abs(z0), f(z0)  # one evaluation per centre, for all its radii
+        d = 1.0 - abs(z0)
         for frac in fractions:
             r = float(frac) * d
             if r <= 0.0:
                 raise ValueError("probe radii must be positive")
             if r > d * (1.0 + 1e-12):
                 raise ValueError("probe radius exceeds the boundary distance")
-            means.append((r, _disk_mean_abs_dev(f, z0, r, f0)))
-    return tuple(means)
+            rho = r * x
+            centre.append(i)
+            radii.append(r)
+            weights.append(wts * rho)
+            nodes.append(z0 + rho[:, None] * ring[None, :])
+    return tuple(centre), tuple(radii), *_read_only(np.array(weights), np.array(nodes))
+
+
+@_memoized
+def _disk_means(f: HarmonicMap, probes) -> tuple[tuple[float, float], ...]:
+    """(r, disk mean of |f - f(z0)| over D(z0, r)) for each probe of
+    :func:`cond_c_constant`, the map's side of that constant: f on every
+    probe's nodes in one call, then per probe
+    (2 / r^2) int_0^r rho mean_theta |f - f(z0)| drho by its quadrature."""
+    centre, radii, weights, nodes = _probe_grids(probes)
+    f0 = np.array([f(complex(z0)) for z0, _ in probes])  # one evaluation per centre
+    vals = np.abs(f(nodes) - f0[list(centre), None, None])
+    n_ang = nodes.shape[-1]
+    return tuple((r, float((2.0 / r) * np.sum(w @ v) / n_ang))
+                 for r, w, v in zip(radii, weights, vals))
 
 
 def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
@@ -589,7 +599,7 @@ def verify_hl_equivalences(
     :func:`~harmap.functionals.grid_sup`. The map sides, :func:`_hl_fields`
     and the Lambda_f grids, involve no majorant: a campaign memoizes them,
     so its majorants share one computation per map."""
-    grid = grid or Grid()
+    grid = grid or _DEFAULT_GRID
     reg = _regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):

@@ -41,7 +41,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import Grid, QuadratureSpec, disk_sample
+from .grids import _DEFAULT_GRID, Grid, QuadratureSpec, disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -172,7 +172,7 @@ def fuzz_corpus(spec: FuzzSpec, grid: Grid | None = None) -> list[HarmonicMap]:
     not depend on generation order and re-running with the same seed
     reproduces it exactly.
     """
-    grid = grid or Grid()
+    grid = grid or _DEFAULT_GRID
     maps: list[HarmonicMap] = []
     for idx in range(spec.count):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, idx)))
@@ -298,7 +298,7 @@ def verify_area_overlap(
     q = q or QuadratureSpec()
     if not (omega1.contains(0j) and omega2.contains(0j)):
         raise ValueError("the origin must lie in both domains")
-    grid_K, qc_hyp = _distortion(f, grid or Grid())
+    grid_K, qc_hyp = _distortion(f, grid or _DEFAULT_GRID)
     K = grid_K if K is None else K
     hyp = {
         "f(0) = 0": f.a[0] == 0,
@@ -361,7 +361,7 @@ def verify_hardy_area(
     |a_n|^2 + |b_n|^2; A(f(D)) counting multiplicity is S_f(1). Equality for
     the identity map.
     """
-    K, qc_hyp = _distortion(f, grid or Grid())
+    K, qc_hyp = _distortion(f, grid or _DEFAULT_GRID)
     hyp = {"f(0) = 0": f.a[0] == 0, **qc_hyp}
     name = "hardy-area"
     if not all(hyp.values()):
@@ -381,7 +381,7 @@ def verify_coeff_bound(
 ) -> list[VerificationReport]:
     """Per-degree bound |a_n| + |b_n| <= K l_f(1) / (2 n pi), one row per n."""
     q = q or QuadratureSpec()
-    K, hyp = _distortion(f, grid or Grid())
+    K, hyp = _distortion(f, grid or _DEFAULT_GRID)
     if not all(hyp.values()):
         return [make_report("coeff-bound", None, None, 0.0, hypotheses=hyp, n=n)
                 for n in range(1, f.degree + 1)]
@@ -414,7 +414,7 @@ def verify_gradient_bounds(
     ``samples`` and ``qs`` (None takes the default). The Bloch seminorms of
     the maps that meet the hypotheses come from one batched sup,
     :func:`~harmap.functionals.bloch_seminorms`."""
-    grid = grid or Grid()
+    grid = grid or _DEFAULT_GRID
     qs = [q or QuadratureSpec() for q in qs]
     distortion = [_distortion(f, grid) for f in maps]
     held = [p for p, (K, hyp) in enumerate(distortion) if all(hyp.values())]

@@ -710,23 +710,26 @@ def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, cap
 
 def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
     # C3's disk means depend on the map, not on the majorant: two majorants
-    # need the 18 default probe means of each map once.
-    import harmap.lipschitz as lipschitz
+    # need the 18 default probe means of each map once. All 18 probes'
+    # quadrature nodes, 32 radii x 128 angles each, are evaluated in one call.
+    import harmap.core as core
 
     calls = []
-    original = lipschitz._disk_mean_abs_dev
+    original = core.HarmonicMap.__call__
 
-    def counting(f, z0, r, *args):
-        calls.append(f)
-        return original(f, z0, r, *args)
+    def counting(f, z):
+        if np.shape(z)[1:] == (32, 128):
+            calls.append((f, np.shape(z)[0]))
+        return original(f, z)
 
-    monkeypatch.setattr(lipschitz, "_disk_mean_abs_dev", counting)
+    monkeypatch.setattr(core.HarmonicMap, "__call__", counting)
     cfg = SuiteConfig(suites=("lipschitz-16",), include_builtin=False,
                       fuzz=FuzzSpec(count=3, degree=3, seed=4), grid=Grid(n_r=16, n_theta=32))
     assert len(cfg.majorants) == 2
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
-    assert sorted(Counter(calls).values()) == [18, 18, 18]
+    assert sorted(Counter(calls).values()) == [1, 1, 1]
+    assert [probes for _, probes in calls] == [18, 18, 18]
 
 
 def test_lipschitz_16_computes_each_maps_pair_quotients_once(monkeypatch):

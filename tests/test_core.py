@@ -228,6 +228,47 @@ def test_ring_kernel_matches_horner(degree, n_ang):
     assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale[:, None])
 
 
+def _horner_out_of_place(c, z):
+    """The reference recurrence out = c_k + out * z, a new array per step."""
+    c = c.reshape(c.shape + (1,) * (z.ndim - c.ndim + 1))
+    out = c[-1] + z * 0
+    for k in range(len(c) - 2, -1, -1):
+        out = c[k] + out * z
+    return out
+
+
+def _same_bits(got, want):
+    if np.shape(got) != np.shape(want):
+        return False
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return np.array_equal(got.view(float), want.view(float))
+
+
+def test_horner_in_place_keeps_the_out_of_place_bits(grid):
+    # _horner steps one buffer in place; each step must round exactly as the
+    # out-of-place recurrence does, on every shape the package evaluates.
+    from harmap.core import _horner
+
+    rng = np.random.default_rng(15)
+    points = 0.999 * np.sqrt(rng.random(1001)) * np.exp(2j * np.pi * rng.random(1001))
+    points[0] = 0.0  # the origin
+    for degree in range(1, 65):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        for z in (points, grid.nodes, np.zeros(3, dtype=complex)):
+            assert _same_bits(_horner(c, z), _horner_out_of_place(c, z)), degree
+        for z0 in (0j, complex(points[1])):
+            got = _horner(c, np.asarray(z0))
+            assert np.ndim(got) == 0 and _same_bits(got, _horner_out_of_place(c, np.asarray(z0)))
+    # (L, P) stacks of maps of unequal degree, so most columns are zero-padded
+    maps = [HarmonicMap(a=rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1),
+                        b=rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            for d in (1, 2, 5, 17, 64)]
+    stack = MapStack(maps)
+    for z in (np.broadcast_to(points[:127], (5, 127)), np.broadcast_to(grid.nodes, (5, 64, 256))):
+        for c in (stack._da, stack._db):
+            assert _same_bits(_horner(c, z), _horner_out_of_place(c, z))
+
+
 @given(harmonic_maps(max_degree=8), st.floats(0.3, 0.9))
 def test_contour_round_trips_all_coefficients(f, r):
     m = 8 * f.degree

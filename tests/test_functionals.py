@@ -160,8 +160,40 @@ def test_length_monotone_on_corpus(small_corpus):
     for f in small_corpus[:8]:
         from harmap.functionals import _circle_lengths
 
-        vals = _circle_lengths(f, np.concatenate([[0.1, 0.3], r_ladder()]), 512)
-        assert all(b >= a - 1e-9 * max(1.0, b) for a, b in zip(vals, vals[1:]))
+        # (1024-node, 512-node) trapezoid lengths on the same radii
+        for vals in _circle_lengths(f, np.concatenate([[0.1, 0.3], r_ladder()]), 512):
+            assert all(b >= a - 1e-9 * max(1.0, b) for a, b in zip(vals, vals[1:]))
+
+
+def _circle_lengths_one_rule(f, rs, n_ang):
+    """The trapezoid rule for l_f(r) on n_ang angles alone, its own evaluation."""
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
+    fz, fzbar = wirtinger(f, rs[:, None] * np.exp(1j * theta)[None, :])
+    integrand = np.abs(fz - np.exp(-2j * theta)[None, :] * fzbar)
+    return rs * (2.0 * np.pi / n_ang) * integrand.sum(axis=1)
+
+
+@pytest.mark.parametrize("angular_nodes", [256, 512])
+def test_lengths_read_the_coarse_rule_off_the_fine_nodes(angular_nodes):
+    # length_sup and length_function evaluate 2n angles once and take the
+    # n-angle rule from the even nodes; value and error must keep the bits of
+    # evaluating the two rules separately.
+    from harmap.functionals import QUADRATURE, _error_floor, _ladder_sup
+    from harmap.verify import builtin_maps
+
+    q = QuadratureSpec(angular_nodes=angular_nodes)
+    maps = [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=8, degree=8, seed=42))]
+    for f in maps:
+        rs = r_ladder()
+        want = _ladder_sup(_circle_lengths_one_rule(f, rs, 2 * angular_nodes),
+                           _circle_lengths_one_rule(f, rs, angular_nodes))
+        assert length_sup(f, q) == want
+        for r in (0.3, 0.9, 1.0 - 2.0**-10):
+            v1 = float(_circle_lengths_one_rule(f, r, angular_nodes)[0])
+            v2 = float(_circle_lengths_one_rule(f, r, 2 * angular_nodes)[0])
+            want = FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
+            assert length_function(f, r, q) == want
 
 
 # -- Hardy means -----------------------------------------------------------------

@@ -167,6 +167,46 @@ def test_cond_c_rejects_oversized_radius():
         cond_c_constant(IDENTITY, W_ONE, probes=[(0.5 + 0j, (1.2,))])
 
 
+def _disk_mean_one_probe(f, z0, r):
+    """(1 / |D(z0, r)|) int |f - f(z0)| dA by its own evaluation of f."""
+    from harmap.grids import gauss_legendre_01
+
+    x, wts = gauss_legendre_01(32)
+    rho = r * x
+    theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    vals = np.abs(f(z0 + rho[:, None] * np.exp(1j * theta)[None, :]) - f(z0))
+    return float((2.0 / r) * np.sum((wts * rho) @ vals) / 128)
+
+
+def test_batched_disk_means_keep_the_per_probe_bits():
+    # _disk_means evaluates f on all 18 probes' nodes in one call; each mean
+    # must keep the bits of its probe evaluated on its own.
+    from harmap.lipschitz import _disk_means, default_mean_probes
+    from harmap.verify import FuzzSpec, builtin_maps, fuzz_corpus
+
+    probes = default_mean_probes()
+    for f in [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=8, degree=8, seed=42))]:
+        want = tuple((frac * (1.0 - abs(z0)), _disk_mean_one_probe(f, z0, frac * (1.0 - abs(z0))))
+                     for z0, fractions in probes for frac in fractions)
+        assert _disk_means(f, probes) == want
+
+
+@pytest.mark.parametrize("probes, message", [
+    (((0.3 + 0j, (0.5,)), (0.5 + 0j, (0.0,))), "must be positive"),
+    (((0.3 + 0j, (0.5,)), (1.0 + 0j, (0.5,))), "must be positive"),
+    (((0.3 + 0j, (0.5,)), (0.5 + 0j, (1.0 + 1e-9,))), "exceeds the boundary distance"),
+])
+def test_disk_mean_probes_checked_before_any_evaluation(monkeypatch, probes, message):
+    import harmap.core as core
+
+    def no_evaluation(f, z):
+        raise AssertionError("f evaluated before the probes were checked")
+
+    monkeypatch.setattr(core.HarmonicMap, "__call__", no_evaluation)
+    with pytest.raises(ValueError, match=message):
+        cond_c_constant(IDENTITY, W_ONE, probes=probes)
+
+
 def test_cond_c_finite_when_cond_a_finite(small_corpus):
     for f in small_corpus[:4]:
         c1 = cond_a_constant(f, W_HALF)
