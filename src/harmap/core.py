@@ -29,6 +29,8 @@ numpy's pairwise summation on fixed-shape arrays, which makes results
 independent of evaluation order. The one per-campaign memo lives here:
 while :func:`_campaign_memo` is open, the :func:`_memoized` per-map scans of
 every module are kept by argument within one byte budget, and dropped after.
+A campaign opens one per block of :func:`_memo_block` maps, so each map's
+scans stay in it for all the suites of its block.
 """
 
 from __future__ import annotations
@@ -356,7 +358,13 @@ def _stretch(f: HarmonicMap | MapStack, z: np.ndarray) -> np.ndarray:
 
 _MEMO: dict | None = None  # in a campaign: (function, *args) -> (value, bytes of its arrays)
 _MEMO_BYTES = 0  # their total, least recently used first out past the budget
-_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in 270 entries
+_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in about 320 entries
+
+
+def _memo_block(grid: Grid) -> int:
+    """Maps a campaign runs its per-map suites on under one memo: those whose
+    Lambda_f scans (8 bytes a node) fill half the budget, 64 on the default grid."""
+    return max(1, _MEMO_BUDGET // (16 * grid.nodes.size))
 
 
 @contextmanager

@@ -22,9 +22,9 @@ Conventions
   the even nodes of the 2n-angle one (:func:`_circle_lengths`).
 * Suprema start from a coarse grid max and refine it; the value never
   falls below the coarse max. Disk suprema (:func:`grid_sup`) polish a
-  batch of problems by one array golden-section search in radius and
-  angle, :func:`_golden_polish`, each problem's result equal to its run on
-  its own, and the gap closed by the last stage is the error estimate.
+  batch of maps by one array golden-section search in radius and angle,
+  :func:`_golden_polish`, each map's result equal to its run on its own,
+  and the gap closed by the last stage is the error estimate.
   A probe's abscissa depends on the left/right decisions before it and
   not on the values, so one evaluation covers several steps: every
   abscissa they could probe, a tree of up to 127 a problem and 128 a call,
@@ -54,7 +54,6 @@ from .grids import _DEFAULT_GRID, Grid, QuadratureSpec, _read_only, gauss_legend
 
 __all__ = [
     "FunctionalValue",
-    "SupResult",
     "SERIES",
     "QUADRATURE",
     "GRID_SUP",
@@ -402,37 +401,36 @@ def _golden_polish(evaluate, lo, hi, v, x):
     return np.where(found > v, found, v), np.where(found > v, at, x)
 
 
-@dataclass(frozen=True)
-class SupResult:
-    value: float
-    argmax: complex
-    error_estimate: float
+def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
+    """sup over the disk covered by the grid of ratio(Lambda_f(z), z), for
+    each map at once, one value per map.
 
-
-def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
-    """Estimate the sup over the disk covered by the grid of each of
-    ``count`` problems at once, one SupResult per problem.
-
-    ``coarse`` yields each problem's values on ``grid.nodes``, say its
-    memoized Lambda_f grid under a weight, and is read after ``fn`` has been
-    evaluated at the origin.
-    ``fn(z)`` evaluates every problem and returns a real array of z's shape,
-    z's leading axis running over the problems.
-    Protocol, per problem: coarse max over the tensor grid and the origin;
-    golden-section refinement in radius at the best angle; then in angle;
-    then in radius again. The value gained by the final stage is reported
-    as the error estimate. Each stage is one :func:`_golden_polish` of all
-    problems, whose calls of ``fn`` cover several golden-section steps
-    each when ``count`` is small (7 for one problem, 1 from 43 problems
-    on), and each result equals the run of that problem alone. The
-    abscissas reach ``fn`` as contiguous (count, M) arrays of radii and
-    angles, each point evaluated by the same elementwise operations as
-    when each call held one point a problem.
+    ``ratio(lam, z)`` weighs Lambda_f at the points z elementwise, say by
+    1 - |z|^2 for the Bloch seminorm. Protocol, per map: coarse max over
+    the origin and the tensor grid, whose Lambda_f is the map's grid scan
+    ``core._grid_scan`` (memoized in a campaign, and read after the
+    origin); golden-section refinement in radius at the best angle; then in
+    angle; then in radius again. The value gained by the final stage is
+    reported as the error estimate. Each stage is one :func:`_golden_polish`
+    of all maps on their :class:`~harmap.core.MapStack`, whose evaluations
+    cover several golden-section steps each when there are few maps (7 for
+    one map, 1 from 43 maps on), and each result equals the run of that map
+    alone. The abscissas are evaluated as contiguous (maps, M) arrays of
+    radii and angles, each point by the same elementwise operations as when
+    each call held one point a map.
     """
+    grid = grid or _DEFAULT_GRID
+    stack, count = MapStack(maps), len(maps)
+
+    def at(rs, ts):  # ratio at rs e^{i ts}, given as (maps, M) arrays
+        z = np.ascontiguousarray(rs) * np.exp(1j * np.ascontiguousarray(ts))
+        return ratio(_stretch(stack, z), z)
+
     radii, angles = grid.radii, grid.angles
-    origin = np.asarray(fn(np.zeros((count, 1), dtype=complex)), dtype=float)[:, 0]
+    origin = at(np.zeros((count, 1)), np.zeros((count, 1)))[:, 0]
     v, flat = np.empty(count), np.empty(count, dtype=int)
-    for p, vals in enumerate(coarse):
+    for p, f in enumerate(maps):
+        vals = ratio(_grid_scan(f, grid)[0], grid.nodes)
         flat[p] = np.argmax(vals)
         v[p] = vals.flat[flat[p]]
     i, j = np.divmod(flat, grid.n_theta)
@@ -443,10 +441,7 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     ext = np.concatenate(([0.0], radii, [grid.r_max]))
     lo, hi = ext[np.maximum(i, 0)], ext[i + 2]
 
-    def at(rs, ts):
-        return fn(np.ascontiguousarray(rs) * np.exp(1j * np.ascontiguousarray(ts)))
-
-    def along(fixed, m):  # each problem's fixed coordinate at each of its m probes
+    def along(fixed, m):  # each map's fixed coordinate at each of its m probes
         return fixed[:, None].repeat(m, axis=1)
 
     v, r = _golden_polish(lambda rs: at(rs, along(t, rs.shape[1])), lo, hi, v, r)
@@ -454,20 +449,9 @@ def grid_sup(fn, grid: Grid, count: int, coarse) -> list[SupResult]:
     dt = angles[1] - angles[0]
     v, t = _golden_polish(lambda ts: at(along(r, ts.shape[1]), ts), t - dt, t + dt, v, t)
     stage2 = v
-    v, r = _golden_polish(lambda rs: at(rs, along(t, rs.shape[1])), lo, hi, v, r)
-    return [
-        SupResult(value=val, argmax=z, error_estimate=max(val - s2, s2 - s1, _error_floor(val)))
-        for val, z, s1, s2 in zip(v.tolist(), (r * np.exp(1j * t)).tolist(),
-                                  stage1.tolist(), stage2.tolist())
-    ]
-
-
-def _stretch_sups(maps, ratio, grid: Grid) -> list[SupResult]:
-    """:func:`grid_sup` of ratio(Lambda_f(z), z) for each map: the coarse
-    scans weigh Lambda_f of the memoized grid scans, the polish runs on the stack."""
-    stack = MapStack(maps)
-    coarse = (ratio(_grid_scan(f, grid)[0], grid.nodes) for f in maps)
-    return grid_sup(lambda z: ratio(_stretch(stack, z), z), grid, len(maps), coarse)
+    v, _ = _golden_polish(lambda rs: at(rs, along(t, rs.shape[1])), lo, hi, v, r)
+    return [FunctionalValue(val, GRID_SUP, max(val - s2, s2 - s1, _error_floor(val)))
+            for val, s1, s2 in zip(v.tolist(), stage1.tolist(), stage2.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +462,7 @@ def _stretch_sups(maps, ratio, grid: Grid) -> list[SupResult]:
 def bloch_seminorms(maps, grid: Grid | None = None) -> list[FunctionalValue]:
     """sup over the disk of (1 - |z|^2) Lambda_f(z) for each map, all
     polished in lockstep by one batched :func:`grid_sup`."""
-    sups = _stretch_sups(maps, lambda lam, z: (1.0 - _abs2(z)) * lam, grid or _DEFAULT_GRID)
-    return [FunctionalValue(res.value, GRID_SUP, res.error_estimate) for res in sups]
+    return grid_sup(maps, lambda lam, z: (1.0 - _abs2(z)) * lam, grid)
 
 
 def bloch_seminorm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
-from .functionals import _stretch_sups
+from .functionals import grid_sup
 from .grids import _DEFAULT_GRID, Grid, _read_only, disk_sample, gauss_legendre_01
 from .report import VerificationReport, make_report
 
@@ -353,11 +353,9 @@ def _regularity(omega: Majorant) -> RegularityReport:
 
 def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
     """:func:`cond_a_constant` for each map, all polished in lockstep by one
-    batched :func:`~harmap.functionals.grid_sup`. The map side, Lambda_f on
-    the grid, is read off ``core._grid_scan``."""
-    sups = _stretch_sups(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))),
-                         grid or _DEFAULT_GRID)
-    return [res.value for res in sups]
+    batched :func:`~harmap.functionals.grid_sup`."""
+    sups = grid_sup(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))), grid)
+    return [fv.value for fv in sups]
 
 
 def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
@@ -610,7 +608,7 @@ def verify_hl_equivalences(
         d = 1.0 - np.abs(z)
         return lam * d / omega(d)
 
-    c4s = _stretch_sups(maps, grad_ratio, grid)
+    c4s = [fv.value for fv in grid_sup(maps, grad_ratio, grid)]
 
     z, w, sep, _, d_seg, wts = _hl_segments(grid.r_max)
     int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
@@ -621,9 +619,8 @@ def verify_hl_equivalences(
     inner = 1.0 - np.abs(nodes) >= 1e-3  # hl-reverse's nodes
 
     out = []
-    for f, sup in zip(maps, c4s):
+    for f, c4 in zip(maps, c4s):
         df, int_lambda = _hl_fields(f, grid)
-        c4 = sup.value
         c5 = float(np.max(df / omega_sep))
 
         # Chain checks: the gradient theorem bound and the pointwise C4 bound

@@ -297,6 +297,8 @@ def test_14_full_suite_determinism(tmp_path):
     # The seed-42 report digest, also pinned by perfbench/workloads.py: a
     # deliberate change to the report bytes updates both.
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == DEFAULT_CAMPAIGN_SHA256
+    rows = [json.loads(line) for line in out1.read_text().splitlines()]
+    assert len(rows) == len({(row["name"], row["n"]) for row in rows}) == 1422
     assert first_run < 60.0
     report_line(14, f"default campaign determinism ({first_run:.1f}s/run)", time.perf_counter() - t0)
 

@@ -353,6 +353,12 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"quadrature": {"radial_nodes": 1024, "angular_nodes": 2048}},
         {"fuzz": {"count": 10**12}},
         {"gradient_sample_count": 10**12},
+        {"majorants": [{"family": "sampled", "table": [[0.01, 0.1], [1, 1]]},
+                       {"family": "sampled", "table": [[0.01, 0.2], [1, 1]]}]},
+        {"majorants": [{"family": "power", "alpha": 0.5},
+                       {"family": "power", "alpha": 0.5000001}]},
+        {"three_circles_pairs": [[0.1, 0.3], [0.1, 0.3000001]]},
+        {"isoperimetric_radii": [0.5, 0.5]},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -363,7 +369,9 @@ def test_verify_malformed_config(tmp_path, capsys):
          "map-degree-over-cap", "grid-too-many-nodes", "too-many-mc-samples",
          "integer-beyond-float-range", "nan-target-k", "output-in-missing-directory",
          "output-is-a-directory", "too-many-angular-nodes", "too-many-radial-nodes",
-         "too-many-quadrature-nodes", "fuzz-count-over-cap", "too-many-gradient-samples"],
+         "too-many-quadrature-nodes", "fuzz-count-over-cap", "too-many-gradient-samples",
+         "sampled-majorants-one-label", "power-majorants-one-label",
+         "three-circles-pairs-one-name", "isoperimetric-radii-one-name"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -685,6 +693,28 @@ def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_MEMO_BUDGET", 0)
     assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
     assert len(scans) == 10 and min(scans.values()) > 1  # 6 builtin and 4 fuzz maps
+
+
+def test_campaign_blocks_keep_the_bytes_and_scan_each_map_once(tmp_path, monkeypatch):
+    # Blocks of 3 of the 10 maps, each under its own memo: the streams and
+    # rows are those of one block, and each map's grid is scanned once.
+    import harmap.cli as cli
+
+    scans = _count_grid_scans(monkeypatch, (16, 32))
+    memo, memos = cli._campaign_memo, []
+    monkeypatch.setattr(cli, "_memo_block", lambda grid: 3)
+    monkeypatch.setattr(cli, "_campaign_memo", lambda: memos.append(1) or memo())
+    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+    assert len(memos) == 4
+    assert len(scans) == 10 and set(scans.values()) == {1}
+
+
+def test_memo_block_fills_half_the_budget():
+    import harmap.core as core
+
+    assert core._memo_block(Grid()) == 64
+    assert core._memo_block(Grid(n_r=16, n_theta=32)) == 2048
+    assert core._memo_block(Grid(n_r=1024, n_theta=1024)) == 1
 
 
 def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, capsys):

@@ -11,7 +11,6 @@ from harmap import (
     FuzzSpec,
     Grid,
     HarmonicMap,
-    MapStack,
     QuadratureSpec,
     area_quadrature,
     area_series,
@@ -407,29 +406,20 @@ def test_functional_value_refuses_nan_error():
                          ids=["bloch-ratio", "stretch"])
 def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
     # Mixed degrees (1, 2, 6). The weighted stretch of the identity peaks
-    # at the origin, the plain stretch of z^2 at the outermost radius.
+    # at the origin, the plain stretch of z^2 (2|z|) on the outermost ring.
     maps = [IDENTITY, SQUARE, MIXED, AFFINE_ROOT2, *small_corpus[:8]]
     grid = Grid(n_r=24, n_theta=64)
-    stack = MapStack(maps)
 
-    def batch(z):
-        fz, fzbar = wirtinger(stack, z)
-        return weight(z) * (np.abs(fz) + np.abs(fzbar))
+    def ratio(lam, z):
+        return weight(z) * lam
 
-    def one(f):
-        def fn(z):
-            fz, fzbar = wirtinger(f, z)
-            return weight(z) * (np.abs(fz) + np.abs(fzbar))
-
-        return fn
-
-    results = grid_sup(batch, grid, len(maps), (one(f)(grid.nodes) for f in maps))
-    assert results == [grid_sup(lambda z: one(f)(z[0])[None], grid, 1, [one(f)(grid.nodes)])[0]
-                       for f in maps]
+    results = grid_sup(maps, ratio, grid)
+    assert results == [grid_sup([f], ratio, grid)[0] for f in maps]
+    assert {fv.method for fv in results} == {"grid-sup"}
     if weight(0.5) != 1.0:
-        assert results[0].argmax == 0j
+        assert results[0].value == 1.0
     else:
-        assert abs(results[1].argmax) > grid.radii[-2]
+        assert results[1].value == pytest.approx(2.0 * grid.r_max, rel=1e-12)
 
 
 def _golden_reference(fn, a, b, tol=1e-10):
