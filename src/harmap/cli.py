@@ -13,7 +13,7 @@ configuration error, 3 corpus generation failure, 4 internal error (an
 unexpected exception, reported on one line as ``error: internal: ...``).
 Hypothesis-violated rows are counted separately and do not fail a run. A
 campaign runs each suite as one task over a block of maps (all of them up
-to 64 on the default grid), so a suite's disk suprema are polished for the
+to 94 on the default grid), so a suite's disk suprema are polished for the
 block at once. It calls each Lipschitz-space constant once per majorant, and
 the campaign memo of ``core``, one per block, computes each map's
 majorant-free side once. The tasks run one after another: the work is
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HarmonicMap, _campaign_memo, _memo_block, from_json, json_fields, load_map
+from .core import HarmonicMap, _campaign_memo, from_json, json_fields, load_map
 from .core import map_json_bytes
 from .functionals import (
     area_series,
@@ -54,11 +54,13 @@ from .lipschitz import (
     Majorant,
     OutsideTable,
     PowerMajorant,
+    _hl_sample,
     _regularity,
     chord_interpolation_bound,
     cond_a_constants,
     cond_b_constant,
     cond_c_constant,
+    default_pair_sample,
     verify_hl_equivalences,
 )
 from .report import (
@@ -91,6 +93,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GENERATION = 3
 EXIT_INTERNAL = 4
+_MEMO_BUDGET = 16 << 20  # bytes of the arrays a campaign's memo may hold for a block of maps
 
 
 class ConfigError(ValueError):
@@ -261,8 +264,10 @@ class SuiteConfig:
         for r in self.isoperimetric_radii:
             if not 0.0 < r <= 1.0 - 1e-9:
                 raise ConfigError(f"isoperimetric_radii: need 0 < r <= 1 - 1e-9, got {r}")
-        # Entries whose rows would share a name, as the verifiers format it.
-        for key, names in (("majorants", [omega.label() for omega in self.majorants]),
+        # Entries whose rows would share a name; a file listed twice is one map.
+        files = {Path(path).resolve(): f"@file:{Path(path).name}" for path in self.map_files}
+        for key, names in (("maps", list(files.values())),
+                           ("majorants", [omega.label() for omega in self.majorants]),
                            ("three_circles_pairs", [f"three-circles(r1={r1:g},r={r:g})"
                                                     for r1, r in self.three_circles_pairs]),
                            ("isoperimetric_radii", [f"isoperimetric(r={r:g})"
@@ -356,15 +361,24 @@ def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, first: int):
     return reports
 
 
+def _memo_block(grid: Grid) -> int:
+    """Maps a campaign runs its per-map suites on under one memo: as many as
+    keep every array memoized for a map within ``_MEMO_BUDGET``, at least 1.
+    A map's arrays are its Lambda_f scan (8 bytes a node), its pair
+    quotients (8 bytes a pair of :func:`default_pair_sample`) and its hl-17
+    fields (16 bytes a pair of ``_hl_sample``): 94 maps on the default grid."""
+    pairs, hl_pairs = default_pair_sample()[0].size, _hl_sample(grid.r_max)[0].size
+    return max(1, _MEMO_BUDGET // (8 * grid.nodes.size + 8 * pairs + 16 * hl_pairs))
+
+
 def run_config(cfg: SuiteConfig):
     """Execute a campaign; returns (reports sorted, summary dict).
 
     A global suite runs once. The per-map suites run in suite order on
-    blocks of maps (:func:`~harmap.core._memo_block`), each block under its
-    own campaign memo, which holds its maps' majorant-free scans, so suites
-    and majorants share them, and drops them when the block ends. A map
-    keeps the Monte Carlo stream of its (suite, map_id) position in sorted
-    order.
+    blocks of :func:`_memo_block` maps, each block under its own campaign
+    memo, which holds its maps' majorant-free scans, so suites and
+    majorants share them, and drops them when the block ends. A map keeps
+    the Monte Carlo stream of its (suite, map_id) position in sorted order.
     """
     cfg.validate()
     try:

@@ -28,9 +28,9 @@ instances are safe to share across threads. Grid reductions go through
 numpy's pairwise summation on fixed-shape arrays, which makes results
 independent of evaluation order. The one per-campaign memo lives here:
 while :func:`_campaign_memo` is open, the :func:`_memoized` per-map scans of
-every module are kept by argument within one byte budget, and dropped after.
-A campaign opens one per block of :func:`_memo_block` maps, so each map's
-scans stay in it for all the suites of its block.
+every module are kept by argument, and dropped after. A campaign opens one
+per block of maps whose memoized arrays fit its byte budget together, so
+each map's scans stay in it for all the suites of its block.
 """
 
 from __future__ import annotations
@@ -356,26 +356,18 @@ def _stretch(f: HarmonicMap | MapStack, z: np.ndarray) -> np.ndarray:
     return np.abs(fz) + np.abs(fzbar)
 
 
-_MEMO: dict | None = None  # in a campaign: (function, *args) -> (value, bytes of its arrays)
-_MEMO_BYTES = 0  # their total, least recently used first out past the budget
-_MEMO_BUDGET = 16 << 20  # the default campaign peaks at 9.1 MiB in about 320 entries
-
-
-def _memo_block(grid: Grid) -> int:
-    """Maps a campaign runs its per-map suites on under one memo: those whose
-    Lambda_f scans (8 bytes a node) fill half the budget, 64 on the default grid."""
-    return max(1, _MEMO_BUDGET // (16 * grid.nodes.size))
+_MEMO: dict | None = None  # in a campaign: (function, *args) -> value
 
 
 @contextmanager
 def _campaign_memo():
     """Memoize every :func:`_memoized` function while the block (a campaign) runs."""
-    global _MEMO, _MEMO_BYTES
-    _MEMO, _MEMO_BYTES = {}, 0
+    global _MEMO
+    _MEMO = {}
     try:
         yield
     finally:
-        _MEMO, _MEMO_BYTES = None, 0
+        _MEMO = None
 
 
 def _memoized(fn):
@@ -384,20 +376,12 @@ def _memoized(fn):
 
     @wraps(fn)
     def memoized(*args):
-        global _MEMO_BYTES
         if _MEMO is None:
             return fn(*args)
         key = (fn, *args)
-        hit = _MEMO.pop(key, None)
-        if hit is None:
-            value = fn(*args)
-            parts = value if isinstance(value, tuple) else (value,)
-            hit = value, sum(getattr(v, "nbytes", 0) for v in parts)
-            _MEMO_BYTES += hit[1]
-        _MEMO[key] = hit
-        while _MEMO_BYTES > _MEMO_BUDGET:  # only an insert can pass the budget
-            _MEMO_BYTES -= _MEMO.pop(next(iter(_MEMO)))[1]
-        return hit[0]
+        if key not in _MEMO:
+            _MEMO[key] = fn(*args)
+        return _MEMO[key]
 
     return memoized
 

@@ -14,24 +14,23 @@ Conventions
 * Polar tensor grids (radii times uniform angles) are evaluated one ring at
   a time by an inverse FFT, ``core._ring_fields`` and ``core._ring_values``:
   the area quadrature, the finite-p Hardy means and the coarse scan of a
-  circle max. Scattered points (polish steps, zoom rounds) go through
-  Horner. The grids whose values feed the pinned campaign digest (the
-  memoized grid scan ``core._grid_scan``, whose Lambda_f the disk suprema
-  read, and the circle lengths) stay on Horner until that digest is re-pinned.
+  circle max. Scattered points (polish steps) go through Horner. The
+  grids whose values feed the pinned campaign digest (the memoized grid
+  scan ``core._grid_scan``, whose Lambda_f the disk suprema read, and the
+  circle lengths) stay on Horner until that digest is re-pinned.
   A length's two resolutions share one evaluation: the n-angle rule reads
   the even nodes of the 2n-angle one (:func:`_circle_lengths`).
-* Suprema start from a coarse grid max and refine it; the value never
-  falls below the coarse max. Disk suprema (:func:`grid_sup`) polish a
-  batch of maps by one array golden-section search in radius and angle,
-  :func:`_golden_polish`, each map's result equal to its run on its own,
+* Suprema start from a coarse grid max and refine it by one array
+  golden-section search, :func:`_golden_polish`; the value never falls
+  below the coarse max. Disk suprema (:func:`grid_sup`) polish a batch of
+  maps in radius and angle, each map's result equal to its run on its own,
   and the gap closed by the last stage is the error estimate.
   A probe's abscissa depends on the left/right decisions before it and
   not on the values, so one evaluation covers several steps: every
   abscissa they could probe, a tree of up to 127 a problem and 128 a call,
   computed by the float operations of the step-by-step search, so with
-  its bits. The max of |f| on a circle is refined by an angular zoom,
-  :func:`_circle_max`, and its gain over the coarse max is the error
-  estimate.
+  its bits. The max of |f| on a circle is polished in angle, and its gain
+  over the coarse max is the error estimate.
 * Boundary values follow the maximum principle: for p >= 1, |f|^p is
   subharmonic, so the h^p norm is M_p(1, f) (Hardy's convexity theorem),
   and S_f(1) is the exact maximum of a polynomial in r^2. The dyadic ladder
@@ -77,8 +76,7 @@ QUADRATURE = "quadrature"
 GRID_SUP = "grid-sup"
 
 _EPS = float(np.finfo(float).eps)
-# Abscissa tolerance of every sup's refinement: the golden-section bracket
-# of a disk sup, the zoom step of a circle max.
+# Abscissa tolerance of every sup's refinement, the golden-section bracket.
 _SUP_TOL = 1e-10
 _AREA_BLOCK = 1 << 16  # quadrature nodes whose derivative fields are held at once
 
@@ -244,40 +242,23 @@ def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
         return top * np.exp(np.log1p(np.mean(np.expm1(p * logs), axis=1)) / p)
 
 
-def _circle_max(f: HarmonicMap, r: float, n_ang: int) -> tuple[float, float]:
-    """The max of |f| on |z| = r and the coarse max: a scan of ``n_ang`` angles
-    (one inverse FFT) picks the best angle; each zoom round evaluates 2m + 1 = 17
-    angles on Horner, spanning +-h around the best (h starts at one grid
-    spacing), and divides h by m, until h is within ``_SUP_TOL`` (9 rounds
-    at n_ang = 1024)."""
-    m = 8
-    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
-    vals = np.abs(_ring_values(f, r, n_ang)[0])
-    j = int(np.argmax(vals))
-    coarse = best_v = float(vals[j])
-    best_t = theta[j]
-    steps = np.arange(-m, m + 1) / m
-    h = theta[1] - theta[0]
-    while h > _SUP_TOL:
-        t = best_t + h * steps
-        patch = np.abs(f(r * np.exp(1j * t)))
-        k = int(np.argmax(patch))
-        if patch[k] > best_v:
-            best_v, best_t = float(patch[k]), t[k]
-        h /= m
-    return best_v, coarse
-
-
 def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
     """Integral mean M_p(r, f), 0 < r <= 1; for p = inf, the max of |f| on
-    |z| = r, whose error estimate is the zoom's gain over the coarse scan."""
+    |z| = r: a scan of 4 ``angular_nodes`` angles (one inverse FFT), then one
+    :func:`_golden_polish` within a grid spacing of the best angle, whose
+    gain over the coarse max is the error estimate."""
     q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if p != math.inf and not p > 0.0:
         raise ValueError("p must be positive or inf")
     if p == math.inf:
-        v, coarse = _circle_max(f, r, 4 * q.angular_nodes)
+        theta = np.linspace(0.0, 2.0 * np.pi, 4 * q.angular_nodes, endpoint=False)
+        vals = np.abs(_ring_values(f, r, theta.size)[0])
+        j = int(np.argmax(vals))
+        t, dt = theta[j : j + 1], theta[1] - theta[0]
+        v, _ = _golden_polish(lambda ts: np.abs(f(r * np.exp(1j * ts))), t - dt, t + dt, vals[j : j + 1], t)
+        v, coarse = float(v[0]), float(vals[j])
         return FunctionalValue(v, GRID_SUP, max(v - coarse, _error_floor(v)))
     v1 = float(_circle_pmeans(f, r, p, q.angular_nodes)[0])
     v2 = float(_circle_pmeans(f, r, p, 2 * q.angular_nodes)[0])

@@ -572,11 +572,16 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
     return _read_only(z[keep], w[keep])
 
 
+def _hl_sample(r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """hl-17's pairs (z, w) for a grid reaching r_max. Cached; read-only."""
+    return _hl_pairs(512, 11, r_max * (1.0 - 1e-3))
+
+
 @lru_cache(maxsize=8)
 def _hl_segments(r_max: float):
-    """hl-17's pairs (z, w) for a grid reaching r_max, |z - w|, the nodes of the
-    segments from w to z, their boundary distances and weights. Cached, read-only."""
-    z, w = _hl_pairs(512, 11, r_max * (1.0 - 1e-3))
+    """:func:`_hl_sample`'s pairs (z, w), |z - w|, the nodes of the segments
+    from w to z, their boundary distances and weights. Cached, read-only."""
+    z, w = _hl_sample(r_max)
     x, wts = gauss_legendre_01(64)
     seg = w[:, None] + x[None, :] * (z - w)[:, None]
     return (z, w, *_read_only(np.abs(z - w), seg, 1.0 - np.abs(seg)), wts)

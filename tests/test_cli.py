@@ -359,6 +359,7 @@ def test_verify_malformed_config(tmp_path, capsys):
                        {"family": "power", "alpha": 0.5000001}]},
         {"three_circles_pairs": [[0.1, 0.3], [0.1, 0.3000001]]},
         {"isoperimetric_radii": [0.5, 0.5]},
+        {"maps": ["a/m.json", "b/m.json"]},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -371,7 +372,8 @@ def test_verify_malformed_config(tmp_path, capsys):
          "output-is-a-directory", "too-many-angular-nodes", "too-many-radial-nodes",
          "too-many-quadrature-nodes", "fuzz-count-over-cap", "too-many-gradient-samples",
          "sampled-majorants-one-label", "power-majorants-one-label",
-         "three-circles-pairs-one-name", "isoperimetric-radii-one-name"],
+         "three-circles-pairs-one-name", "isoperimetric-radii-one-name",
+         "map-files-one-basename"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -385,8 +387,11 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
         "unknown-key.json": {**identity, "c": 1},
         "degree-over-cap.json": {"a": [[0, 0]] * (MAX_FILE_DEGREE + 2),
                                  "b": [[0, 0]] * (MAX_FILE_DEGREE + 1)},
+        "a/m.json": identity,  # two maps whose rows would both end @file:m.json
+        "b/m.json": {"a": [[0, 0], [1, 0]], "b": [[0.5, 0]]},
     }
     for name, obj in bad_maps.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(json.dumps(obj))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
@@ -611,9 +616,10 @@ def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, aff
 
 
 def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
-    # File ids sort between the builtin and the fuzz ids, and two files
-    # with one basename keep their order in "maps": each map keeps the
-    # Monte Carlo stream of its sorted (suite, map_id) position.
+    # File ids sort between the builtin and the fuzz ids, whatever the
+    # order of "maps", and a copy of a map under another name is a map of
+    # its own: each map keeps the Monte Carlo stream of its sorted
+    # (suite, map_id) position.
     maps = tmp_path / "maps"
     assert main(["fuzz", "--count", "3", "--degree", "3", "--seed", "5", "--out", str(maps)]) == 0
     (maps / "dup.json").write_bytes((maps / "map-0001.json").read_bytes())
@@ -684,13 +690,14 @@ def _count_grid_scans(monkeypatch, shape):
 
 
 def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
-    # With no byte budget every insert of an array evicts it, so each map's
-    # grid scan (core._grid_scan) is done again each time a suite or
-    # majorant needs it.
-    import harmap.core as core
+    # With the campaign memo off, each map's grid scan (core._grid_scan) is
+    # done again each time a suite or majorant needs it.
+    import contextlib
+
+    import harmap.cli as cli
 
     scans = _count_grid_scans(monkeypatch, (16, 32))
-    monkeypatch.setattr(core, "_MEMO_BUDGET", 0)
+    monkeypatch.setattr(cli, "_campaign_memo", contextlib.nullcontext)
     assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
     assert len(scans) == 10 and min(scans.values()) > 1  # 6 builtin and 4 fuzz maps
 
@@ -709,12 +716,52 @@ def test_campaign_blocks_keep_the_bytes_and_scan_each_map_once(tmp_path, monkeyp
     assert len(scans) == 10 and set(scans.values()) == {1}
 
 
-def test_memo_block_fills_half_the_budget():
-    import harmap.core as core
+def test_memo_block_fits_every_memoized_array_of_its_maps():
+    # A map keeps 8 bytes a grid node, 8 a pair of the Lipschitz pair sample
+    # and 16 a pair of hl-17's segments: 177 104 bytes on the default grid.
+    import harmap.cli as cli
 
-    assert core._memo_block(Grid()) == 64
-    assert core._memo_block(Grid(n_r=16, n_theta=32)) == 2048
-    assert core._memo_block(Grid(n_r=1024, n_theta=1024)) == 1
+    assert cli._memo_block(Grid()) == 94
+    assert cli._memo_block(Grid(n_r=16, n_theta=32)) == 334
+    assert cli._memo_block(Grid(n_r=1024, n_theta=1024)) == 1
+
+
+def test_memo_blocks_compute_each_maps_majorant_free_sides_once(monkeypatch):
+    # 30 maps take more than the budget: blocks of 20, each computing a
+    # map's pair quotients and hl-17 fields once for both majorants, and
+    # none keeping more array bytes than the budget.
+    import contextlib
+
+    import harmap.cli as cli
+    import harmap.core as core
+    import harmap.lipschitz as lipschitz
+
+    runs = Counter()
+    for name in ("_pair_quotients", "_hl_fields"):
+        fn = getattr(lipschitz, name).__wrapped__
+
+        def counting(*args, fn=fn, name=name):
+            runs[name, args[0]] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(lipschitz, name, core._memoized(counting))
+    memo, held = cli._campaign_memo, []
+
+    @contextlib.contextmanager
+    def measured():
+        with memo():
+            yield
+            values = [v for value in core._MEMO.values()
+                      for v in (value if isinstance(value, tuple) else (value,))]
+            held.append(sum(getattr(v, "nbytes", 0) for v in values))
+
+    monkeypatch.setattr(cli, "_MEMO_BUDGET", 1 << 20)
+    monkeypatch.setattr(cli, "_campaign_memo", measured)
+    cfg = SuiteConfig(suites=("lipschitz-16", "hl-17"), include_builtin=False,
+                      fuzz=FuzzSpec(count=30, degree=3, seed=42), grid=Grid(n_r=16, n_theta=32))
+    run_config(cfg)
+    assert len(runs) == 60 and set(runs.values()) == {1}
+    assert len(held) == 2 and max(held) <= 1 << 20
 
 
 def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, capsys):

@@ -29,7 +29,7 @@ from harmap import (
     wirtinger,
 )
 
-from harmap.functionals import FunctionalValue
+from harmap.functionals import _PROBES, FunctionalValue
 
 from conftest import (
     AFFINE_HALF,
@@ -320,13 +320,15 @@ def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
 
     monkeypatch.setattr(HarmonicMap, "__call__", counting)
     hardy_norm(small_corpus[0], math.inf)
-    # One circle: 9 zoom rounds at 1024 coarse angles, each one call of 17 angles.
-    assert calls == [(1, 17)] * 9
+    # One circle, one golden-section search: its first two probes in one
+    # call, then the probe trees of the later steps, each one call.
+    assert calls[0] == (2, 2) and len(calls) > 1
+    assert all(ndim == 2 and 0 < size <= _PROBES for ndim, size in calls[1:])
 
 
 def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_corpus):
-    # Tensor grids go through the ring kernel; only the p = inf zoom
-    # patches (one circle x 17 angles a round) are evaluated pointwise.
+    # Tensor grids go through the ring kernel; only the p = inf polish
+    # (one circle, at most _PROBES angles a call) is evaluated pointwise.
     import harmap.core as core
     import harmap.functionals as functionals
 
@@ -350,7 +352,7 @@ def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_co
     core.coeff_from_contour(f, 1, 0.9, 4 * f.degree)
     assert points == []
     hardy_norm(f, math.inf)
-    assert points and max(points) <= 17
+    assert points and max(points) <= _PROBES
 
 
 LINEAR_HALF = HarmonicMap(a=(0, 0.5), b=(0,))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,3 +90,38 @@ def test_bench_pairs_claims_no_gain_inside_the_parents_spread():
     m = bench.summarize(pairs, DECLARED)
     assert m["cpu_s"]["wins"] == 10 and not m["cpu_s"]["gain_claimed"]
     assert m["bloch_ms"]["losses"] == 10 and m["bloch_ms"]["relative_change"] > 0
+
+
+def _row(name, lhs, rhs, status="pass", n=None, error=0.0):
+    """A report row as ``harmap verify`` writes it; a non-finite side is its repr."""
+    margin = None if lhs is None or rhs is None else rhs - float(lhs)
+    return {"name": name, "n": n, "lhs": lhs, "rhs": rhs,
+            "margin": margin if margin is None or math.isfinite(margin) else repr(margin),
+            "status": status,
+            "slack": 1e-9, "hypotheses": {}, "witnesses": [], "error_estimate": error, "details": {}}
+
+
+def test_report_diff_lists_what_a_repin_records(tmp_path):
+    old = [_row("kept", 0.5, 1.0), _row("within-error", 0.5, 1.0, error=0.01),
+           _row("coeff", 0.25, 1.0, n=1), _row("coeff", 0.5, 1.0, n=2),
+           _row("gone", 0.1, 1.0), _row("unbounded", "inf", 1.0, status="fail"),
+           _row("violated", None, None, status="hypothesis-violated")]
+    new = [_row("kept", 0.5, 1.0), _row("within-error", 0.505, 1.0, error=0.001),
+           _row("coeff", 0.25, 1.0, n=1), _row("coeff", 0.75, 1.0, n=2),
+           _row("unbounded", "inf", 1.0, status="fail"),
+           _row("violated", 1.5, 1.0, status="fail"), _row("new", 0.2, 1.0)]
+    paths = []
+    for name, rows in (("old.jsonl", old), ("new.jsonl", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_diff.py"), *map(str, paths)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.splitlines() == [
+        "7 -> 7 rows: 1 added, 1 removed, 1 changed status, 2 moved beyond their error estimates",
+        "- added `new`: pass",
+        "- removed `gone`: pass",
+        "- status `violated`: hypothesis-violated -> fail (margin None -> -0.5)",
+        "- moved `coeff` n=2: lhs 0.5 -> 0.75, margin 0.5 -> 0.25 (error estimate 0)",
+        "- moved `violated`: lhs None -> 1.5, rhs None -> 1.0, margin None -> -0.5 (error estimate 0)",
+    ]

@@ -51,6 +51,8 @@ core.save_map(f, "map.json")
 for name in ("area", "length", "hardy", "bloch"):
     assert cli.main(["functional", "--map", "map.json", "--name", name]) == 0
 assert cli.main(["fuzz", "--count", "2", "--degree", "4", "--out", "corpus"]) == 0
+# Nor does a campaign of suites that need no quadrature nodes.
+cli.run_config(cli.SuiteConfig(suites=("three-circles", "hardy-area", "isoperimetric")))
 """
     assert loaded_after(body, tmp_path) == []
 
