@@ -4,8 +4,9 @@
     python3 scripts/report_diff.py OLD.jsonl NEW.jsonl
 
 Rows are keyed by (name, n). The script prints one summary line, then one
-line for each row added or removed, each row whose status changed, and each
-row whose lhs, rhs or margin moved by more than the larger of its two
+line for each key that one report repeats (the diff reads its last row),
+each row added or removed, each row whose status changed, and each row whose
+lhs, rhs or margin moved by more than the larger of its two
 ``error_estimate``s, in the form a change log lists them. It always exits 0:
 a difference is a finding to record, not an error.
 """
@@ -16,15 +17,19 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 SIDES = ("lhs", "rhs", "margin")
 
 
-def load_rows(path) -> dict:
-    """(name, n) -> row for each line of a report; a repeated key keeps its last row."""
+def load_rows(path) -> tuple[dict, dict]:
+    """(name, n) -> row for each line of a report, where a repeated key keeps
+    its last row, and each repeated key -> its number of rows."""
     with open(path, encoding="utf-8") as fh:
-        rows = (json.loads(line) for line in fh if line.strip())
-        return {(row["name"], row["n"]): row for row in rows}
+        rows = [json.loads(line) for line in fh if line.strip()]
+    keys = Counter((row["name"], row["n"]) for row in rows)
+    return ({(row["name"], row["n"]): row for row in rows},
+            {key: count for key, count in keys.items() if count > 1})
 
 
 def _number(x) -> float | None:
@@ -70,7 +75,12 @@ def main(argv=None) -> int:
     parser.add_argument("old", help="the earlier JSON-lines report")
     parser.add_argument("new", help="the later JSON-lines report")
     args = parser.parse_args(argv)
-    print("\n".join(diff_lines(load_rows(args.old), load_rows(args.new))))
+    (old, old_repeated), (new, new_repeated) = load_rows(args.old), load_rows(args.new)
+    lines = diff_lines(old, new)
+    lines[1:1] = [f"- repeated {_label(key)} in {side}: {repeated[key]} rows, the last read"
+                  for side, repeated in (("old", old_repeated), ("new", new_repeated))
+                  for key in sorted(repeated, key=repr)]
+    print("\n".join(lines))
     return 0
 
 

@@ -278,11 +278,13 @@ class SuiteConfig:
 
     @cached_property
     def _file_maps(self) -> list[tuple[str, HarmonicMap]]:
-        """(map_id, f) for each of ``map_files``, read on first use; a file
-        that cannot be read as a map is a configuration error. A campaign
-        drops it when it ends, so the next one reads the files again."""
+        """(map_id, f) for each file that ``map_files`` names, once however
+        often it is listed, read on first use; a file that cannot be read as a
+        map is a configuration error. A campaign drops it when it ends, so the
+        next one reads the files again."""
         try:
-            return [(f"file:{Path(path).name}", load_map(path)) for path in self.map_files]
+            return [(f"file:{path.name}", load_map(path))
+                    for path in dict.fromkeys(Path(p).resolve() for p in self.map_files)]
         except (OSError, ValueError) as exc:
             raise ConfigError(f"maps: {exc}") from None
 

@@ -20,8 +20,9 @@ cost hardly grows with the degree. It is not a matrix product because a BLAS
 product of that size starts a pool of spinning threads. The grids whose
 values feed the pinned campaign digest stay on Horner until that digest is
 re-pinned: the circle lengths, and :func:`_grid_scan`, the one evaluation of
-a map's fields on a grid that its Lambda_f suprema and sense and K scans share
-(|f_z| and |f_zbar| are taken once for Lambda_f and K).
+a map's fields on a grid that its Lambda_f suprema share, and the only code
+that decides sense preservation and the distortion constant K:
+:func:`is_sense_preserving` and :func:`qc_constant` read it.
 
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
@@ -67,8 +68,8 @@ __all__ = [
     "LAMBDA_FLOOR",
 ]
 
-# Below this, the ratio Lambda/lambda is beyond double-precision resolution
-# and the distortion constant is reported as unbounded.
+# Below this share of Lambda, lambda is beyond double-precision resolution and
+# the distortion constant is reported as unbounded; relative, so K is scale-free.
 LAMBDA_FLOOR = 1e-14
 
 # The largest degree of a map file: each evaluation costs one step per degree.
@@ -414,56 +415,35 @@ class SensePreservation:
 
 
 def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None) -> SensePreservation:
-    """True iff the Jacobian is positive at every node of the grid."""
-    grid = grid or _DEFAULT_GRID
-    return _sense_scan(grid.nodes, *wirtinger(f, grid.nodes))
-
-
-def _sense_scan(nodes: np.ndarray, fz: np.ndarray, fzbar: np.ndarray) -> SensePreservation:
-    """:func:`is_sense_preserving` from the derivative fields on ``nodes``."""
-    jac = (_abs2(fz) - _abs2(fzbar)).ravel()
-    k = int(np.argmin(jac))
-    return SensePreservation(
-        ok=bool(jac[k] > 0.0),
-        min_jacobian=float(jac[k]),
-        witness=complex(nodes.ravel()[k]),
-    )
+    """The Jacobian scan of :func:`_grid_scan`: ok iff J > 0 at every grid node."""
+    return _grid_scan(f, grid or _DEFAULT_GRID)[1]
 
 
 def qc_constant(f: HarmonicMap, grid: Grid | None = None) -> float:
-    """Distortion constant: the grid maximum of Lambda / lambda.
-
-    Returns math.inf when lambda drops below LAMBDA_FLOOR anywhere (the
-    ratio is then beyond double-precision resolution). Raises ValueError if
-    the map is sense-reversing on the grid while lambda stays resolvable,
-    since the constant is then meaningless.
-    """
-    m1, m2 = map(np.abs, wirtinger(f, (grid or _DEFAULT_GRID).nodes))
-    return _qc_scan(m1, m2, m1 + m2)
-
-
-def _qc_scan(m1: np.ndarray, m2: np.ndarray, stretch: np.ndarray) -> float:
-    """:func:`qc_constant` from |f_z|, |f_zbar| and Lambda_f = their sum on the grid."""
-    lam = np.abs(m1 - m2)
-    if np.any(lam < LAMBDA_FLOOR):
-        return math.inf
-    if np.any(m1 <= m2):
-        raise ValueError("map is sense-reversing on the grid; no distortion constant")
-    return float(np.max(stretch / lam))
+    """The distortion constant K of :func:`_grid_scan`: the grid max of Lambda /
+    lambda, or math.inf unless J > 0 and lambda >= LAMBDA_FLOOR * Lambda at every node."""
+    return _grid_scan(f, grid or _DEFAULT_GRID)[2]
 
 
 @_memoized
 def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservation, float]:
     """One evaluation of (f_z, f_zbar) on ``grid.nodes`` and all a campaign
-    reads of it: Lambda_f on the nodes (read-only), the Jacobian scan of
-    :func:`is_sense_preserving`, and the :func:`qc_constant` K, or inf when f
-    is not sense-preserving on the grid. The quasiconformal hypotheses and
-    the disk suprema of Lambda_f share it; fuzz admission calls it unmemoized."""
+    reads of it: Lambda_f on the nodes (read-only), and the one rule for the
+    Jacobian scan of :func:`is_sense_preserving` and the :func:`qc_constant` K:
+    K = max Lambda / lambda, lambda = |f_z| - |f_zbar|, when J > 0 and lambda >=
+    LAMBDA_FLOOR * Lambda at every node, else inf. The relative floor makes K
+    scale-free and sends to inf a map whose J and lambda round to opposite
+    signs. The quasiconformal hypotheses and the disk suprema of Lambda_f share
+    it; fuzz admission calls it unmemoized."""
     fz, fzbar = wirtinger(f, grid.nodes)
-    sense = _sense_scan(grid.nodes, fz, fzbar)
+    jac = (_abs2(fz) - _abs2(fzbar)).ravel()
+    k = int(np.argmin(jac))
+    sense = SensePreservation(ok=bool(jac[k] > 0.0), min_jacobian=float(jac[k]),
+                              witness=complex(grid.nodes.ravel()[k]))
     m1, m2 = np.abs(fz), np.abs(fzbar)
-    stretch = m1 + m2
-    K = _qc_scan(m1, m2, stretch) if sense.ok else math.inf
+    stretch, lam = m1 + m2, m1 - m2
+    resolved = sense.ok and bool(np.all(lam >= LAMBDA_FLOOR * stretch))
+    K = float(np.max(stretch / lam)) if resolved else math.inf
     return _read_only(stretch), sense, K
 
 

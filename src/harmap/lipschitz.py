@@ -553,11 +553,13 @@ def chord_interpolation_bound(z, w, t):
 
 
 @lru_cache(maxsize=8)
-def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs kept inside |z| <= r_cap so segment points stay within the sup
+def _hl_sample(r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """hl-17's 512 pairs (z, w) for a grid reaching r_max, kept inside
+    |z| <= r_cap = r_max (1 - 1e-3) so segment points stay within the sup
     grid's reach (segments between two points of a disk stay in it).
     Cached; the arrays are read-only."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x484C5052)))
+    count, r_cap = 512, r_max * (1.0 - 1e-3)
+    rng = np.random.default_rng(np.random.SeedSequence((11, 0x484C5052)))
     half = count // 2
     z = np.concatenate([disk_sample(rng, half, r_cap), disk_sample(rng, count - half, r_cap)])
     w_loc = z[half:] + 10.0 ** rng.uniform(-5, -1, count - half) * np.exp(
@@ -570,11 +572,6 @@ def _hl_pairs(count: int, seed: int, r_cap: float) -> tuple[np.ndarray, np.ndarr
         w = np.concatenate([w, -eps * ang])
     keep = (np.abs(w) <= r_cap) & (np.abs(z - w) >= PAIR_MIN_SEPARATION)
     return _read_only(z[keep], w[keep])
-
-
-def _hl_sample(r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """hl-17's pairs (z, w) for a grid reaching r_max. Cached; read-only."""
-    return _hl_pairs(512, 11, r_max * (1.0 - 1e-3))
 
 
 @lru_cache(maxsize=8)

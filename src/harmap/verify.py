@@ -223,8 +223,9 @@ def builtin_maps() -> dict[str, HarmonicMap]:
 
 def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     """The shared quasiconformal hypothesis: (K, hypotheses) on the grid, read
-    off :func:`~harmap.core._grid_scan`. K is the grid distortion constant,
-    or inf when the Jacobian scan finds f not sense-preserving."""
+    off :func:`~harmap.core._grid_scan`, the one rule for sense and K. K is the
+    grid distortion constant, or inf unless J > 0 and lambda >= LAMBDA_FLOOR *
+    Lambda at every node; an inf K makes a row hypothesis-violated."""
     _, sense, K = _grid_scan(f, grid)
     return K, MappingProxyType(
         {"sense-preserving": sense.ok, "finite distortion constant": math.isfinite(K)}

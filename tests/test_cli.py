@@ -593,7 +593,7 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
 
 def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, affine_map_file):
     # The configuration check reads the map files, and the campaign uses
-    # what it read.
+    # what it read; a file listed twice is read once and gives one set of rows.
     import harmap.cli as cli
 
     calls = Counter()
@@ -610,9 +610,28 @@ def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, aff
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
-    assert sum(calls.values()) == 3
-    rows = (tmp_path / "rows.json").read_text()
-    assert "@file:id.json" in rows and "@file:affine.json" in rows
+    assert sum(calls.values()) == 2
+    names = [json.loads(line)["name"] for line in (tmp_path / "rows.json").read_text().splitlines()]
+    assert names.count("hardy-area@file:id.json") == 1
+    assert names.count("hardy-area@file:affine.json") == 1
+
+
+def test_verify_a_map_whose_sense_and_lambda_roundings_disagree(tmp_path, capsys):
+    # |a_1| and |b_1| agree to 16 digits: the Jacobian rounds positive while
+    # |f_z| - |f_zbar| does not, so K is inf and hardy-area's hypothesis
+    # fails; the run ends normally.
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"a": [[0.0, 0.0], [-340.5365670018157, 576.8574068568087]],
+                                "b": [[-433.22418163072047, 510.9270297814907]]}))
+    obj = small_config(tmp_path)
+    obj.update(suites=["hardy-area"], include_builtin=False, fuzz=None, maps=[str(path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    (row,) = [json.loads(line) for line in (tmp_path / "rows.json").read_text().splitlines()]
+    assert row["name"] == "hardy-area@file:edge.json"
+    assert row["status"] == "hypothesis-violated"
+    assert row["hypotheses"]["finite distortion constant"] is False
 
 
 def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):

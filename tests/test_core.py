@@ -179,8 +179,29 @@ def test_qc_constant_cases(grid):
 
 def test_qc_constant_sense_reversing_rejected(grid):
     anti = HarmonicMap(a=(0, 0), b=(1.0,))  # conj(z)
-    with pytest.raises(ValueError):
-        qc_constant(anti, grid)
+    assert qc_constant(anti, grid) == math.inf
+    assert not is_sense_preserving(anti, grid).ok
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-13, 1e-20])
+def test_qc_constant_is_scale_free(grid, c):
+    from harmap import verify_coeff_bound, verify_hardy_area
+
+    f = AFFINE_HALF.scaled(c)  # c (z + conj(z) / 2)
+    assert qc_constant(f, grid) == pytest.approx(3.0, rel=1e-12, abs=0.0)
+    if c == 1e-20:
+        assert verify_hardy_area(f, grid=grid).status == "pass"
+        assert all(rep.status == "pass" for rep in verify_coeff_bound(f, grid=grid))
+
+
+def test_sense_and_k_follow_one_rule_where_their_roundings_disagree(grid):
+    # |a_1| and |b_1| agree to 16 digits: |f_z|^2 - |f_zbar|^2 rounds
+    # positive while |f_z| - |f_zbar| is far below 1e-14 Lambda, so the map is
+    # sense-preserving on the grid with an unbounded K.
+    f = HarmonicMap(a=(0, complex(-340.5365670018157, 576.8574068568087)),
+                    b=(complex(-433.22418163072047, 510.9270297814907),))
+    assert is_sense_preserving(f, grid).ok
+    assert qc_constant(f, grid) == math.inf
 
 
 # -- contour recovery ----------------------------------------------------------

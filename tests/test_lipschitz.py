@@ -348,9 +348,9 @@ def test_default_pair_sample_masks_degenerate_pairs():
 
 
 def test_map_independent_pair_samples_are_built_once():
-    from harmap.lipschitz import _hl_pairs
+    from harmap.lipschitz import _hl_sample
 
-    for sample in (default_pair_sample, lambda: _hl_pairs(512, 11, 0.99)):
+    for sample in (default_pair_sample, lambda: _hl_sample(0.99)):
         z, w = sample()
         assert sample()[0] is z
         assert not z.flags.writeable and not w.flags.writeable

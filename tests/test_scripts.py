@@ -101,6 +101,18 @@ def _row(name, lhs, rhs, status="pass", n=None, error=0.0):
             "slack": 1e-9, "hypotheses": {}, "witnesses": [], "error_estimate": error, "details": {}}
 
 
+def _report_diff(tmp_path, old, new) -> list[str]:
+    """The lines ``scripts/report_diff.py`` prints for two reports of these rows."""
+    paths = []
+    for name, rows in (("old.jsonl", old), ("new.jsonl", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_diff.py"), *map(str, paths)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    return run.stdout.splitlines()
+
+
 def test_report_diff_lists_what_a_repin_records(tmp_path):
     old = [_row("kept", 0.5, 1.0), _row("within-error", 0.5, 1.0, error=0.01),
            _row("coeff", 0.25, 1.0, n=1), _row("coeff", 0.5, 1.0, n=2),
@@ -110,18 +122,24 @@ def test_report_diff_lists_what_a_repin_records(tmp_path):
            _row("coeff", 0.25, 1.0, n=1), _row("coeff", 0.75, 1.0, n=2),
            _row("unbounded", "inf", 1.0, status="fail"),
            _row("violated", 1.5, 1.0, status="fail"), _row("new", 0.2, 1.0)]
-    paths = []
-    for name, rows in (("old.jsonl", old), ("new.jsonl", new)):
-        paths.append(tmp_path / name)
-        paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_diff.py"), *map(str, paths)],
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0 and run.stderr == ""
-    assert run.stdout.splitlines() == [
+    assert _report_diff(tmp_path, old, new) == [
         "7 -> 7 rows: 1 added, 1 removed, 1 changed status, 2 moved beyond their error estimates",
         "- added `new`: pass",
         "- removed `gone`: pass",
         "- status `violated`: hypothesis-violated -> fail (margin None -> -0.5)",
         "- moved `coeff` n=2: lhs 0.5 -> 0.75, margin 0.5 -> 0.25 (error estimate 0)",
         "- moved `violated`: lhs None -> 1.5, rhs None -> 1.0, margin None -> -0.5 (error estimate 0)",
+    ]
+
+
+def test_report_diff_names_repeated_keys(tmp_path):
+    # A key that a report repeats is named once per report, with its count.
+    old = [_row("kept", 0.5, 1.0), _row("twice", 0.5, 1.0), _row("twice", 0.5, 1.0)]
+    new = [_row("kept", 0.5, 1.0), _row("twice", 0.5, 1.0),
+           *(_row("coeff", lhs, 1.0, n=1) for lhs in (0.25, 0.25, 0.5))]
+    assert _report_diff(tmp_path, old, new) == [
+        "2 -> 3 rows: 1 added, 0 removed, 0 changed status, 0 moved beyond their error estimates",
+        "- repeated `twice` in old: 2 rows, the last read",
+        "- repeated `coeff` n=1 in new: 3 rows, the last read",
+        "- added `coeff` n=1: pass",
     ]

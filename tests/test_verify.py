@@ -269,6 +269,31 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
 
 
+def test_sense_k_and_the_distortion_hypothesis_read_one_scan(monkeypatch):
+    # In a campaign, is_sense_preserving, qc_constant and the verifiers'
+    # hypothesis evaluate the map's fields on the grid once between them.
+    import harmap.core as core
+    from harmap.verify import _distortion
+
+    grid = Grid(n_r=16, n_theta=32)
+    scans = []
+    original = core.wirtinger
+
+    def counting(f, z):
+        if np.shape(z) == grid.nodes.shape:
+            scans.append(f)
+        return original(f, z)
+
+    monkeypatch.setattr(core, "wirtinger", counting)
+    f = HarmonicMap(a=(0, 1.0, 0.04), b=(0.2, 0.03))  # used by no other test
+    with _campaign_memo():
+        sense, K = is_sense_preserving(f, grid), qc_constant(f, grid)
+        assert _distortion(f, grid) == (K, {"sense-preserving": sense.ok,
+                                            "finite distortion constant": math.isfinite(K)})
+    assert scans == [f]
+    assert sense.ok and 1.0 < K < math.inf
+
+
 def test_outside_a_campaign_each_verifier_call_scans_and_keeps_nothing(monkeypatch):
     import harmap.core as core
 
