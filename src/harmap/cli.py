@@ -21,8 +21,9 @@ Python-bound under the interpreter lock, and on a 2-core machine a 2-thread
 pool raised the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s
 serial, measured when the pool was removed; the campaign now takes about
 1 s of CPU). Report rows are emitted in sorted order, so identical seeds give
-byte-identical report files. ``functional`` and ``fuzz`` never load scipy
-(see :mod:`harmap.grids`).
+byte-identical report files. ``functional`` and ``fuzz`` never load scipy,
+nor does ``verify`` outside the ``lipschitz-16``, ``hl-17`` and
+``majorant-regularity`` suites (see :mod:`harmap.grids`).
 """
 
 from __future__ import annotations

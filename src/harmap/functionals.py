@@ -11,6 +11,8 @@ Conventions
 * Areas are normalized (the identity map has S(r) = r^2); lengths are not.
 * Quadrature values report the finer of two resolutions, with the difference
   between the two as ``error_estimate`` (an a-posteriori bound, not a guess).
+  The radial Gauss-Legendre nodes of :func:`area_quadrature` are
+  ``grids.gauss_legendre_01``'s numpy rule, so no functional loads scipy.
 * Polar tensor grids (radii times uniform angles) are evaluated one ring at
   a time by an inverse FFT, ``core._ring_fields`` and ``core._ring_values``:
   the area quadrature, the finite-p Hardy means and the coarse scan of a
@@ -42,6 +44,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -242,6 +245,12 @@ def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
         return top * np.exp(np.log1p(np.mean(np.expm1(p * logs), axis=1)) / p)
 
 
+# Below the smallest normal float, p log(|f|/m) in _circle_pmeans turns subnormal
+# and loses its digits: at p = 5e-324 a Hardy mean reads the circle max.
+_P_MIN = sys.float_info.min
+_P_MESSAGE = f"p must be inf or at least {_P_MIN!r}, the smallest normal float"
+
+
 def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
     """Integral mean M_p(r, f), 0 < r <= 1; for p = inf, the max of |f| on
     |z| = r: a scan of 4 ``angular_nodes`` angles (one inverse FFT), then one
@@ -250,8 +259,8 @@ def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = No
     q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    if p != math.inf and not p > 0.0:
-        raise ValueError("p must be positive or inf")
+    if p != math.inf and not p >= _P_MIN:
+        raise ValueError(_P_MESSAGE)
     if p == math.inf:
         theta = np.linspace(0.0, 2.0 * np.pi, 4 * q.angular_nodes, endpoint=False)
         vals = np.abs(_ring_values(f, r, theta.size)[0])
@@ -270,8 +279,8 @@ def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> Fun
     p = inf, where M_p is nondecreasing in r, else the ladder sup."""
     if p >= 1.0:
         return hardy_mean(f, p, 1.0, q)
-    if not p > 0.0:
-        raise ValueError("p must be positive or inf")
+    if not p >= _P_MIN:
+        raise ValueError(_P_MESSAGE)
     q = q or QuadratureSpec()
     rs = r_ladder()
     return _ladder_sup(

@@ -7,16 +7,18 @@ sizes, the ladder of radii 1 - 2^-k used to approach the boundary, and
 :func:`disk_sample`, the one area-uniform random sampler of a disk that every
 Monte Carlo estimate and random pair set draws from.
 
-numpy is the one module-level dependency of the package. scipy loads on first
-use: :func:`gauss_legendre_01` imports ``scipy.special`` for
-``area_quadrature`` and the segment and disk-mean quadratures of the Lipschitz
-constants, and the majorant integrals import ``scipy.integrate`` (see
-:mod:`harmap.lipschitz`). The fuzzer and the length, Hardy and Bloch
-functionals never load it.
+numpy is the one module-level dependency of the package, and
+:func:`gauss_legendre_01` builds its rule with numpy alone, so the fuzzer and
+every functional (``area_quadrature`` included) never load scipy. scipy loads
+on first use in two places only: :func:`_roots_legendre_01`, scipy's rule,
+imports ``scipy.special`` for the disk-mean and segment quadratures of the
+Lipschitz constants, whose bits feed the pinned campaign digest, and the
+majorant integrals import ``scipy.integrate`` (see :mod:`harmap.lipschitz`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -113,10 +115,60 @@ def r_ladder() -> np.ndarray:
     return 1.0 - 0.5 ** np.arange(1, 21)
 
 
+_NEWTON_STEPS = 16  # the guesses are within O(1/n^2) of the roots: about 4 steps converge
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=64)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    from scipy.special import roots_legendre  # loaded on first use: see the module docstring
+    """Gauss-Legendre nodes and weights transplanted to [0, 1], ascending.
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from the
+    guesses cos(pi (4k - 1) / (4n + 2)), k = 1..ceil(n/2): the nodes in [0, 1)
+    of [-1, 1], whose mirror images are the others. The weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the converged nodes, scaled to sum to 1 as in
+    Chebfun's ``legpts`` (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+    Monomials of degree < 2n integrate to within 2 eps up to n = 2048.
+    Cached; the arrays are read-only.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    odd = n % 2
+    x = np.cos(np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0))
+    if odd:
+        x[-1] = 0.0  # the middle node of an odd rule
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    t = 0.5 * (1.0 - x)  # ascending in (0, 1/2]; an odd rule's middle node is 1/2
+    nodes = np.concatenate([t, (1.0 - t)[::-1][odd:]])
+    weights = np.concatenate([w, w[::-1][odd:]])
+    return _read_only(nodes, weights / math.fsum(weights))
+
+
+def _roots_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``roots_legendre`` nodes and weights transplanted to [0, 1].
+
+    Its only callers are ``lipschitz._probe_grids`` (n = 32) and
+    ``lipschitz._hl_segments`` (n = 64), which cache what they build from it
+    and whose values feed the pinned campaign digest bit for bit. It loads
+    ``scipy.special`` on first use. Re-pin B repoints the two callers to
+    :func:`gauss_legendre_01` and deletes it.
+    """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     return _read_only(0.5 * (x + 1.0), 0.5 * w)
 

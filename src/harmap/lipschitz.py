@@ -11,7 +11,8 @@ interpolation. A majorant is *regular* when two integral conditions hold,
 whose smallest empirical constants :func:`regularity_check` estimates. Both
 integrals go through one adaptive quadrature helper, the one importer of
 ``scipy.integrate``, on first use; the Gauss-Legendre nodes of the disk means
-and hl-17's segments load ``scipy.special`` (:func:`~harmap.grids.gauss_legendre_01`).
+and hl-17's segments are scipy's (``grids._roots_legendre_01``), which loads
+``scipy.special``, so that the pinned campaign digest keeps its bits.
 
 The three equivalent growth conditions for a harmonic map f against a
 majorant are estimated as empirical constants:
@@ -43,7 +44,7 @@ import numpy as np
 from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
 from .functionals import grid_sup
-from .grids import _DEFAULT_GRID, Grid, _read_only, disk_sample, gauss_legendre_01
+from .grids import _DEFAULT_GRID, Grid, _read_only, _roots_legendre_01, disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -417,7 +418,7 @@ def _probe_grids(probes):
     radius: its centre's index, the radius r, the radial weights w rho and the
     polar nodes z0 + rho e^(i theta) of D(z0, r), rho = r x for 32 Gauss-Legendre
     x on [0, 1] and 128 uniform theta. Cached; the arrays are read-only."""
-    x, wts = gauss_legendre_01(32)
+    x, wts = _roots_legendre_01(32)
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))
     centre, radii, weights, nodes = [], [], [], []
     for i, (z0, fractions) in enumerate(probes):
@@ -579,7 +580,7 @@ def _hl_segments(r_max: float):
     """:func:`_hl_sample`'s pairs (z, w), |z - w|, the nodes of the segments
     from w to z, their boundary distances and weights. Cached, read-only."""
     z, w = _hl_sample(r_max)
-    x, wts = gauss_legendre_01(64)
+    x, wts = _roots_legendre_01(64)
     seg = w[:, None] + x[None, :] * (z - w)[:, None]
     return (z, w, *_read_only(np.abs(z - w), seg, 1.0 - np.abs(seg)), wts)
 

@@ -110,6 +110,15 @@ def test_functional_bad_params(capsys, id_map_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("p", ["1e-310", "5e-324"])
+def test_functional_hardy_refuses_a_subnormal_p(capsys, affine_map_file, p):
+    for extra in ([], ["--r", "1"]):
+        assert main(["functional", "--map", str(affine_map_file), "--name", "hardy",
+                     "--p", p, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: p must be")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -116,6 +117,14 @@ def test_area_sup_is_the_max_of_the_area_polynomial(f):
 @given(harmonic_maps(max_degree=8), st.sampled_from([0.3, 0.6, 0.9]))
 def test_area_series_vs_quadrature_oracle(f, r):
     assert abs(area_series(f, r).value - area_quadrature(f, r).value) <= 1e-10
+
+
+def test_area_quadrature_matches_the_series_on_the_query_corpus():
+    # The benchmark's area oracle: 32 degree-32 maps at r = 0.9, each within
+    # the quadrature's own error estimate of the coefficient series.
+    for f in fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42)):
+        fv = area_quadrature(f, 0.9)
+        assert abs(fv.value - area_series(f, 0.9).value) <= fv.error_estimate
 
 
 def test_area_monotone_for_dominant_maps(small_corpus):
@@ -268,6 +277,26 @@ def test_hardy_norm_below_one_keeps_the_ladder(f, p, value, error):
     # values are pinned bit for bit.
     fv = hardy_norm(f, p)
     assert (fv.value, fv.error_estimate, fv.method) == (value, error, "quadrature")
+
+
+@pytest.mark.parametrize("p", [1e-310, 5e-324])
+def test_hardy_means_refuse_a_subnormal_p(p):
+    # p log(|f|/m) would turn subnormal and lose its digits: at 5e-324 the
+    # mean of z + 0.2 conj(z) read 1.2, its circle max, for a limit of 1.
+    f = HarmonicMap(a=(0, 1), b=(0.2,))
+    with pytest.raises(ValueError, match="smallest normal float"):
+        hardy_mean(f, p, 1.0)
+    with pytest.raises(ValueError, match="smallest normal float"):
+        hardy_norm(f, p)
+
+
+def test_hardy_means_at_the_smallest_normal_p_read_the_geometric_mean():
+    # M_p(1, f) tends to exp(mean log|f|) = 1 as p -> 0 (Jensen: 1 + 0.2 w
+    # has no zero in the disk).
+    f = HarmonicMap(a=(0, 1), b=(0.2,))
+    for p in (sys.float_info.min, 2.3e-308):
+        for fv in (hardy_mean(f, p, 1.0), hardy_norm(f, p)):
+            assert abs(fv.value - 1.0) <= fv.error_estimate
 
 
 def test_hardy_norm_sup_mode():

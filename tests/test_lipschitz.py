@@ -168,10 +168,11 @@ def test_cond_c_rejects_oversized_radius():
 
 
 def _disk_mean_one_probe(f, z0, r):
-    """(1 / |D(z0, r)|) int |f - f(z0)| dA by its own evaluation of f."""
-    from harmap.grids import gauss_legendre_01
+    """(1 / |D(z0, r)|) int |f - f(z0)| dA by its own evaluation of f, on the
+    nodes of ``_probe_grids``."""
+    from harmap.grids import _roots_legendre_01
 
-    x, wts = gauss_legendre_01(32)
+    x, wts = _roots_legendre_01(32)
     rho = r * x
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     vals = np.abs(f(z0 + rho[:, None] * np.exp(1j * theta)[None, :]) - f(z0))

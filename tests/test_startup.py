@@ -6,11 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy.special import roots_legendre
-
-from harmap.grids import gauss_legendre_01
-
 ROOT = Path(__file__).resolve().parents[1]
 
 PRELUDE = """
@@ -42,6 +37,7 @@ def test_import_fuzz_and_the_query_functionals_load_no_scipy(tmp_path):
 f = verify.fuzz_corpus(verify.FuzzSpec(count=4, degree=8, seed=0))[0]
 core.map_json_bytes(f)
 functionals.area_sup(f)
+functionals.area_quadrature(f, 0.9)
 functionals.length_sup(f)
 functionals.hardy_norm(f, 2)
 functionals.hardy_norm(f, math.inf)
@@ -50,6 +46,9 @@ core.coeff_from_contour(f, 1, 0.9, 4 * f.degree)
 core.save_map(f, "map.json")
 for name in ("area", "length", "hardy", "bloch"):
     assert cli.main(["functional", "--map", "map.json", "--name", name]) == 0
+for name in ("area", "length", "hardy"):
+    assert cli.main(["functional", "--map", "map.json", "--name", name, "--r", "0.5"]) == 0
+assert cli.main(["functional", "--map", "map.json", "--name", "hardy", "--p", "0.5"]) == 0
 assert cli.main(["fuzz", "--count", "2", "--degree", "4", "--out", "corpus"]) == 0
 # Nor does a campaign of suites that need no quadrature nodes.
 cli.run_config(cli.SuiteConfig(suites=("three-circles", "hardy-area", "isoperimetric")))
@@ -57,12 +56,20 @@ cli.run_config(cli.SuiteConfig(suites=("three-circles", "hardy-area", "isoperime
     assert loaded_after(body, tmp_path) == []
 
 
-def test_area_quadrature_loads_scipy_special_and_no_quad(tmp_path):
+def test_area_quadrature_loads_no_scipy(tmp_path):
     body = """
 functionals.area_quadrature(verify.builtin_maps()["identity"], 0.9)
-assert "scipy.special" in sys.modules
 """
-    assert not [m for m in loaded_after(body, tmp_path) if m.startswith("scipy.integrate")]
+    assert loaded_after(body, tmp_path) == []
+
+
+def test_lipschitz_16_still_loads_scipy_special(tmp_path):
+    # Its disk means read scipy's Gauss-Legendre rule, which the pinned
+    # campaign digest holds bit for bit.
+    body = """
+cli.run_config(cli.SuiteConfig(suites=("lipschitz-16",), fuzz=None))
+"""
+    assert "scipy.special" in loaded_after(body, tmp_path)
 
 
 def test_majorant_integrals_load_quad(tmp_path):
@@ -70,10 +77,3 @@ def test_majorant_integrals_load_quad(tmp_path):
 lipschitz.PowerMajorant(0.5).head_integral(0.1)
 """
     assert "scipy.integrate" in loaded_after(body, tmp_path)
-
-
-def test_gauss_legendre_nodes_are_transplanted_bit_for_bit():
-    for n in (1, 2, 7, 64, 128):
-        x, w = roots_legendre(n)
-        nodes, weights = gauss_legendre_01(n)
-        assert np.array_equal(nodes, 0.5 * (x + 1.0)) and np.array_equal(weights, 0.5 * w)
