@@ -10,8 +10,10 @@ each on its own sources, the parent first in even pairs and the change
 first in odd ones. For every metric a run prints
 (the end-to-end metrics of its result line and the rows of its table, such
 as ``wall_s`` and the per-kind latencies of ``query``) the summary gives
-each side's median and quartiles and the pairs the change won, ties
-counting for neither. A gain is claimed when the change wins at least nine
+each side's median and quartiles, the pairs the change won, ties
+counting for neither, and the median of the per-pair ratios change / parent
+(``pair_ratio_median``), which the host's drift between pairs moves less
+than it moves either side's median. A gain is claimed when the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than the
 parent's interquartile range. A metric with a bound in ``BENCHMARK.json``
 is within it when the change's median is no worse than the parent's by
@@ -77,6 +79,7 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
         med_p, med_c = statistics.median(parent), statistics.median(change)
         q_p, q_c = _quartiles(parent), _quartiles(change)
         gain = sign * (med_p - med_c)  # > 0: the change is better
+        ratios = [cv / pv for pv, cv in zip(parent, change) if pv]
         bound = spec.get(name, {}).get("bound")
         out[name] = {
             "parent": parent,
@@ -86,6 +89,7 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
             "parent_quartiles": list(q_p),
             "change_quartiles": list(q_c),
             "relative_change": (med_c - med_p) / med_p if med_p else None,
+            "pair_ratio_median": statistics.median(ratios) if ratios else None,
             "wins": wins,
             "losses": losses,
             "pairs": len(pairs),
@@ -131,12 +135,13 @@ def main() -> int:
     metrics = summarize(pairs, declared["end_to_end"])
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(f"  {'metric':16s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
-          f" {'wins':>6s}  gain  bound")
+          f" {'ratio':>7s} {'wins':>6s}  gain  bound")
     for name, m in metrics.items():
         shown = [f"{m[f'{side}_median']:.4g} [{m[f'{side}_quartiles'][0]:.4g}, "
                  f"{m[f'{side}_quartiles'][1]:.4g}]" for side in ("parent", "change")]
+        ratio = "-" if m["pair_ratio_median"] is None else f"{m['pair_ratio_median']:.4g}"
         bound = "-" if m["within_bound"] is None else "ok" if m["within_bound"] else "WORSE"
-        print(f"  {name:16s} {shown[0]:>30s} {shown[1]:>30s} {m['wins']:>3d}/{m['pairs']:<2d}"
+        print(f"  {name:16s} {shown[0]:>30s} {shown[1]:>30s} {ratio:>7s} {m['wins']:>3d}/{m['pairs']:<2d}"
               f"  {'yes' if m['gain_claimed'] else 'no':4s}  {bound}")
     summary = {
         "workload": args.workload,

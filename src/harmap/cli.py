@@ -504,9 +504,10 @@ def _cmd_verify(args) -> int:
             write_csv(reports, fh)
         else:
             write_json_lines(reports, fh)
-    # A pass is unresolved when |margin| <= error_estimate: at the computed
-    # accuracy the row cannot tell the claim from its failure.
-    unresolved = sum(rep.status == PASS and abs(rep.margin) <= rep.error_estimate
+    # A pass is unresolved when margin <= error_estimate: at the computed
+    # accuracy the row cannot tell the claim from its failure. That holds
+    # for a negative margin that the row's slack lets pass, too.
+    unresolved = sum(rep.status == PASS and rep.margin <= rep.error_estimate
                      for rep in reports)
     print(
         f"{len(reports)} checks: {counts[PASS]} pass ({unresolved} unresolved), "

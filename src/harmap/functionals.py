@@ -15,24 +15,30 @@ Conventions
   ``grids.gauss_legendre_01``'s numpy rule, so no functional loads scipy.
 * Polar tensor grids (radii times uniform angles) are evaluated one ring at
   a time by an inverse FFT, ``core._ring_fields`` and ``core._ring_values``:
-  the area quadrature, the finite-p Hardy means and the coarse scan of a
-  circle max. Scattered points (polish steps) go through Horner. The
-  grids whose values feed the pinned campaign digest (the memoized grid
-  scan ``core._grid_scan``, whose Lambda_f the disk suprema read, and the
-  circle lengths) stay on Horner until that digest is re-pinned.
-  A length's two resolutions share one evaluation: the n-angle rule reads
-  the even nodes of the 2n-angle one (:func:`_circle_lengths`).
-* Suprema start from a coarse grid max and refine it by one array
-  golden-section search, :func:`_golden_polish`; the value never falls
-  below the coarse max. Disk suprema (:func:`grid_sup`) polish a batch of
-  maps in radius and angle, each map's result equal to its run on its own,
-  and the gap closed by the last stage is the error estimate.
+  the area quadrature, the finite-p Hardy means and the samples of a circle
+  max. A ring's Jacobian has trigonometric degree 2(N - 1), so the area
+  quadrature takes at most 2N angles a ring, where its rule is already
+  exact. Scattered points (the disk suprema's polish steps) go through
+  Horner. The grids whose values feed the pinned campaign digest (the
+  memoized grid scan ``core._grid_scan``, whose Lambda_f the disk suprema
+  read, and the circle lengths) stay on Horner until that digest is
+  re-pinned. A length's two resolutions share one evaluation: the n-angle
+  rule reads the even nodes of the 2n-angle one (:func:`_circle_lengths`).
+* Disk suprema (:func:`grid_sup`) start from a coarse grid max and refine it
+  by one array golden-section search, :func:`_golden_polish`; the value
+  never falls below the coarse max. They polish a batch of maps in radius
+  and angle, each map's result equal to its run on its own, and the gap
+  closed by the last stage is the error estimate.
   A probe's abscissa depends on the left/right decisions before it and
   not on the values, so one evaluation covers several steps: every
   abscissa they could probe, a tree of up to 127 a problem and 128 a call,
   computed by the float operations of the step-by-step search, so with
-  its bits. The max of |f| on a circle is polished in angle, and its gain
-  over the coarse max is the error estimate.
+  its bits.
+* The max of |f| on a circle is proved, not polished (:func:`_circle_max`):
+  there |f|^2 is a trigonometric polynomial of degree 2N, whose Fourier
+  coefficients bound it on every arc to third order, and branch and bound
+  on arcs closes the gap to about 1e-13 relative. The gap plus a rounding
+  term is the error estimate.
 * Boundary values follow the maximum principle: for p >= 1, |f|^p is
   subharmonic, so the h^p norm is M_p(1, f) (Hardy's convexity theorem),
   and S_f(1) is the exact maximum of a polynomial in r^2. The dyadic ladder
@@ -79,7 +85,7 @@ QUADRATURE = "quadrature"
 GRID_SUP = "grid-sup"
 
 _EPS = float(np.finfo(float).eps)
-# Abscissa tolerance of every sup's refinement, the golden-section bracket.
+# Abscissa tolerance of the disk suprema's refinement, the golden-section bracket.
 _SUP_TOL = 1e-10
 _AREA_BLOCK = 1 << 16  # quadrature nodes whose derivative fields are held at once
 
@@ -160,16 +166,22 @@ def area_quadrature(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -
     """S_f(r) by direct integration of the Jacobian over the disk of radius r.
 
     Gauss-Legendre in radius and the uniform trapezoid rule in angle; both
-    are exact for polynomial integrands once radial_nodes >= degree, so this
-    is an independent oracle for the coefficient series.
+    are exact for polynomial integrands once radial_nodes >= degree and the
+    angles number at least 2N, so this is an independent oracle for the
+    coefficient series. On a ring the Jacobian is a trigonometric polynomial
+    of degree 2(N - 1), which the trapezoid rule on m > 2(N - 1) angles
+    integrates exactly: every such m gives the same rule, so each resolution
+    (``angular_nodes`` angles and twice as many) takes at most 2N. A request
+    below 2N keeps its aliased rule, and node doubling flags it.
     """
     q = q or QuadratureSpec()
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     if q.radial_nodes < f.degree:
         raise ValueError("radial_nodes must be at least the map degree")
-    v1 = _area_polar(f, r, q.radial_nodes, q.angular_nodes)
-    v2 = _area_polar(f, r, 2 * q.radial_nodes, 2 * q.angular_nodes)
+    exact = 2 * f.degree
+    v1 = _area_polar(f, r, q.radial_nodes, min(q.angular_nodes, exact))
+    v2 = _area_polar(f, r, 2 * q.radial_nodes, min(2 * q.angular_nodes, exact))
     return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
 
 
@@ -251,24 +263,102 @@ _P_MIN = sys.float_info.min
 _P_MESSAGE = f"p must be inf or at least {_P_MIN!r}, the smallest normal float"
 
 
+_CIRCLE_GAP = 1e-13  # an arc whose bound is within this share of the best F is dropped
+_CIRCLE_ARCS = 1 << 12  # arcs alive at most: the search stops rather than hold more
+_CIRCLE_BLOCK = 1 << 16  # centres x frequencies of one direct sum (1 MiB of complex)
+
+
+def _circle_max(f: HarmonicMap, r: float, n: int) -> tuple[FunctionalValue, float]:
+    """max |f| on |z| = r with a proved error, and an angle where |f| is that
+    value to within the error: branch and bound on arcs (Piyavskii 1972,
+    Shubert 1972) for F = |f / s|^2, s = sum |a_k| r^k + sum |b_k| r^k, so
+    that F <= 1 cannot overflow.
+
+    F is a real trigonometric polynomial of degree d = 2N, so one FFT of its
+    values at n >= 2d + 1 uniform angles (:func:`~harmap.core._ring_values`)
+    gives its coefficients F^_k, and inverse FFTs give F, F' and F'' there:
+    the centres of n arcs of half-width pi / n. By Taylor's theorem F is at
+    most F(c) + |F'(c)| t + max(F''(c), 0) t^2 / 2 + M3 t^3 / 6 on the arc of
+    half-width t around c, with M3 = sum over |k| <= d of |k|^3 |F^_k| >=
+    max |F'''|. Each round drops the arcs whose bound is within
+    ``_CIRCLE_GAP`` of the best F found and trisects the others; F, F' and
+    F'' at the new centres are direct sums over F^, elementwise (no BLAS
+    product). The search ends when no arc is left, or with the gap it has
+    proved when more than ``_CIRCLE_ARCS`` would be.
+
+    Rounding: with sum |F^_k| <= (sum |coefficients| / s)^2 = 1, a value of F
+    read off the coefficients is taken to be off by at most delta = eps (9d +
+    3 sqrt(2d + 1) log2 n): the sample and FFT errors, a few eps log2 n a
+    value, summed over the 2d + 1 coefficients by Parseval and
+    Cauchy-Schwarz, then the phase error of e^(ikc), at most 2 pi d eps a
+    term, and the sequential sum of d terms. The same errors scaled by |k|,
+    k^2 and |k|^3 enter the bound through F', F'' and M3, which at t <= pi /
+    (2d + 1) adds at most 4 delta. The value is s sqrt(best F), and the
+    error covers s sqrt(best - delta) to s sqrt(upper + 5 delta), where upper
+    is the largest bound left: both ends are linear in s."""
+    d = 2 * f.degree
+    if n < 2 * d + 1:
+        raise ValueError("n must be at least 4N + 1 angles")
+    rk = float(r) ** np.arange(f.degree + 1)
+    s = float(np.sum(np.abs(f._a_arr) * rk) + np.sum(np.abs(f._b_full) * rk))
+    if s == 0.0:
+        return FunctionalValue(0.0, GRID_SUP, 0.0), 0.0
+    k = np.arange(d + 1)
+    fh = np.fft.rfft(_abs2(_ring_values(f, r, n)[0] / s), norm="forward")[: d + 1]
+    rows = np.zeros((3, n // 2 + 1), dtype=complex)  # F^, (ik) F^, (ik)^2 F^ for k >= 0
+    rows[:, : d + 1] = fh, 1j * k * fh, -(k * k) * fh
+    arcs = np.empty((4, n))  # centre, F, F', F'' of each arc alive
+    arcs[0] = np.arange(n) * (2.0 * np.pi / n)
+    arcs[1:] = np.fft.irfft(rows, n, norm="forward")
+    # At a centre c, F = F^_0 + Re sum_{k >= 1} 2 F^_k e^(ikc), and so for F' and F''.
+    weights = 2.0 * rows[:, 1 : d + 1]
+    ik = 1j * k[1:]
+    m3 = 2.0 * float(np.sum(k**3 * np.abs(fh)))
+    delta = _EPS * (9 * d + 3.0 * math.sqrt(2 * d + 1) * math.log2(n))
+    t = math.pi / n
+    j = int(np.argmax(arcs[1]))
+    best, angle = float(arcs[1, j]), float(arcs[0, j])
+    upper = best
+    step = max(1, _CIRCLE_BLOCK // d)
+    while True:
+        _, F, F1, F2 = arcs
+        bound = F + t * (np.abs(F1) + t * (np.maximum(F2, 0.0) / 2.0 + t * (m3 / 6.0)))
+        keep = bound > best * (1.0 + _CIRCLE_GAP)
+        upper = max(upper, float(np.max(bound, where=~keep, initial=upper)))
+        alive = int(np.count_nonzero(keep))
+        if not alive or 3 * alive > _CIRCLE_ARCS:
+            upper = max(upper, float(np.max(bound, where=keep, initial=upper)))
+            break
+        arcs, t = arcs[:, keep], t / 3.0
+        new = np.empty((4, 2 * alive))  # the outer thirds; the middle one keeps its centre
+        new[0, :alive], new[0, alive:] = arcs[0] - 2.0 * t, arcs[0] + 2.0 * t
+        for i in range(0, 2 * alive, step):
+            e = np.exp(np.multiply.outer(new[0, i : i + step], ik))
+            new[1:, i : i + step] = np.einsum("mk,jk->jm", e, weights).real
+        new[1] += fh[0].real
+        j = int(np.argmax(new[1]))
+        if new[1, j] > best:
+            best, angle = float(new[1, j]), float(new[0, j])
+        arcs = np.concatenate((arcs, new), axis=1)
+    value = s * math.sqrt(best)
+    error = max(s * math.sqrt(upper + 5.0 * delta) - value, value - s * math.sqrt(max(best - delta, 0.0)))
+    return FunctionalValue(value, GRID_SUP, error), angle
+
+
 def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """Integral mean M_p(r, f), 0 < r <= 1; for p = inf, the max of |f| on
-    |z| = r: a scan of 4 ``angular_nodes`` angles (one inverse FFT), then one
-    :func:`_golden_polish` within a grid spacing of the best angle, whose
-    gain over the coarse max is the error estimate."""
+    """Integral mean M_p(r, f), 0 < r <= 1, by the trapezoid rule on
+    ``angular_nodes`` and twice as many angles, whose difference is the error
+    estimate. For p = inf, the max of |f| on |z| = r with a proved error,
+    :func:`_circle_max`, from the smallest power of two above 8N angles: the
+    search needs 4N + 1, and twice that starts it narrower for about the
+    same cost. ``angular_nodes`` plays no part there."""
     q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if p != math.inf and not p >= _P_MIN:
         raise ValueError(_P_MESSAGE)
     if p == math.inf:
-        theta = np.linspace(0.0, 2.0 * np.pi, 4 * q.angular_nodes, endpoint=False)
-        vals = np.abs(_ring_values(f, r, theta.size)[0])
-        j = int(np.argmax(vals))
-        t, dt = theta[j : j + 1], theta[1] - theta[0]
-        v, _ = _golden_polish(lambda ts: np.abs(f(r * np.exp(1j * ts))), t - dt, t + dt, vals[j : j + 1], t)
-        v, coarse = float(v[0]), float(vals[j])
-        return FunctionalValue(v, GRID_SUP, max(v - coarse, _error_floor(v)))
+        return _circle_max(f, r, 1 << (8 * f.degree).bit_length())[0]
     v1 = float(_circle_pmeans(f, r, p, q.angular_nodes)[0])
     v2 = float(_circle_pmeans(f, r, p, 2 * q.angular_nodes)[0])
     return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))

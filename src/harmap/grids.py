@@ -96,10 +96,11 @@ class QuadratureSpec:
         # Gauss-Legendre nodes cost time quadratic in their number (area_quadrature doubles them).
         if not 1 <= self.radial_nodes <= 1024:
             raise ValueError("radial_nodes must lie in 1..1024")
-        # The ladder sups scan 20 x 2 angular_nodes points, a p = inf Hardy mean 4 angular_nodes.
+        # The ladder sups scan 20 x 2 angular_nodes points. area_quadrature takes at most
+        # 2N of them a ring, and a p = inf Hardy mean sizes its samples by the degree alone.
         if not 8 <= self.angular_nodes <= 1 << 14 or self.angular_nodes % 2 != 0:
             raise ValueError("angular_nodes must be even and lie in 8..16384")
-        if self.radial_nodes * self.angular_nodes > 1 << 20:  # area_quadrature doubles both
+        if self.radial_nodes * self.angular_nodes > 1 << 20:  # area_quadrature doubles both, angles up to 2N
             raise ValueError("radial_nodes * angular_nodes must be at most 2^20")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be >= 10000 for area verdicts")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 import sys
 import warnings
 
@@ -30,7 +31,7 @@ from harmap import (
     wirtinger,
 )
 
-from harmap.functionals import _PROBES, FunctionalValue
+from harmap.functionals import _CIRCLE_BLOCK, FunctionalValue
 
 from conftest import (
     AFFINE_HALF,
@@ -125,6 +126,44 @@ def test_area_quadrature_matches_the_series_on_the_query_corpus():
     for f in fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42)):
         fv = area_quadrature(f, 0.9)
         assert abs(fv.value - area_series(f, 0.9).value) <= fv.error_estimate
+
+
+def test_area_quadrature_caps_its_angles_where_the_rule_is_exact():
+    # The Jacobian on a ring has degree 2(N - 1), so the 2N-angle rule is
+    # the angular_nodes one: the full recipe, rebuilt here, agrees with the
+    # capped value within its error estimate.
+    from harmap.functionals import _area_polar
+    from harmap.verify import builtin_maps
+
+    q = QuadratureSpec()
+    maps = [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42))]
+    for f in maps:
+        for r in (0.5, 0.9):
+            fv = area_quadrature(f, r)
+            full = _area_polar(f, r, 2 * q.radial_nodes, 2 * q.angular_nodes)
+            assert abs(fv.value - full) <= fv.error_estimate
+
+
+def test_area_quadrature_keeps_an_aliased_request(monkeypatch):
+    # Below 2N angles the rule aliases: both resolutions keep their counts,
+    # and node doubling still sees the difference.
+    import harmap.functionals as functionals
+
+    angles = []
+    area_polar = functionals._area_polar
+
+    def recording(f, r, n_rad, n_ang):
+        angles.append(n_ang)
+        return area_polar(f, r, n_rad, n_ang)
+
+    monkeypatch.setattr(functionals, "_area_polar", recording)
+    f = fuzz_corpus(FuzzSpec(count=1, degree=32, seed=42))[0]
+    aliased = area_quadrature(f, 0.9, QuadratureSpec(angular_nodes=8))
+    area_quadrature(f, 0.9, QuadratureSpec(angular_nodes=48))
+    area_quadrature(f, 0.9)
+    assert angles == [8, 16, 48, 64, 64, 64]
+    assert abs(aliased.value - area_series(f, 0.9).value) <= aliased.error_estimate
+    assert aliased.error_estimate > 1e-6
 
 
 def test_area_monotone_for_dominant_maps(small_corpus):
@@ -340,24 +379,33 @@ def test_circle_max_matches_golden_polish(small_corpus):
 
 
 def test_hardy_norm_inf_is_batched(monkeypatch, small_corpus):
-    calls = []
-    call = HarmonicMap.__call__
+    # One ring of samples, the smallest power of two above 8N, and no
+    # pointwise evaluation; the refinement's direct sums take at most
+    # _CIRCLE_BLOCK centre-frequency terms a call.
+    import harmap.functionals as functionals
 
-    def counting(self, z):
-        calls.append((np.ndim(z), np.size(z)))
-        return call(self, z)
+    rings, sums = [], []
+    ring_values, einsum = functionals._ring_values, np.einsum
 
-    monkeypatch.setattr(HarmonicMap, "__call__", counting)
-    hardy_norm(small_corpus[0], math.inf)
-    # One circle, one golden-section search: its first two probes in one
-    # call, then the probe trees of the later steps, each one call.
-    assert calls[0] == (2, 2) and len(calls) > 1
-    assert all(ndim == 2 and 0 < size <= _PROBES for ndim, size in calls[1:])
+    def counting_rings(f, rs, n_ang):
+        rings.append((np.size(rs), n_ang))
+        return ring_values(f, rs, n_ang)
+
+    def counting_sums(spec, e, w):
+        sums.append(e.size)
+        return einsum(spec, e, w)
+
+    monkeypatch.setattr(functionals, "_ring_values", counting_rings)
+    monkeypatch.setattr(np, "einsum", counting_sums)
+    f = small_corpus[0]
+    hardy_norm(f, math.inf)
+    assert rings == [(1, 1 << (8 * f.degree).bit_length())]
+    assert sums and max(sums) <= _CIRCLE_BLOCK
 
 
 def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_corpus):
-    # Tensor grids go through the ring kernel; only the p = inf polish
-    # (one circle, at most _PROBES angles a call) is evaluated pointwise.
+    # Tensor grids go through the ring kernel, and the circle max reads its
+    # refinement off the Fourier coefficients: nothing is evaluated pointwise.
     import harmap.core as core
     import harmap.functionals as functionals
 
@@ -379,9 +427,126 @@ def test_query_functionals_evaluate_no_full_grid_pointwise(monkeypatch, small_co
     area_quadrature(f, 0.9)
     hardy_norm(f, 2)
     core.coeff_from_contour(f, 1, 0.9, 4 * f.degree)
-    assert points == []
     hardy_norm(f, math.inf)
-    assert points and max(points) <= _PROBES
+    hardy_mean(f, math.inf, 0.9)
+    assert points == []
+
+
+def _power(n, c=1.0):
+    return HarmonicMap(a=(0,) * n + (c,), b=(0,) * n)
+
+
+def _circle_max(f, r):
+    from harmap.functionals import _circle_max
+
+    return _circle_max(f, r, 1 << (8 * f.degree).bit_length())
+
+
+@pytest.mark.parametrize("f", [IDENTITY, SQUARE, _power(32), _power(5, 0.3 - 0.4j), CONSTANT],
+                         ids=["identity", "square", "z^32", "scaled-z^5", "constant"])
+@pytest.mark.parametrize("r", [1.0, 0.7])
+def test_circle_max_of_a_flat_modulus_finishes_at_once(monkeypatch, f, r):
+    # |c z^n| = |c| r^n at every angle: the first bounds drop every arc, so
+    # no direct sum runs, and the gap is rounding.
+    sums = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: sums.append(1) or einsum(*args))
+    fv, _ = _circle_max(f, r)
+    n = f.degree if f.a[f.degree] else 0
+    want = abs(f.a[n]) * r**n
+    assert sums == []
+    assert abs(fv.value - want) <= fv.error_estimate <= 1e-12 * want
+
+
+@pytest.mark.parametrize("a1, b1", [(1.0, 0.5), (0.3 - 0.4j, 0.2j), (2.0, 0.0), (0.5, 1.5j)])
+@pytest.mark.parametrize("r", [1.0, 0.6])
+def test_circle_max_of_affine_maps(a1, b1, r):
+    # |a1 z + conj(b1 z)| peaks at (|a1| + |b1|) r, once the phases align.
+    fv, _ = _circle_max(HarmonicMap(a=(0, a1), b=(b1,)), r)
+    want = (abs(a1) + abs(b1)) * r
+    assert abs(fv.value - want) <= fv.error_estimate <= 1e-12 * want
+
+
+def _exact_modulus2(f, r, angle):
+    """|f|^2 at the float point r (cos angle, sin angle), in exact rationals."""
+    x, y = Fraction(r) * Fraction(math.cos(angle)), Fraction(r) * Fraction(math.sin(angle))
+
+    def horner(coeffs, sign):  # sum c_k (x + sign i y)^k as a (re, im) pair
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(coeffs):
+            re, im = re * x - sign * im * y + Fraction(c.real), re * sign * y + im * x + Fraction(c.imag)
+        return re, im
+
+    hre, him = horner(f.a, 1)
+    gre, gim = horner((0j, *f.b), 1)
+    re, im = hre + gre, him - gim  # h + conj(g)
+    return re * re + im * im
+
+
+def test_circle_max_interval_holds_the_exact_modulus_at_its_angle(degree_32_maps):
+    # The proved interval value +- error contains |f| at the returned angle,
+    # evaluated in rationals; its relative width stays below 1e-12.
+    for f in degree_32_maps:
+        for r in (1.0, 0.9):
+            fv, angle = _circle_max(f, r)
+            lo, hi = fv.value - fv.error_estimate, fv.value + fv.error_estimate
+            assert Fraction(lo) ** 2 <= _exact_modulus2(f, r, angle) <= Fraction(hi) ** 2
+            assert fv.error_estimate <= 1e-12 * fv.value
+
+
+@pytest.mark.parametrize("c", [1e50, 1e-50])
+def test_hardy_norm_inf_scales_with_the_map(degree_32_maps, c):
+    # The search runs on f / s, so c f gives c times the value and the
+    # error, up to the rounding of the scaled coefficients.
+    for f in degree_32_maps[:4]:
+        base, scaled = hardy_norm(f, math.inf), hardy_norm(f.scaled(c), math.inf)
+        assert scaled.value == pytest.approx(c * base.value, rel=1e-14)
+        assert abs(scaled.error_estimate - c * base.error_estimate) <= 1e-14 * c * base.value
+
+
+def test_circle_max_at_degree_1024_stays_within_the_cap():
+    # A degree-1024 map (the largest a map file may have): the search ends
+    # with few arcs alive, in bounded memory, and its interval holds the max
+    # of 2^16 samples.
+    import tracemalloc
+
+    from harmap.core import MAX_FILE_DEGREE, _ring_values
+
+    rng = np.random.default_rng(3)
+    n = np.arange(1, MAX_FILE_DEGREE + 1)
+    a = (rng.normal(size=MAX_FILE_DEGREE) + 1j * rng.normal(size=MAX_FILE_DEGREE)) / n
+    b = (rng.normal(size=MAX_FILE_DEGREE) + 1j * rng.normal(size=MAX_FILE_DEGREE)) / (n + 1)
+    f = HarmonicMap(a=(0.1, *a), b=tuple(b))
+    tracemalloc.start()
+    try:
+        fv, _ = _circle_max(f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    dense = float(np.abs(_ring_values(f, 1.0, 1 << 16)).max())
+    assert dense <= fv.value + fv.error_estimate and fv.error_estimate <= 1e-9 * fv.value
+
+
+def test_circle_max_reports_the_gap_at_the_cap(monkeypatch):
+    # z + 0.3 conj(z)^2 peaks at 1.3 at three angles. With room for 3 arcs
+    # the search stops after the first bounds, and its wider gap still
+    # holds the max; with the default cap it closes to rounding.
+    import harmap.functionals as functionals
+
+    f = HarmonicMap(a=(0, 1, 0), b=(0, 0.3))
+    fv, _ = _circle_max(f, 1.0)
+    assert abs(fv.value - 1.3) <= fv.error_estimate <= 1e-12
+    monkeypatch.setattr(functionals, "_CIRCLE_ARCS", 3)
+    capped, _ = _circle_max(f, 1.0)
+    assert abs(capped.value - 1.3) <= capped.error_estimate and capped.error_estimate > 1e-6
+
+
+def test_circle_max_needs_the_degree_in_samples():
+    from harmap.functionals import _circle_max
+
+    with pytest.raises(ValueError, match="4N"):
+        _circle_max(SQUARE, 1.0, 8)
 
 
 LINEAR_HALF = HarmonicMap(a=(0, 0.5), b=(0,))

@@ -92,6 +92,22 @@ def test_bench_pairs_claims_no_gain_inside_the_parents_spread():
     assert m["bloch_ms"]["losses"] == 10 and m["bloch_ms"]["relative_change"] > 0
 
 
+def test_bench_pairs_stores_the_median_pair_ratio():
+    # The host drifts 2x between pairs and the change is 0.9x of the parent
+    # in each: the medians' gap (0.15) is inside the parent's interquartile
+    # range (1.0), so no gain is claimed, but the median pair ratio reads 0.9.
+    # A parent reading 0 gives no ratio.
+    bench = _bench_pairs()
+    parent_cpu = [1.0, 2.0] * 5
+    pairs = [(bench.parse_output(_run_output(p, 70.0, 20.0 * (i > 0))),
+              bench.parse_output(_run_output(0.9 * p, 70.0, 10.0))) for i, p in enumerate(parent_cpu)]
+    m = bench.summarize(pairs, DECLARED)
+    assert m["cpu_s"]["wins"] == 10 and not m["cpu_s"]["gain_claimed"]
+    assert m["cpu_s"]["pair_ratio_median"] == pytest.approx(0.9, rel=1e-15)
+    assert m["peak_rss_mb"]["pair_ratio_median"] == 1.0
+    assert m["bloch_ms"]["pair_ratio_median"] == 0.5  # the median of 9 ratios, pair 1's dropped
+
+
 def _row(name, lhs, rhs, status="pass", n=None, error=0.0):
     """A report row as ``harmap verify`` writes it; a non-finite side is its repr."""
     margin = None if lhs is None or rhs is None else rhs - float(lhs)
