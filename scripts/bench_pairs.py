@@ -13,11 +13,11 @@ as ``wall_s`` and the per-kind latencies of ``query``) the summary gives
 each side's median and quartiles, the pairs the change won, ties
 counting for neither, and the median of the per-pair ratios change / parent
 (``pair_ratio_median``), which the host's drift between pairs moves less
-than it moves either side's median. A gain is claimed when the change wins at least nine
-tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range. A metric with a bound in ``BENCHMARK.json``
-is within it when the change's median is no worse than the parent's by
-more than that fraction. The summary is printed and stored in ``--out``, a
+than it moves either side's median. A gain is claimed when the change wins
+at least nine tenths of the pairs and its median beats the parent's by
+more than the parent's interquartile range. A metric with a bound in
+``BENCHMARK.json`` is within it when the change's median is no worse than
+the parent's by more than that fraction. The summary is printed and stored in ``--out``, a
 JSON object keyed by ``workload/seed``; the file's other keys are kept.
 """
 
