@@ -207,7 +207,7 @@ SUITES = {
     "three-circles": _per_map(lambda f, cfg, q: [verify_three_circles(f, r1, r)
                                                  for r1, r in cfg.three_circles_pairs]),
     "area-overlap": _per_map(lambda f, cfg, q: [verify_area_overlap(f, q=q, grid=cfg.grid)]),
-    "hardy-area": _per_map(lambda f, cfg, q: [verify_hardy_area(f, q, cfg.grid)]),
+    "hardy-area": _per_map(lambda f, cfg, q: [verify_hardy_area(f, cfg.grid)]),
     "coeff-bound": _per_map(lambda f, cfg, q: verify_coeff_bound(f, q, cfg.grid)),
     "gradient-bound": _gradient_bound,
     "isoperimetric": _per_map(lambda f, cfg, q: [verify_isoperimetric(f, r, q)

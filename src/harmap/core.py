@@ -298,13 +298,15 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k c[k] z^k by numpy polyval's recurrence (out = c_k + out*z), so
     a result matches polyval bit for bit, zero padding included. ``c`` holds
     the coefficients of one polynomial (L,), or of P polynomials (L, P) with
-    z's leading axis running over them. An array z is stepped in place in one
-    buffer, with the bits of the out-of-place recurrence (a test holds it to
-    them); a 0-d z stays on numpy scalars."""
+    z's leading axis running over them. A z of two or more points is stepped
+    in place in one buffer, with the bits of the out-of-place recurrence (a
+    test holds it to them). One point is stepped out of place, on numpy
+    scalars when z is 0-d: numpy's in-place multiply of a one-element array
+    can round otherwise, and then a point would not keep its bits alone."""
     c = c.reshape(c.shape + (1,) * (z.ndim - c.ndim + 1))
     out = c[-1] + z * 0
     for k in range(len(c) - 2, -1, -1):
-        if z.ndim:
+        if z.size > 1:
             np.add(c[k], np.multiply(out, z, out=out), out=out)
         else:
             out = c[k] + out * z

@@ -10,20 +10,20 @@ Conventions
 -----------
 * Areas are normalized (the identity map has S(r) = r^2); lengths are not.
 * Quadrature values report the finer of two resolutions, with the difference
-  between the two as ``error_estimate`` (an a-posteriori bound, not a guess).
+  between the two as ``error_estimate`` (an a-posteriori bound, not a guess),
+  by one rule, :func:`_doubling`. The two share one evaluation: the n-angle
+  rule reads the even nodes of the 2n-angle one (:func:`_circle_lengths`).
   The radial Gauss-Legendre nodes of :func:`area_quadrature` are
   ``grids.gauss_legendre_01``'s numpy rule, so no functional loads scipy.
 * Polar tensor grids (radii times uniform angles) are evaluated one ring at
   a time by an inverse FFT, ``core._ring_fields`` and ``core._ring_values``:
   the area quadrature, the finite-p Hardy means and the samples of a circle
-  max. A ring's Jacobian has trigonometric degree 2(N - 1), so the area
-  quadrature takes at most 2N angles a ring, where its rule is already
-  exact. Scattered points (the disk suprema's polish steps) go through
-  Horner. The grids whose values feed the pinned campaign digest (the
-  memoized grid scan ``core._grid_scan``, whose Lambda_f the disk suprema
-  read, and the circle lengths) stay on Horner until that digest is
-  re-pinned. A length's two resolutions share one evaluation: the n-angle
-  rule reads the even nodes of the 2n-angle one (:func:`_circle_lengths`).
+  max. A ring's Jacobian has trigonometric degree N - 1, so the area
+  quadrature's N and 2N angles a ring are both exact, as are its N radii.
+  Scattered points (the disk suprema's polish steps) go through Horner. The
+  grids whose values feed the pinned campaign digest (the memoized grid scan
+  ``core._grid_scan``, whose Lambda_f the disk suprema read, and the circle
+  lengths) stay on Horner until that digest is re-pinned.
 * Disk suprema (:func:`grid_sup`) start from a coarse grid max and refine it
   by one array golden-section search, :func:`_golden_polish`; the value
   never falls below the coarse max. They polish a batch of maps in radius
@@ -87,7 +87,7 @@ GRID_SUP = "grid-sup"
 _EPS = float(np.finfo(float).eps)
 # Abscissa tolerance of the disk suprema's refinement, the golden-section bracket.
 _SUP_TOL = 1e-10
-_AREA_BLOCK = 1 << 16  # quadrature nodes whose derivative fields are held at once
+_AREA_BLOCK = 1 << 16  # area nodes whose fields are held at once: all rings up to N = 181
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,12 @@ class FunctionalValue:
 
 def _error_floor(value: float) -> float:
     return 8.0 * _EPS * max(1.0, abs(value))
+
+
+def _doubling(fine: float, coarse: float) -> FunctionalValue:
+    """A quadrature at two resolutions: the finer value, with the gap between
+    the two (at least the rounding floor) as its error estimate."""
+    return FunctionalValue(fine, QUADRATURE, max(abs(fine - coarse), _error_floor(fine)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +154,36 @@ def area_sup(f: HarmonicMap) -> FunctionalValue:
     return FunctionalValue(max(0.0, s_one, *s_crit.tolist()), SERIES, 0.0)
 
 
-def _area_polar(f: HarmonicMap, r: float, n_rad: int, n_ang: int) -> float:
-    """(1/pi) * int_0^{2pi} int_0^r J rho drho dtheta, trapezoid x Gauss-Legendre,
-    summed over blocks of rings of at most _AREA_BLOCK nodes (one by default)."""
+def _area_polar(f: HarmonicMap, r: float, n_rad: int, n_ang: int) -> tuple[float, float]:
+    """(1/pi) * int_0^{2pi} int_0^r J rho drho dtheta by Gauss-Legendre on
+    n_rad radii times the trapezoid rule on n_ang and on n_ang / 2 angles,
+    (fine, coarse), from one evaluation of the fields in blocks of rings of
+    at most _AREA_BLOCK nodes. The coarse rule reads the even angles, as in
+    :func:`_circle_lengths`."""
     x, w = gauss_legendre_01(n_rad)
     rho = r * x
     wr = w * rho
-    step = _AREA_BLOCK // n_ang  # at least 2: QuadratureSpec caps n_ang at 2^15 here
+    step = max(1, _AREA_BLOCK // n_ang)
     for s in range(0, n_rad, step):
         fz, fzbar = _ring_fields(f, rho[s : s + step], n_ang)
         part = wr[s : s + step] @ (_abs2(fz) - _abs2(fzbar))
         total = part if s == 0 else total + part
-    return float((2.0 * r / n_ang) * np.sum(total))
+    return tuple(float((2.0 * r / m) * np.sum(total[::k])) for m, k in ((n_ang, 1), (n_ang // 2, 2)))
 
 
-def area_quadrature(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """S_f(r) by direct integration of the Jacobian over the disk of radius r.
+def area_quadrature(f: HarmonicMap, r: float) -> FunctionalValue:
+    """S_f(r) by direct integration of the Jacobian over the disk of radius r,
+    an independent oracle for the coefficient series.
 
-    Gauss-Legendre in radius and the uniform trapezoid rule in angle; both
-    are exact for polynomial integrands once radial_nodes >= degree and the
-    angles number at least 2N, so this is an independent oracle for the
-    coefficient series. On a ring the Jacobian is a trigonometric polynomial
-    of degree 2(N - 1), which the trapezoid rule on m > 2(N - 1) angles
-    integrates exactly: every such m gives the same rule, so each resolution
-    (``angular_nodes`` angles and twice as many) takes at most 2N. A request
-    below 2N keeps its aliased rule, and node doubling flags it.
+    The angular mean of J on |z| = rho is a polynomial of degree 2(N - 1) in
+    rho, so Gauss-Legendre on N radii integrates J rho exactly; on a ring J is
+    a trigonometric polynomial of degree N - 1, which the trapezoid rule on
+    N angles integrates exactly. One evaluation on N radii times 2N angles
+    gives both rules, and their difference is a rounding-level estimate.
     """
-    q = q or QuadratureSpec()
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    if q.radial_nodes < f.degree:
-        raise ValueError("radial_nodes must be at least the map degree")
-    exact = 2 * f.degree
-    v1 = _area_polar(f, r, q.radial_nodes, min(q.angular_nodes, exact))
-    v2 = _area_polar(f, r, 2 * q.radial_nodes, min(2 * q.angular_nodes, exact))
-    return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
+    return _doubling(*_area_polar(f, r, f.degree, 2 * f.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,7 @@ def length_function(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -
     q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0 - 1e-9:
         raise ValueError("r must lie in (0, 1 - 1e-9]")
-    v2, v1 = (float(v[0]) for v in _circle_lengths(f, r, q.angular_nodes))
-    return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
+    return _doubling(*(float(v[0]) for v in _circle_lengths(f, r, q.angular_nodes)))
 
 
 def _ladder_sup(fine: np.ndarray, coarse: np.ndarray) -> FunctionalValue:
@@ -244,17 +244,20 @@ def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalVal
 # ---------------------------------------------------------------------------
 
 
-def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> np.ndarray:
-    """M_p(r, f) for an array of radii, by the periodic trapezoid rule, as
-    m exp(log1p(mean(expm1(p log(|f|/m)))) / p) with m each ring's maximum of
-    |f|: a large p neither underflows nor overflows, and a small one does not
-    cancel (M_p tends to exp(mean log|f|) as p -> 0). A zero of f adds
-    expm1(-inf) = -1 to the mean; a ring where f = 0 gives 0."""
-    vals = np.abs(_ring_values(f, rs, n_ang))
+def _circle_pmeans(f: HarmonicMap, rs, p: float, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_p(r, f) for an array of radii by the periodic trapezoid rule on
+    2 n_ang and on n_ang angles, (fine, coarse), from one evaluation on the
+    fine nodes whose even nodes the coarse rule reads (:func:`_circle_lengths`).
+    Each is m exp(log1p(mean(expm1(p log(|f|/m)))) / p) with m the ring's
+    maximum of |f| on the fine nodes: a large p neither underflows nor
+    overflows, and a small one does not cancel (M_p tends to exp(mean log|f|)
+    as p -> 0). A zero of f adds expm1(-inf) = -1 to the mean; a ring where
+    f = 0 gives 0."""
+    vals = np.abs(_ring_values(f, rs, 2 * n_ang))
     top = vals.max(axis=1)
     with np.errstate(divide="ignore"):  # log 0 = -inf, and log1p(-1) where f = 0 on a ring
-        logs = np.log(vals / np.where(top > 0.0, top, 1.0)[:, None])
-        return top * np.exp(np.log1p(np.mean(np.expm1(p * logs), axis=1)) / p)
+        terms = np.expm1(p * np.log(vals / np.where(top > 0.0, top, 1.0)[:, None]))
+        return tuple(top * np.exp(np.log1p(np.mean(terms[:, ::k], axis=1)) / p) for k in (1, 2))
 
 
 # Below the smallest normal float, p log(|f|/m) in _circle_pmeans turns subnormal
@@ -359,9 +362,7 @@ def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = No
         raise ValueError(_P_MESSAGE)
     if p == math.inf:
         return _circle_max(f, r, 1 << (8 * f.degree).bit_length())[0]
-    v1 = float(_circle_pmeans(f, r, p, q.angular_nodes)[0])
-    v2 = float(_circle_pmeans(f, r, p, 2 * q.angular_nodes)[0])
-    return FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
+    return _doubling(*(float(v[0]) for v in _circle_pmeans(f, r, p, q.angular_nodes)))
 
 
 def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> FunctionalValue:
@@ -372,10 +373,7 @@ def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> Fun
     if not p >= _P_MIN:
         raise ValueError(_P_MESSAGE)
     q = q or QuadratureSpec()
-    rs = r_ladder()
-    return _ladder_sup(
-        _circle_pmeans(f, rs, p, 2 * q.angular_nodes), _circle_pmeans(f, rs, p, q.angular_nodes)
-    )
+    return _ladder_sup(*_circle_pmeans(f, r_ladder(), p, q.angular_nodes))
 
 
 # ---------------------------------------------------------------------------

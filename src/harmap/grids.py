@@ -1,11 +1,11 @@
 """Sampling grids, quadrature settings and the dyadic radius ladder.
 
 These are the shared discretization knobs: a polar evaluation grid on a
-closed sub-disk (for sup estimation and sign scans), node counts for
-radial Gauss-Legendre x angular trapezoid quadrature, Monte Carlo sample
-sizes, the ladder of radii 1 - 2^-k used to approach the boundary, and
-:func:`disk_sample`, the one area-uniform random sampler of a disk that every
-Monte Carlo estimate and random pair set draws from.
+closed sub-disk (for sup estimation and sign scans), the angular node
+count of circle quadrature, Monte Carlo sample sizes, the ladder of radii
+1 - 2^-k used to approach the boundary, and :func:`disk_sample`, the one
+area-uniform random sampler of a disk that every Monte Carlo estimate and
+random pair set draws from.
 
 numpy is the one module-level dependency of the package, and
 :func:`gauss_legendre_01` builds its rule with numpy alone, so the fuzzer and
@@ -80,28 +80,23 @@ _DEFAULT_GRID = Grid()
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution settings for disk/circle integrals and Monte Carlo areas.
+    """Resolution settings for circle integrals and Monte Carlo areas.
 
     angular_nodes must be even (the trapezoid rule is paired with node
     doubling); mc_samples must be at least 10^4 so that Monte Carlo area
-    verdicts carry a meaningful 3-sigma band.
+    verdicts carry a meaningful 3-sigma band. The disk integral
+    ``area_quadrature`` and a p = inf Hardy mean size their nodes by the map
+    degree alone.
     """
 
-    radial_nodes: int = 64
     angular_nodes: int = 256
     mc_samples: int = 1_000_000
     seed: int = 42
 
     def __post_init__(self):
-        # Gauss-Legendre nodes cost time quadratic in their number (area_quadrature doubles them).
-        if not 1 <= self.radial_nodes <= 1024:
-            raise ValueError("radial_nodes must lie in 1..1024")
-        # The ladder sups scan 20 x 2 angular_nodes points. area_quadrature takes at most
-        # 2N of them a ring, and a p = inf Hardy mean sizes its samples by the degree alone.
+        # The ladder sups scan 20 x 2 angular_nodes points.
         if not 8 <= self.angular_nodes <= 1 << 14 or self.angular_nodes % 2 != 0:
             raise ValueError("angular_nodes must be even and lie in 8..16384")
-        if self.radial_nodes * self.angular_nodes > 1 << 20:  # area_quadrature doubles both, angles up to 2N
-            raise ValueError("radial_nodes * angular_nodes must be at most 2^20")
         if self.mc_samples < 10_000:
             raise ValueError("mc_samples must be >= 10000 for area verdicts")
         if self.mc_samples > 4_000_000:  # an overlap estimate peaks at about 45 B a sample

@@ -351,11 +351,7 @@ def verify_area_overlap(
     )
 
 
-def verify_hardy_area(
-    f: HarmonicMap,
-    q: QuadratureSpec | None = None,
-    grid: Grid | None = None,
-) -> VerificationReport:
+def verify_hardy_area(f: HarmonicMap, grid: Grid | None = None) -> VerificationReport:
     """Hardy-area bound ||f||_2^2 <= K A(f(D)) for maps vanishing at 0.
 
     The squared h^2 norm is the coefficient sum over n >= 1 of

@@ -275,8 +275,9 @@ def test_horner_in_place_keeps_the_out_of_place_bits(grid):
     points[0] = 0.0  # the origin
     for degree in range(1, 65):
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        for z in (points, grid.nodes, np.zeros(3, dtype=complex)):
-            assert _same_bits(_horner(c, z), _horner_out_of_place(c, z)), degree
+        for z in (points, grid.nodes, np.zeros(3, dtype=complex),
+                  *(points[size : 2 * size] for size in range(1, 9))):
+            assert _same_bits(_horner(c, z), _horner_out_of_place(c, z)), (degree, z.size)
         for z0 in (0j, complex(points[1])):
             got = _horner(c, np.asarray(z0))
             assert np.ndim(got) == 0 and _same_bits(got, _horner_out_of_place(c, np.asarray(z0)))
