@@ -363,6 +363,8 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"output": {"path": "no-such-dir/rows.jsonl"}},
         {"output": {"path": "."}},
         {"quadrature": {"angular_nodes": 10**9}},
+        {"quadrature": {"radial_nodes": 10**9}},
+        {"quadrature": {"radial_nodes": 1024, "angular_nodes": 2048}},
         {"quadrature": {"radial_nodes": 64}},
         {"fuzz": {"count": 10**12}},
         {"gradient_sample_count": 10**12},
@@ -382,8 +384,9 @@ def test_verify_malformed_config(tmp_path, capsys):
          "map-boolean-coefficient", "map-three-entry-pair", "map-unknown-key",
          "map-degree-over-cap", "grid-too-many-nodes", "too-many-mc-samples",
          "integer-beyond-float-range", "nan-target-k", "output-in-missing-directory",
-         "output-is-a-directory", "too-many-angular-nodes",
-         "radial-nodes-is-an-unknown-key", "fuzz-count-over-cap", "too-many-gradient-samples",
+         "output-is-a-directory", "too-many-angular-nodes", "too-many-radial-nodes",
+         "too-many-quadrature-nodes", "radial-nodes-is-an-unknown-key",
+         "fuzz-count-over-cap", "too-many-gradient-samples",
          "sampled-majorants-one-label", "power-majorants-one-label",
          "three-circles-pairs-one-name", "isoperimetric-radii-one-name",
          "map-files-one-basename"],
