@@ -27,11 +27,14 @@ that decides sense preservation and the distortion constant K:
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
 numpy's pairwise summation on fixed-shape arrays, which makes results
-independent of evaluation order. The one per-campaign memo lives here:
-while :func:`_campaign_memo` is open, the :func:`_memoized` per-map scans of
-every module are kept by argument, and dropped after. A campaign opens one
-per block of maps whose memoized arrays fit its byte budget together, so
-each map's scans stay in it for all the suites of its block.
+independent of evaluation order. :func:`coeff_from_contour` keeps the
+coefficients of the last ring it read in one module-level tuple, replaced
+whole, so a reader sees one consistent entry. The one per-campaign memo
+lives here: while :func:`_campaign_memo` is open, the :func:`_memoized`
+per-map scans of every module are kept by argument, and dropped after. A
+campaign opens one per block of maps whose memoized arrays fit its byte
+budget together, so each map's scans stay in it for all the suites of its
+block.
 """
 
 from __future__ import annotations
@@ -449,28 +452,39 @@ def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservatio
     return _read_only(stretch), sense, K
 
 
+_CONTOUR: tuple | None = None  # ((f, r, m), a_1..a_N, b_1..b_N) of the last ring read
+
+
 def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[complex, complex]:
     """Recover (a_n, b_n) from circle integrals of the derivative fields.
 
     n a_n and n b_n are the means over |z| = r of f_z(z) z^(1-n) and of
     conj(f_zbar(z)) z^(1-n); the trapezoid rule on m uniform nodes evaluates
-    both exactly (up to rounding) once m clears the aliasing threshold. The
-    fields come from the ring kernel :func:`_on_rings` and the weights from
-    the contour points, so the round trip checks the stored coefficients
-    against that kernel; a test holds the kernel to Horner on the same grids.
+    both exactly (up to rounding) once m clears the aliasing threshold. On
+    m nodes these means are entry n - 1 of one forward FFT of each field
+    (:func:`_ring_fields`), scaled by r^-(n-1) / m, so one read of the ring
+    gives every n. It is kept for the last (f, r, m), read-only, so a loop
+    over n evaluates the ring once. The round trip checks that a forward
+    FFT undoes the ring kernel's powers r^k and inverse FFT, folding
+    included; a test holds the kernel to Horner on the same grids.
     """
+    global _CONTOUR
     if not 1 <= n <= f.degree:
         raise ValueError("n must lie in 1..N")
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     if m < 4 * f.degree:
         raise ValueError("m must be at least 4N contour nodes")
-    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    fz, fzbar = _ring_fields(f, r, m)
-    w = (r * np.exp(1j * theta)) ** (1 - n)
-    a_n = complex(np.mean(fz[0] * w) / n)
-    b_n = complex(np.mean(np.conjugate(fzbar[0]) * w) / n)
-    return a_n, b_n
+    key, ring = (f, r, m), _CONTOUR
+    if ring is None or ring[0] != key:
+        fz, fzbar = _ring_fields(f, r, m)
+        k = np.arange(f.degree)
+        with np.errstate(over="ignore"):  # r^-k past the float range: that a_n is lost anyway
+            scale = r ** -k / m / (k + 1)
+        ring = (key, *_read_only(np.fft.fft(fz[0])[: f.degree] * scale,
+                                 np.fft.fft(np.conjugate(fzbar[0]))[: f.degree] * scale))
+        _CONTOUR = ring
+    return complex(ring[1][n - 1]), complex(ring[2][n - 1])
 
 
 @lru_cache(maxsize=8)

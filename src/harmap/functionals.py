@@ -31,14 +31,18 @@ Conventions
   closed by the last stage is the error estimate.
   A probe's abscissa depends on the left/right decisions before it and
   not on the values, so one evaluation covers several steps: every
-  abscissa they could probe, a tree of up to 127 a problem and 128 a call,
-  computed by the float operations of the step-by-step search, so with
-  its bits.
+  abscissa they could probe, at most 128 a call, computed by the float
+  operations of the step-by-step search, so with its bits. For one map a
+  stage's first call holds its bracket points c, d and the trees of the 6
+  steps after either outcome of their comparison (128 abscissas), and each
+  later call a tree of 7 steps (127); the origin's Lambda_f = |a_1| + |b_1|
+  is read off the coefficients.
 * The max of |f| on a circle is proved, not polished (:func:`_circle_max`):
   there |f|^2 is a trigonometric polynomial of degree 2N, whose Fourier
   coefficients bound it on every arc to third order, and branch and bound
   on arcs closes the gap to about 1e-13 relative. The gap plus a rounding
-  term is the error estimate.
+  term relative to |f|^2 itself, bounded in a probabilistic model, is the
+  error estimate.
 * Boundary values follow the maximum principle: for p >= 1, |f|^p is
   subharmonic, so the h^p norm is M_p(1, f) (Hardy's convexity theorem),
   and S_f(1) is the exact maximum of a polynomial in r^2. The dyadic ladder
@@ -196,12 +200,16 @@ def _circle_lengths(f: HarmonicMap, rs, n_ang: int) -> tuple[np.ndarray, np.ndar
     and on n_ang angles, (fine, coarse), from one evaluation on the fine
     nodes. The coarse rule reads their even nodes: node 2j of 2n uniform
     angles is node j of n bit for bit, and numpy's pairwise sum over the
-    strided view makes the same additions as over a copy."""
+    strided view makes the same additions as over a copy. The integrand is
+    formed in the fields' own buffers, with no temporary of their size;
+    numpy's complex multiply is not symmetric in its operands' bits, so
+    the phase stays the first operand."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     theta = np.linspace(0.0, 2.0 * np.pi, 2 * n_ang, endpoint=False)
     z = rs[:, None] * np.exp(1j * theta)[None, :]
     fz, fzbar = wirtinger(f, z)
-    integrand = np.abs(fz - np.exp(-2j * theta)[None, :] * fzbar)
+    np.multiply(np.exp(-2j * theta)[None, :], fzbar, out=fzbar)
+    integrand = np.abs(np.subtract(fz, fzbar, out=fz))
     return tuple(rs * (2.0 * np.pi / m) * integrand[:, ::step].sum(axis=1)
                  for m, step in ((2 * n_ang, 1), (n_ang, 2)))
 
@@ -269,36 +277,47 @@ _P_MESSAGE = f"p must be inf or at least {_P_MIN!r}, the smallest normal float"
 _CIRCLE_GAP = 1e-13  # an arc whose bound is within this share of the best F is dropped
 _CIRCLE_ARCS = 1 << 12  # arcs alive at most: the search stops rather than hold more
 _CIRCLE_BLOCK = 1 << 16  # centres x frequencies of one direct sum (1 MiB of complex)
+_ROUNDING_SIGMAS = 8.0  # the lambda of _circle_max's probabilistic rounding bound
 
 
 def _circle_max(f: HarmonicMap, r: float, n: int) -> tuple[FunctionalValue, float]:
-    """max |f| on |z| = r with a proved error, and an angle where |f| is that
-    value to within the error: branch and bound on arcs (Piyavskii 1972,
-    Shubert 1972) for F = |f / s|^2, s = sum |a_k| r^k + sum |b_k| r^k, so
-    that F <= 1 cannot overflow.
+    """max |f| on |z| = r with an error proved up to rounding (which is
+    bounded in a probabilistic model), and an angle where |f| is that value
+    to within the error: branch and bound on arcs (Piyavskii 1972, Shubert
+    1972) for F = |f / s|^2, s = sum |a_k| r^k + sum |b_k| r^k, so that
+    F <= 1 cannot overflow.
 
     F is a real trigonometric polynomial of degree d = 2N, so one FFT of its
     values at n >= 2d + 1 uniform angles (:func:`~harmap.core._ring_values`)
     gives its coefficients F^_k, and inverse FFTs give F, F' and F'' there:
     the centres of n arcs of half-width pi / n. By Taylor's theorem F is at
-    most F(c) + |F'(c)| t + max(F''(c), 0) t^2 / 2 + M3 t^3 / 6 on the arc of
-    half-width t around c, with M3 = sum over |k| <= d of |k|^3 |F^_k| >=
+    most F(c) + |F'(c)| w + max(F''(c), 0) w^2 / 2 + M3 w^3 / 6 on the arc of
+    half-width w around c, with M3 = sum over |k| <= d of |k|^3 |F^_k| >=
     max |F'''|. Each round drops the arcs whose bound is within
     ``_CIRCLE_GAP`` of the best F found and trisects the others; F, F' and
     F'' at the new centres are direct sums over F^, elementwise (no BLAS
     product). The search ends when no arc is left, or with the gap it has
     proved when more than ``_CIRCLE_ARCS`` would be.
 
-    Rounding: with sum |F^_k| <= (sum |coefficients| / s)^2 = 1, a value of F
-    read off the coefficients is taken to be off by at most delta = eps (9d +
-    3 sqrt(2d + 1) log2 n): the sample and FFT errors, a few eps log2 n a
-    value, summed over the 2d + 1 coefficients by Parseval and
-    Cauchy-Schwarz, then the phase error of e^(ikc), at most 2 pi d eps a
-    term, and the sequential sum of d terms. The same errors scaled by |k|,
-    k^2 and |k|^3 enter the bound through F', F'' and M3, which at t <= pi /
-    (2d + 1) adds at most 4 delta. The value is s sqrt(best F), and the
-    error covers s sqrt(best - delta) to s sqrt(upper + 5 delta), where upper
-    is the largest bound left: both ends are linear in s."""
+    Rounding is bounded relative to F itself, not to s^2, so a map whose
+    terms cancel on the circle keeps a tight error. The centres lie on
+    multiples of q = 2^(bitlen(d) - 50), where k c is exact for |k| <= d, so
+    a phase e^(ikc) is off by about eps at any k: the first ones are rounded
+    there, and a trisection moves them by 2t rounded to a multiple of q. A
+    bound takes w = t + q, t the arc's nominal half-width, which covers
+    those shifts. With A = sum |F^_k| >= max F and R = (sum
+    |F^_k|^2)^(1/2), the root mean square of the samples of F, the sample and
+    FFT errors leave F^ off by at most 3 eps log2 n (R + 2 sqrt(A F^_0)) in
+    norm (Parseval), and the sequential sum of d terms adds u sqrt(d) A a
+    standard deviation, u = eps / 2. The errors are taken as independent, as
+    in the probabilistic rounding analysis of Higham and Mary (2019), and
+    bounded at lambda = ``_ROUNDING_SIGMAS`` deviations: a value of F is off
+    by at most delta = lambda eps (3 log2 n (R + 2 sqrt(A F^_0)) + sqrt(d) A /
+    2). The same errors scaled by |k|, k^2 and |k|^3 enter the bound through
+    F', F'' and M3, so a bound is off by at most delta e^(d w). The value is
+    s sqrt(best F), and the error covers s sqrt(best - delta) to s
+    sqrt(upper), where upper is the largest bound plus its rounding: both
+    ends are linear in s."""
     d = 2 * f.degree
     if n < 2 * d + 1:
         raise ValueError("n must be at least 4N + 1 angles")
@@ -311,30 +330,38 @@ def _circle_max(f: HarmonicMap, r: float, n: int) -> tuple[FunctionalValue, floa
     rows = np.zeros((3, n // 2 + 1), dtype=complex)  # F^, (ik) F^, (ik)^2 F^ for k >= 0
     rows[:, : d + 1] = fh, 1j * k * fh, -(k * k) * fh
     arcs = np.empty((4, n))  # centre, F, F', F'' of each arc alive
-    arcs[0] = np.arange(n) * (2.0 * np.pi / n)
+    q = 2.0 ** (d.bit_length() - 50)  # |c| < 8 and |k| <= d, so |k c / q| < 2^53
+    arcs[0] = np.rint(np.arange(n) * (2.0 * np.pi / n) / q) * q
     arcs[1:] = np.fft.irfft(rows, n, norm="forward")
     # At a centre c, F = F^_0 + Re sum_{k >= 1} 2 F^_k e^(ikc), and so for F' and F''.
     weights = 2.0 * rows[:, 1 : d + 1]
     ik = 1j * k[1:]
-    m3 = 2.0 * float(np.sum(k**3 * np.abs(fh)))
-    delta = _EPS * (9 * d + 3.0 * math.sqrt(2 * d + 1) * math.log2(n))
+    mag = np.abs(fh)
+    m3 = 2.0 * float(np.sum(k**3 * mag))
+    mean, size = float(mag[0]), 2.0 * float(np.sum(mag)) - float(mag[0])  # F^_0 and A
+    rms = math.sqrt(2.0 * float(mag @ mag) - mean * mean)
+    delta = _ROUNDING_SIGMAS * _EPS * (3.0 * math.log2(n) * (rms + 2.0 * math.sqrt(size * mean))
+                                       + math.sqrt(d) * size / 2.0)
     t = math.pi / n
     j = int(np.argmax(arcs[1]))
     best, angle = float(arcs[1, j]), float(arcs[0, j])
-    upper = best
+    upper = best + delta
     step = max(1, _CIRCLE_BLOCK // d)
     while True:
         _, F, F1, F2 = arcs
-        bound = F + t * (np.abs(F1) + t * (np.maximum(F2, 0.0) / 2.0 + t * (m3 / 6.0)))
+        w = t + q
+        bound = F + w * (np.abs(F1) + w * (np.maximum(F2, 0.0) / 2.0 + w * (m3 / 6.0)))
         keep = bound > best * (1.0 + _CIRCLE_GAP)
-        upper = max(upper, float(np.max(bound, where=~keep, initial=upper)))
+        rounding = delta * math.exp(d * w)
+        upper = max(upper, float(np.max(bound, where=~keep, initial=-np.inf)) + rounding)
         alive = int(np.count_nonzero(keep))
         if not alive or 3 * alive > _CIRCLE_ARCS:
-            upper = max(upper, float(np.max(bound, where=keep, initial=upper)))
+            upper = max(upper, float(np.max(bound, where=keep, initial=-np.inf)) + rounding)
             break
         arcs, t = arcs[:, keep], t / 3.0
         new = np.empty((4, 2 * alive))  # the outer thirds; the middle one keeps its centre
-        new[0, :alive], new[0, alive:] = arcs[0] - 2.0 * t, arcs[0] + 2.0 * t
+        shift = round(2.0 * t / q) * q  # a multiple of q, so the new centres are exact
+        new[0, :alive], new[0, alive:] = arcs[0] - shift, arcs[0] + shift
         for i in range(0, 2 * alive, step):
             e = np.exp(np.multiply.outer(new[0, i : i + step], ik))
             new[1:, i : i + step] = np.einsum("mk,jk->jm", e, weights).real
@@ -344,17 +371,17 @@ def _circle_max(f: HarmonicMap, r: float, n: int) -> tuple[FunctionalValue, floa
             best, angle = float(new[1, j]), float(new[0, j])
         arcs = np.concatenate((arcs, new), axis=1)
     value = s * math.sqrt(best)
-    error = max(s * math.sqrt(upper + 5.0 * delta) - value, value - s * math.sqrt(max(best - delta, 0.0)))
+    error = max(s * math.sqrt(upper) - value, value - s * math.sqrt(max(best - delta, 0.0)))
     return FunctionalValue(value, GRID_SUP, error), angle
 
 
 def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
     """Integral mean M_p(r, f), 0 < r <= 1, by the trapezoid rule on
     ``angular_nodes`` and twice as many angles, whose difference is the error
-    estimate. For p = inf, the max of |f| on |z| = r with a proved error,
-    :func:`_circle_max`, from the smallest power of two above 8N angles: the
-    search needs 4N + 1, and twice that starts it narrower for about the
-    same cost. ``angular_nodes`` plays no part there."""
+    estimate. For p = inf, the max of |f| on |z| = r with an error proved
+    up to rounding, :func:`_circle_max`, from the smallest power of two above
+    8N angles: the search needs 4N + 1, and twice that starts it narrower
+    for about the same cost. ``angular_nodes`` plays no part there."""
     q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
@@ -429,7 +456,10 @@ def _golden_polish(evaluate, lo, hi, v, x):
     repeats the float operations of a step (h = h * phi once a step, then
     the probe a + w * h), so each abscissa has the bits the step would give
     it, and the step's comparison picks the next node. At k = 1 a call is
-    one step.
+    one step. The first call evaluates the bracket points c, d, and with
+    them, when 2^(k+1) P <= ``_PROBES`` for some k >= 1, the trees of the k
+    steps after either outcome of their comparison: 2^(k+1) abscissas a
+    problem (k = 6 at P = 1), and the outcome picks one tree.
     """
     a, b = np.minimum(lo, hi), np.maximum(lo, hi)
     h = b - a
@@ -438,45 +468,78 @@ def _golden_polish(evaluate, lo, hi, v, x):
     narrow = h <= _SUP_TOL
     c = np.where(narrow, 0.5 * (a + b), a + _INV_PHI2 * h)
     d = np.where(narrow, c, a + _INV_PHI * h)
-    yc, yd = evaluate(np.stack((c, d), axis=1)).T
-    trail = [(c, d, yc, yd)]
     count, total = len(steps), max(steps, default=1)
     rows = np.arange(count)
-    depth = max(1, (_PROBES // max(count, 1) + 1).bit_length() - 1)
-    while len(trail) < total:
-        cols, children, levels = _probe_tree(min(depth, total - len(trail)))
+    trail = []
+
+    def tree(left, k):
+        """The probe table of the k steps after the decision ``left`` at the
+        state (a, c, d, h), and h after them."""
+        cols, _, levels = _probe_tree(k)
         # The max lies in [a, d]: d takes c's place and the probe is the new
         # c. Else in [c, b]: a and c move to c and d, and it is the new d.
-        left = yc > yd
-        h = h * _INV_PHI
-        a = np.where(left, a, c)
-        probe = a + np.where(left, _INV_PHI2, _INV_PHI) * h
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        hk = h * _INV_PHI
         xs = np.empty((count, 3 + cols.shape[1]))
-        xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3] = a, c, d, probe
+        xs[:, 0] = np.where(left, a, c)
+        xs[:, 3] = probe = xs[:, 0] + np.where(left, _INV_PHI2, _INV_PHI) * hk
+        xs[:, 1], xs[:, 2] = np.where(left, probe, d), np.where(left, c, probe)
         for src, weight, fill in levels:
-            h = h * _INV_PHI
-            xs[:, fill] = xs[:, src] + h[:, None] * weight
+            hk = hk * _INV_PHI
+            xs[:, fill] = xs[:, src] + hk[:, None] * weight
+        return xs, hk
+
+    def advance(k, left, xs, ys):
+        """Append the k steps of an evaluated table to the trail; returns a
+        after them (c, d and their values are the trail's last entry)."""
+        cols, children, levels = _probe_tree(k)
+        yc, yd = trail[-1][2:]
+        ys[:, 1] = np.where(left, ys[:, 3], yd)
+        ys[:, 2] = np.where(left, yc, ys[:, 3])
+        trail.append((xs[:, 1], xs[:, 2], ys[:, 1], ys[:, 2]))
+        if not levels:
+            return xs[:, 0]
+        # Each node's comparison names its next node; walk them from node 0
+        # and read each step's state off the table.
+        inner = cols[1:, : children.shape[1]]
+        after = np.where(ys[:, inner[0]] > ys[:, inner[1]], children[0], children[1])
+        path = np.zeros((count, len(levels) + 1), dtype=int)
+        for j in range(len(levels)):
+            path[:, j + 1] = after[rows, path[:, j]]
+        at = cols[:, path[:, 1:]] + (rows * xs.shape[1])[:, None]
+        (pa, pc, pd), (pyc, pyd) = xs.take(at), ys.take(at[1:])
+        trail.extend(zip(pc.T, pd.T, pyc.T, pyd.T))
+        return pa[:, -1]
+
+    # The first call's depth: the largest k with 2^(k+1) P <= _PROBES, and at
+    # most the steps left after the pair (c, d).
+    fold = min((_PROBES // max(count, 1)).bit_length() - 2, total - 1)
+    if fold >= 1:
+        (xl, h), (xr, _) = tree(True, fold), tree(False, fold)
+        ys = evaluate(np.concatenate((np.stack((c, d), axis=1), xl[:, 3:], xr[:, 3:]), axis=1))
+        trail.append((c, d, ys[:, 0], ys[:, 1]))
+        left, m = ys[:, 0] > ys[:, 1], xl.shape[1] - 1
+        xs, tree_ys = np.where(left[:, None], xl, xr), np.empty_like(xl)
+        tree_ys[:, 3:] = np.where(left[:, None], ys[:, 2:m], ys[:, m:])
+        a = advance(fold, left, xs, tree_ys)
+    else:
+        trail.append((c, d, *evaluate(np.stack((c, d), axis=1)).T))
+    depth = max(1, (_PROBES // max(count, 1) + 1).bit_length() - 1)
+    while len(trail) < total:
+        c, d, yc, yd = trail[-1]
+        k, left = min(depth, total - len(trail)), yc > yd
+        xs, h = tree(left, k)
         ys = np.empty_like(xs)
         ys[:, 3:] = evaluate(xs[:, 3:])
-        yc, yd = np.where(left, ys[:, 3], yd), np.where(left, yc, ys[:, 3])
-        trail.append((c, d, yc, yd))
-        if levels:
-            # Each node's comparison names its next node; walk them from
-            # node 0 and read each step's state off the table.
-            ys[:, 1], ys[:, 2] = yc, yd
-            inner = cols[1:, : children.shape[1]]
-            after = np.where(ys[:, inner[0]] > ys[:, inner[1]], children[0], children[1])
-            path = np.zeros((count, len(levels) + 1), dtype=int)
-            for j in range(len(levels)):
-                path[:, j + 1] = after[rows, path[:, j]]
-            at = cols[:, path[:, 1:]] + (rows * xs.shape[1])[:, None]
-            (pa, pc, pd), (pyc, pyd) = xs.take(at), ys.take(at[1:])
-            trail.extend(zip(pc.T, pd.T, pyc.T, pyd.T))
-            a, (c, d, yc, yd) = pa[:, -1], trail[-1]
+        a = advance(k, left, xs, ys)
     c, d, yc, yd = np.array(trail)[np.array(steps, dtype=int) - 1, :, rows].T
     found, at = np.where(yc > yd, yc, yd), np.where(yc > yd, c, d)
     return np.where(found > v, found, v), np.where(found > v, at, x)
+
+
+def _origin_stretch(stack: MapStack) -> np.ndarray:
+    """Lambda_f(0) = |a_1| + |b_1| of each map of the stack: the bits of
+    ``_stretch`` at z = 0, where Horner's recurrence returns c_0 exactly."""
+    return np.abs(stack._da[0]) + np.abs(stack._db[0])
 
 
 def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
@@ -493,9 +556,10 @@ def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
     of all maps on their :class:`~harmap.core.MapStack`, whose evaluations
     cover several golden-section steps each when there are few maps (7 for
     one map, 1 from 43 maps on), and each result equals the run of that map
-    alone. The abscissas are evaluated as contiguous (maps, M) arrays of
-    radii and angles, each point by the same elementwise operations as when
-    each call held one point a map.
+    alone. Lambda_f at the origin is read off the stack's coefficients
+    (:func:`_origin_stretch`). The abscissas are evaluated as contiguous
+    (maps, M) arrays of radii and angles, each point by the same elementwise
+    operations as when each call held one point a map.
     """
     grid = grid or _DEFAULT_GRID
     stack, count = MapStack(maps), len(maps)
@@ -505,7 +569,7 @@ def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
         return ratio(_stretch(stack, z), z)
 
     radii, angles = grid.radii, grid.angles
-    origin = at(np.zeros((count, 1)), np.zeros((count, 1)))[:, 0]
+    origin = ratio(_origin_stretch(stack)[:, None], np.zeros((count, 1), dtype=complex))[:, 0]
     v, flat = np.empty(count), np.empty(count, dtype=int)
     for p, f in enumerate(maps):
         vals = ratio(_grid_scan(f, grid)[0], grid.nodes)

@@ -24,7 +24,9 @@ majorant are estimated as empirical constants:
 with d(z) = 1 - |z| the boundary distance. Each takes a map side that no
 majorant enters (Lambda_f on the grid, the pair quotients, the disk means,
 the segment fields of hl-17), which a campaign's memo keeps once per map for
-all its majorants (``core._memoized``). :func:`verify_hl_equivalence`
+all its majorants (``core._memoized``), and C2 and C3 a majorant side that no
+map enters (omega on the pairs and at the probe radii), cached once per
+majorant value. :func:`verify_hl_equivalence`
 checks the two implications between the gradient bound
 Lambda_f <= C omega(d)/d and the modulus-of-continuity bound
 |f(z)-f(w)| <= C omega(|z-w|) on the unit disk, using straight segments as
@@ -395,9 +397,15 @@ def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) 
 def cond_b_constant(f: HarmonicMap, omega: Majorant) -> float:
     """Smallest empirical C with |f(z)-f(w)| / |z-w| <= C omega(1/sqrt(d d'))
     over :func:`default_pair_sample`."""
+    return float(np.max(_pair_quotients(f) / _pair_weights(omega)))
+
+
+@lru_cache(maxsize=64)
+def _pair_weights(omega: Majorant) -> np.ndarray:
+    """omega(1/sqrt(d d')) on the pairs: the majorant's side of
+    :func:`cond_b_constant`, once per majorant value. Cached, read-only."""
     z, w = default_pair_sample()
-    weight = omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w))))
-    return float(np.max(_pair_quotients(f) / weight))
+    return _read_only(omega(1.0 / np.sqrt((1.0 - np.abs(z)) * (1.0 - np.abs(w)))))
 
 
 @_memoized
@@ -460,7 +468,15 @@ def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
     beyond d(center) are rejected.
     """
     probes = tuple((z0, tuple(fr)) for z0, fr in probes or default_mean_probes())
-    return max([0.0, *(mean / (r * omega(1.0 / r)) for r, mean in _disk_means(f, probes))])
+    scales = _mean_scales(omega, probes)
+    return max([0.0, *(mean / scale for (_, mean), scale in zip(_disk_means(f, probes), scales))])
+
+
+@lru_cache(maxsize=64)
+def _mean_scales(omega: Majorant, probes) -> tuple[float, ...]:
+    """r omega(1/r) at each probe radius r: the majorant's side of
+    :func:`cond_c_constant`, once per (majorant value, probes)."""
+    return tuple(r * omega(1.0 / r) for r in _probe_grids(probes)[1])
 
 
 # ---------------------------------------------------------------------------

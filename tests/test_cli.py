@@ -587,6 +587,29 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
     assert calls == Counter({(cfg.majorants[0], 1.0, 24): 1, (cfg.majorants[1], 1.0, 24): 1})
 
 
+def test_lipschitz_16_weighs_by_each_majorant_once(monkeypatch):
+    # The default campaign's 54 maps through lipschitz-16 with two majorants
+    # no other test uses: C2's weights on the pair sample and C3's r omega(1/r)
+    # at the 18 probe radii are computed once per majorant, not once per map
+    # (108 pair calls and 1944 scalar calls before).
+    import harmap.lipschitz as lipschitz
+
+    shapes = Counter()
+    call = lipschitz.Majorant.__call__
+
+    def counting(omega, t):
+        shapes[np.shape(t)] += 1
+        return call(omega, t)
+
+    monkeypatch.setattr(lipschitz.Majorant, "__call__", counting)
+    cfg = replace(default_config(seed=42), suites=("lipschitz-16",),
+                  majorants=(PowerMajorant(0.41), PowerMajorant(0.67)))
+    reports, counts = run_config(cfg)
+    assert counts["fail"] == 0
+    pairs = lipschitz.default_pair_sample()[0].shape
+    assert shapes[()] == 2 * 18 and shapes[pairs] == 2
+
+
 def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     # Force one failing row through a stubbed verifier to exercise the
     # exit-code path (genuine failures do not occur on true inequalities).

@@ -228,6 +228,60 @@ def test_contour_rejects_small_node_count():
         coeff_from_contour(MIXED, 1, 1.0, 64)
 
 
+def _random_map(rng, degree):
+    return HarmonicMap(a=tuple(rng.standard_normal((degree + 1, 2)) @ [1, 1j]),
+                       b=tuple(rng.standard_normal((degree, 2)) @ [1, 1j]))
+
+
+def test_contour_recovers_every_coefficient_within_the_query_tolerance():
+    # Degrees 1-64 at 4N nodes: a_n and b_n within the benchmark's tolerance
+    # 64 eps max|coefficient| r^-(n-1), the FFT's rounding scaled back up.
+    rng = np.random.default_rng(23)
+    eps = np.finfo(float).eps
+    for degree in range(1, 65):
+        f = _random_map(rng, degree)
+        scale = max(abs(v) for v in f.a + f.b)
+        for r in (0.3, 0.7, 0.9, 0.99):
+            for n in range(1, degree + 1):
+                an, bn = coeff_from_contour(f, n, r, 4 * degree)
+                tol = 64 * eps * scale * r ** -(n - 1)
+                assert abs(an - f.a[n]) <= tol and abs(bn - f.b[n - 1]) <= tol, (degree, r, n)
+
+
+def test_contour_ring_is_read_once_and_never_stale(monkeypatch):
+    # Calls that alternate maps, radii and node counts each read their own
+    # ring; a loop over n on one ring evaluates it once; the kept
+    # coefficients are read-only, and the refusals still come first.
+    import harmap.core as core
+
+    rng = np.random.default_rng(5)
+    maps = [_random_map(rng, 6), _random_map(rng, 6), _random_map(rng, 3)]
+    want = {}
+    for f in maps:
+        for r in (0.4, 0.8):
+            for m in (32, 40):
+                want[f, r, m] = [coeff_from_contour(f, n, r, m) for n in range(1, f.degree + 1)]
+    rings = []
+    ring_fields = core._ring_fields
+    monkeypatch.setattr(core, "_ring_fields", lambda *args: rings.append(args) or ring_fields(*args))
+    for (f, r, m), values in want.items():
+        assert [coeff_from_contour(f, n, r, m) for n in range(1, f.degree + 1)] == values
+    assert len(rings) == len(want)
+    for (f, r, m), values in reversed(want.items()):
+        for n in range(1, f.degree + 1):
+            assert coeff_from_contour(f, n, r, m) == values[n - 1]
+            assert coeff_from_contour(maps[0], 1, 0.4, 32) == want[maps[0], 0.4, 32][0]
+    _, a_ring, b_ring = core._CONTOUR
+    for ring in (a_ring, b_ring):
+        with pytest.raises(ValueError):
+            ring[0] = 0.0
+    f = maps[0]
+    coeff_from_contour(f, 1, 0.4, 32)
+    for n, r, m in ((0, 0.4, 32), (7, 0.4, 32), (1, 1.0, 32), (1, 0.4, 23)):
+        with pytest.raises(ValueError):
+            coeff_from_contour(f, n, r, m)
+
+
 @pytest.mark.parametrize(
     "degree, n_ang",
     [(32, 256), (100, 16), (32, 33), (32, 34)],

@@ -257,6 +257,28 @@ def test_lengths_read_the_coarse_rule_off_the_fine_nodes(angular_nodes):
             assert length_function(f, r, q) == want
 
 
+def test_lengths_formed_in_place_keep_the_bits_of_the_temporaries():
+    # _circle_lengths multiplies and subtracts in the fields' buffers; the
+    # values must be those of |f_z - e^(-2 i theta) f_zbar| formed out of place.
+    from harmap.functionals import _circle_lengths, _doubling, _ladder_sup
+
+    def out_of_place(f, rs, n_ang):
+        theta = np.linspace(0.0, 2.0 * np.pi, 2 * n_ang, endpoint=False)
+        fz, fzbar = wirtinger(f, rs[:, None] * np.exp(1j * theta)[None, :])
+        integrand = np.abs(fz - np.exp(-2j * theta)[None, :] * fzbar)
+        return [rs * (2.0 * np.pi / m) * integrand[:, ::step].sum(axis=1)
+                for m, step in ((2 * n_ang, 1), (n_ang, 2))]
+
+    n_ang = QuadratureSpec().angular_nodes
+    rs = np.concatenate(([0.3, 0.9], r_ladder()))
+    for f in fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42)):
+        for got, want in zip(_circle_lengths(f, rs, n_ang), out_of_place(f, rs, n_ang)):
+            assert np.array_equal(got, want)
+        assert length_sup(f) == _ladder_sup(*out_of_place(f, r_ladder(), n_ang))
+        fine, coarse = (float(v[1]) for v in out_of_place(f, rs, n_ang))
+        assert length_function(f, 0.9) == _doubling(fine, coarse)
+
+
 # -- Hardy means -----------------------------------------------------------------
 
 
@@ -497,6 +519,31 @@ def _exact_modulus2(f, r, angle):
     return re * re + im * im
 
 
+def test_circle_max_error_is_relative_to_the_modulus_not_the_coefficients():
+    # A degree-1024 map with standard normal coefficients (the second draw
+    # of default_rng(0)) cancels on the unit circle: max |f| is 0.078 of
+    # s = sum |coefficients|. An error bounded relative to s^2 read 1.9e-9 of
+    # the value; bounded relative to F itself it stays below 1e-12 and still
+    # holds |f| at the returned angle, evaluated by mpmath at 200 bits.
+    from harmap.core import MAX_FILE_DEGREE
+
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        a = rng.standard_normal(MAX_FILE_DEGREE + 1) + 1j * rng.standard_normal(MAX_FILE_DEGREE + 1)
+        b = rng.standard_normal(MAX_FILE_DEGREE) + 1j * rng.standard_normal(MAX_FILE_DEGREE)
+    f = HarmonicMap(a=tuple(a), b=tuple(b))
+    fv, angle = _circle_max(f, 1.0)
+    s = float(np.sum(np.abs(f._a_arr)) + np.sum(np.abs(f._b_full)))
+    assert fv.value < 0.08 * s
+    assert fv.error_estimate <= 1e-12 * fv.value
+    with mpmath.workprec(200):
+        z = mpmath.expj(mpmath.mpf(angle))
+        h = mpmath.polyval([mpmath.mpc(c.real, c.imag) for c in reversed(f.a)], z)
+        g = mpmath.polyval([mpmath.mpc(c.real, c.imag) for c in reversed((0j, *f.b))], z)
+        assert abs(abs(h + mpmath.conj(g)) - fv.value) <= fv.error_estimate
+
+
 def test_circle_max_interval_holds_the_exact_modulus_at_its_angle(degree_32_maps):
     # The proved interval value +- error contains |f| at the returned angle,
     # evaluated in rationals; its relative width stays below 1e-12.
@@ -632,6 +679,22 @@ def test_grid_sup_batch_equals_one_problem_runs(small_corpus, weight):
         assert results[1].value == pytest.approx(2.0 * grid.r_max, rel=1e-12)
 
 
+def test_grid_sup_reads_the_origin_off_the_coefficients():
+    # Lambda_f(0) = |a_1| + |b_1| a map: Horner at z = 0 returns c_0 exactly,
+    # so the read-off has the bits of evaluating the stack at the origin,
+    # the zero-padded columns of the short maps included.
+    from harmap.core import MapStack, _stretch
+    from harmap.functionals import _origin_stretch
+
+    rng = np.random.default_rng(15)
+    maps = [HarmonicMap(a=rng.standard_normal((d + 1, 2)) @ [1, 1j],
+                        b=rng.standard_normal((d, 2)) @ [1, 1j]) for d in (1, 2, 5, 17, 64)]
+    stack = MapStack(maps)
+    got = _origin_stretch(stack)
+    want = _stretch(stack, np.zeros((len(maps), 1), dtype=complex))[:, 0]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _golden_reference(fn, a, b, tol=1e-10):
     """The scalar golden-section search, step by step, as a reference."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -682,8 +745,8 @@ def _polish_each(problems, calls=None):
 def test_golden_max_matches_the_scalar_search(bracket):
     # Each bracket on its own: the three functions share it in one array
     # search, 5 steps a call, and each also runs alone, 7 steps a call.
-    # (0.25, 0.5) takes 45 steps: the 44 after the first pair are a
-    # multiple of neither, so the last call covers a shorter tree.
+    # (0.25, 0.5) takes 45 steps: alone, the 38 after the first call's 7
+    # are no multiple of 7, so the last call covers a shorter tree.
     problems = [(fn, *bracket) for fn in GOLDEN_FNS]
     expected = [_golden_reference(*p) for p in problems]
     assert _polish_each(problems) == expected
@@ -696,10 +759,24 @@ def test_golden_polish_matches_the_scalar_search():
     problems = [(fn, a, b) for fn in GOLDEN_FNS for a, b in BRACKETS]
     calls = []
     assert _polish_each(problems, calls) == [_golden_reference(*p) for p in problems]
-    # The widest bracket, 3, needs 51 steps: one call for the first pair
-    # (c, d), then 15 problems x 7 probes cover 3 steps a call, and the
-    # last 2 steps take a tree of 3 probes.
-    assert calls == [(15, 2)] + [(15, 7)] * 16 + [(15, 3)]
+    # The widest bracket, 3, needs 51 steps: the first call evaluates the
+    # pair (c, d) and the trees of the 2 steps after either outcome, 8
+    # probes a problem, then 15 problems x 7 probes cover 3 steps a call.
+    assert calls == [(15, 8)] + [(15, 7)] * 16
+
+
+def test_golden_polish_folds_its_first_call_at_every_batch_size():
+    # P = 1..40 problems cycled from the 15 of the batch above: up to 32 the
+    # first call holds (c, d) and both first-decision trees of k steps,
+    # 2^(k+1) P <= 128 probes, and the results are the scalar search's.
+    problems = [(fn, a, b) for fn in GOLDEN_FNS for a, b in BRACKETS] * 3
+    expected = [_golden_reference(*p) for p in problems]
+    for count in range(1, 41):
+        calls = []
+        assert _polish_each(problems[:count], calls) == expected[:count]
+        width = 1 << (128 // count).bit_length() - 1
+        assert calls[0] == (count, width if count <= 32 else 2)
+        assert max(math.prod(shape) for shape in calls) <= 128
 
 
 # -- Bloch seminorm and hyperbolic metric ---------------------------------------
@@ -740,9 +817,10 @@ def test_bloch_seminorm_of_one_degree_32_map_keeps_its_bits(degree_32_maps):
 
 
 def test_bloch_seminorm_of_one_map_polishes_in_few_calls(monkeypatch, degree_32_maps):
-    # One problem: a call covers 7 golden-section steps (127 probes), so
-    # the three stages of about 41 steps take 7 calls each, plus the
-    # origin: 22 calls, where one step a call took 126.
+    # One problem: the first call of a stage covers its pair (c, d) and 6
+    # steps after it (128 probes), each later call 7 steps (127 probes), so
+    # the three stages of about 41 steps take 6 calls each, and the origin
+    # is read off the coefficients: 18 calls, where one step a call took 126.
     import harmap.functionals as functionals
 
     shapes = []
@@ -754,7 +832,7 @@ def test_bloch_seminorm_of_one_map_polishes_in_few_calls(monkeypatch, degree_32_
 
     monkeypatch.setattr(functionals, "_stretch", counting)
     bloch_seminorm(degree_32_maps[0])
-    assert len(shapes) <= 30
+    assert len(shapes) == 18
     assert max(math.prod(shape) for shape in shapes) <= 128
 
 
