@@ -38,7 +38,7 @@ from .functionals import (
     length_sup,
     lipschitz_ratio,
 )
-from .grids import Grid, QuadratureSpec, r_ladder
+from .grids import Grid, r_ladder
 from .lipschitz import (
     PowerMajorant,
     SampledMajorant,

@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused: the benchmark tracer binds this name
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -50,7 +50,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import Grid, QuadratureSpec, disk_sample
+from .grids import Grid, disk_sample
 from .lipschitz import (
     Majorant,
     OutsideTable,
@@ -76,6 +76,7 @@ from .report import (
 from .verify import (
     FuzzSpec,
     GenerationFailed,
+    _check_mc_samples,
     _gradient_sample,
     builtin_maps,
     fuzz_corpus,
@@ -107,17 +108,16 @@ class ConfigError(ValueError):
 
 
 def _per_map(run):
-    """A suite runner over a list of maps from a one-map runner (f, cfg, q)."""
-    return lambda fs, cfg, qs: [run(f, cfg, q) for f, q in zip(fs, qs)]
+    """A suite runner over a list of maps from a one-map runner (f, cfg, seed)."""
+    return lambda fs, cfg, seeds: [run(f, cfg, seed) for f, seed in zip(fs, seeds)]
 
 
-def _gradient_bound(fs, cfg: SuiteConfig, qs):
-    samples = [_gradient_sample(q, cfg.gradient_sample_count) for q in qs]
-    return verify_gradient_bounds(fs, samples, qs, cfg.grid)
+def _gradient_bound(fs, cfg: SuiteConfig, seeds):
+    return verify_gradient_bounds(fs, [_gradient_sample(seed) for seed in seeds], cfg.grid)
 
 
-def _chord_row(q: QuadratureSpec):
-    rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x43484F52)))
+def _chord_row(seed: int):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43484F52)))
     n = 10_000
     z = disk_sample(rng, n, 0.999)
     w = disk_sample(rng, n, 0.999)
@@ -151,7 +151,7 @@ def _per_majorant(fs, cfg: SuiteConfig, names, run):
     return reports
 
 
-def _lipschitz_16(fs, cfg: SuiteConfig, qs):
+def _lipschitz_16(fs, cfg: SuiteConfig, seeds):
     def run(omega):
         chunks = []
         for f, c1 in zip(fs, cond_a_constants(fs, omega, cfg.grid)):
@@ -161,12 +161,12 @@ def _lipschitz_16(fs, cfg: SuiteConfig, qs):
         return chunks
 
     reports = _per_majorant(fs, cfg, ["cond-b-vs-a"], run)
-    for rows, q in zip(reports, qs):
-        rows.append(_chord_row(q))
+    for rows, seed in zip(reports, seeds):
+        rows.append(_chord_row(seed))
     return reports
 
 
-def _hl_17(fs, cfg: SuiteConfig, qs):
+def _hl_17(fs, cfg: SuiteConfig, seeds):
     return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
                          lambda omega: verify_hl_equivalences(fs, omega, cfg.grid))
 
@@ -182,7 +182,7 @@ def _regularity_row(name: str, value: float | None, exact: float | None, details
                        force_fail=value < exact * 0.95, details=details)
 
 
-def _run_majorant_regularity(fs, cfg: SuiteConfig, qs):
+def _run_majorant_regularity(fs, cfg: SuiteConfig, seeds):
     """Map-independent regularity rows. Majorants with closed-form constants
     (the power family: 1/alpha and 1/(1-alpha)) are compared against them at
     5% tolerance; the others record their empirical constants. A sampled
@@ -199,19 +199,20 @@ def _run_majorant_regularity(fs, cfg: SuiteConfig, qs):
     return _per_majorant(fs, cfg, names, run)
 
 
-# Suite name -> runner. A runner takes (maps, config, one task quadrature per
-# map) and returns one list of rows per map, so a suite's disk suprema are
+# Suite name -> runner. A runner takes (maps, config, one task seed per map)
+# and returns one list of rows per map, so a suite's disk suprema are
 # polished for every map at once. A global suite runs once per campaign, on
 # the one map None.
 SUITES = {
-    "three-circles": _per_map(lambda f, cfg, q: [verify_three_circles(f, r1, r)
-                                                 for r1, r in cfg.three_circles_pairs]),
-    "area-overlap": _per_map(lambda f, cfg, q: [verify_area_overlap(f, q=q, grid=cfg.grid)]),
-    "hardy-area": _per_map(lambda f, cfg, q: [verify_hardy_area(f, cfg.grid)]),
-    "coeff-bound": _per_map(lambda f, cfg, q: verify_coeff_bound(f, q, cfg.grid)),
+    "three-circles": _per_map(lambda f, cfg, seed: [verify_three_circles(f, r1, r)
+                                                    for r1, r in cfg.three_circles_pairs]),
+    "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(
+        f, seed=seed, grid=cfg.grid, mc_samples=cfg.mc_samples)]),
+    "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f, cfg.grid)]),
+    "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f, cfg.grid)),
     "gradient-bound": _gradient_bound,
-    "isoperimetric": _per_map(lambda f, cfg, q: [verify_isoperimetric(f, r, q)
-                                                 for r in cfg.isoperimetric_radii]),
+    "isoperimetric": _per_map(lambda f, cfg, seed: [verify_isoperimetric(f, r)
+                                                    for r in cfg.isoperimetric_radii]),
     "lipschitz-16": _lipschitz_16,
     "hl-17": _hl_17,
     "majorant-regularity": _run_majorant_regularity,
@@ -233,13 +234,12 @@ class SuiteConfig:
     map_files: tuple[str, ...] = ()
     include_builtin: bool = True
     fuzz: FuzzSpec | None = None
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    mc_samples: int = 1_000_000
     grid: Grid = field(default_factory=Grid)
     majorants: tuple[Majorant, ...] = (PowerMajorant(0.5), PowerMajorant(1.0))
     three_circles_pairs: tuple[tuple[float, float], ...] = (
         (0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
     isoperimetric_radii: tuple[float, ...] = (0.3, 0.6, 0.9)
-    gradient_sample_count: int = 64
     seed: int = 42
     output_path: str = "harmap-reports.jsonl"
     output_format: str = "json"
@@ -257,8 +257,10 @@ class SuiteConfig:
             raise ConfigError(f"unknown output format: {self.output_format!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if not 1 <= self.gradient_sample_count <= 1 << 20:  # as many as the largest grid
-            raise ConfigError("gradient_sample_count must lie in 1..2^20")
+        try:
+            _check_mc_samples(self.mc_samples)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for r1, r in self.three_circles_pairs:
             if not 0.0 < r1 <= r < 1.0:
                 raise ConfigError(f"three_circles_pairs: need 0 < r1 <= r < 1, got {[r1, r]}")
@@ -302,7 +304,7 @@ class SuiteConfig:
             raise ConfigError("the configuration must be a JSON object")
         unknown = sorted(set(obj) - set(kinds))
         if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
+            raise ConfigError(f"{', '.join(unknown)}: not a config key")
         try:
             kwargs = from_json(kinds, obj)
         except ValueError as exc:
@@ -320,7 +322,7 @@ def default_config(seed: int = 42) -> SuiteConfig:
     seeded corpus, with Monte Carlo resolution trimmed for turnaround."""
     return SuiteConfig(
         fuzz=FuzzSpec(count=48, degree=8, seed=seed),
-        quadrature=QuadratureSpec(mc_samples=200_000, seed=seed),
+        mc_samples=200_000,
         seed=seed,
     )
 
@@ -342,11 +344,10 @@ def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
     return sources
 
 
-def _task_quadrature(cfg: SuiteConfig, index: int) -> QuadratureSpec:
+def _task_seed(cfg: SuiteConfig, index: int) -> int:
     # Per-task stream index keeps Monte Carlo draws independent across tasks
     # while staying reproducible for a fixed campaign seed.
-    mix = int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
-    return replace(cfg.quadrature, seed=mix)
+    return int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
 
 
 def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, first: int):
@@ -354,8 +355,8 @@ def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, first: int):
     pairs) at once, each map with the Monte Carlo stream of task index
     ``first`` plus its position; or once (targets [("-", None)]) for a
     global suite. Row names end in @map_id."""
-    qs = [_task_quadrature(cfg, first + i) for i in range(len(targets))]
-    chunks = SUITES[suite]([f for _, f in targets], cfg, qs)
+    seeds = [_task_seed(cfg, first + i) for i in range(len(targets))]
+    chunks = SUITES[suite]([f for _, f in targets], cfg, seeds)
     reports = []
     for (map_id, _), chunk in zip(targets, chunks):
         for rep in chunk:

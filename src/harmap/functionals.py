@@ -13,6 +13,10 @@ Conventions
   between the two as ``error_estimate`` (an a-posteriori bound, not a guess),
   by one rule, :func:`_doubling`. The two share one evaluation: the n-angle
   rule reads the even nodes of the 2n-angle one (:func:`_circle_lengths`).
+  No quadrature takes a resolution argument; each sizes its nodes by the
+  map's degree N. The circle rules of the lengths and the finite-p Hardy
+  means take n = 256 up to N = 64 and the smallest power of two >= 4N
+  above, at most 2^14 (:func:`_circle_nodes`).
   The radial Gauss-Legendre nodes of :func:`area_quadrature` are
   ``grids.gauss_legendre_01``'s numpy rule, so no functional loads scipy.
 * Polar tensor grids (radii times uniform angles) are evaluated one ring at
@@ -62,7 +66,7 @@ import numpy as np
 
 from .core import HarmonicMap, MapStack, _abs2, _grid_scan, _memoized, _stretch, wirtinger
 from .core import _ring_fields, _ring_values
-from .grids import _DEFAULT_GRID, Grid, QuadratureSpec, _read_only, gauss_legendre_01, r_ladder
+from .grids import _DEFAULT_GRID, Grid, _read_only, gauss_legendre_01, r_ladder
 
 __all__ = [
     "FunctionalValue",
@@ -114,10 +118,11 @@ def _error_floor(value: float) -> float:
     return 8.0 * _EPS * max(1.0, abs(value))
 
 
-def _doubling(fine: float, coarse: float) -> FunctionalValue:
+def _doubling(fine: float, coarse: float, floor: float = 0.0) -> FunctionalValue:
     """A quadrature at two resolutions: the finer value, with the gap between
-    the two (at least the rounding floor) as its error estimate."""
-    return FunctionalValue(fine, QUADRATURE, max(abs(fine - coarse), _error_floor(fine)))
+    the two (at least the rounding floor of the value, and ``floor``) as its
+    error estimate."""
+    return FunctionalValue(fine, QUADRATURE, max(abs(fine - coarse), _error_floor(fine), floor))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +189,29 @@ def area_quadrature(f: HarmonicMap, r: float) -> FunctionalValue:
     a trigonometric polynomial of degree N - 1, which the trapezoid rule on
     N angles integrates exactly. One evaluation on N radii times 2N angles
     gives both rules, and their difference is a rounding-level estimate.
+    Where |h'|^2 and |g'|^2 nearly cancel, the rounding follows the terms,
+    not the value: the estimate is at least 8 eps sum n (|a_n|^2 + |b_n|^2)
+    r^(2n).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    return _doubling(*_area_polar(f, r, f.degree, 2 * f.degree))
+    n = np.arange(1, f.degree + 1)
+    terms = float(n * (_abs2(f._a_arr[1:]) + _abs2(f._b_full[1:])) @ float(r) ** (2 * n))
+    return _doubling(*_area_polar(f, r, f.degree, 2 * f.degree), 8.0 * _EPS * terms)
 
 
 # ---------------------------------------------------------------------------
 # Length
 # ---------------------------------------------------------------------------
+
+
+def _circle_nodes(f: HarmonicMap) -> int:
+    """The angle count n of the coarse circle rules, whose fine rules take
+    2n: the smallest power of two >= 4N, at least 256 and at most 2^14. On a
+    ring |f|^2 is a trigonometric polynomial of degree 2N, so both rules of
+    the p = 2 Hardy mean are exact up to N = 4096; every map of degree <= 64
+    keeps n = 256."""
+    return min(1 << 14, max(256, 1 << (4 * f.degree - 1).bit_length()))
 
 
 def _circle_lengths(f: HarmonicMap, rs, n_ang: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,17 +233,16 @@ def _circle_lengths(f: HarmonicMap, rs, n_ang: int) -> tuple[np.ndarray, np.ndar
                  for m, step in ((2 * n_ang, 1), (n_ang, 2)))
 
 
-def length_function(f: HarmonicMap, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
+def length_function(f: HarmonicMap, r: float) -> FunctionalValue:
     """Length of the image of |z| = r, counting multiplicity.
 
     l_f(r) = r * int |f_z - e^{-2 i theta} f_zbar| dtheta. The integrand is
     smooth and periodic so the trapezoid rule converges spectrally; the
-    error estimate comes from node doubling.
+    error estimate comes from node doubling, on :func:`_circle_nodes` angles.
     """
-    q = q or QuadratureSpec()
     if not 0.0 < r <= 1.0 - 1e-9:
         raise ValueError("r must lie in (0, 1 - 1e-9]")
-    return _doubling(*(float(v[0]) for v in _circle_lengths(f, r, q.angular_nodes)))
+    return _doubling(*(float(v[0]) for v in _circle_lengths(f, r, _circle_nodes(f))))
 
 
 def _ladder_sup(fine: np.ndarray, coarse: np.ndarray) -> FunctionalValue:
@@ -241,10 +259,11 @@ def _ladder_sup(fine: np.ndarray, coarse: np.ndarray) -> FunctionalValue:
     return FunctionalValue(value, QUADRATURE, max(float(np.max(np.abs(fine - coarse))), err))
 
 
-def length_sup(f: HarmonicMap, q: QuadratureSpec | None = None) -> FunctionalValue:
-    """l_f(1) = sup over 0 < r < 1 of l_f(r), via :func:`_ladder_sup`."""
-    q = q or QuadratureSpec()
-    return _ladder_sup(*_circle_lengths(f, r_ladder(), q.angular_nodes))
+@_memoized
+def length_sup(f: HarmonicMap) -> FunctionalValue:
+    """l_f(1) = sup over 0 < r < 1 of l_f(r), via :func:`_ladder_sup`.
+    Memoized in a campaign, whose coefficient and gradient bounds both read it."""
+    return _ladder_sup(*_circle_lengths(f, r_ladder(), _circle_nodes(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,32 +394,30 @@ def _circle_max(f: HarmonicMap, r: float, n: int) -> tuple[FunctionalValue, floa
     return FunctionalValue(value, GRID_SUP, error), angle
 
 
-def hardy_mean(f: HarmonicMap, p: float, r: float, q: QuadratureSpec | None = None) -> FunctionalValue:
+def hardy_mean(f: HarmonicMap, p: float, r: float) -> FunctionalValue:
     """Integral mean M_p(r, f), 0 < r <= 1, by the trapezoid rule on
-    ``angular_nodes`` and twice as many angles, whose difference is the error
-    estimate. For p = inf, the max of |f| on |z| = r with an error proved
-    up to rounding, :func:`_circle_max`, from the smallest power of two above
-    8N angles: the search needs 4N + 1, and twice that starts it narrower
-    for about the same cost. ``angular_nodes`` plays no part there."""
-    q = q or QuadratureSpec()
+    :func:`_circle_nodes` and twice as many angles, whose difference is the
+    error estimate. For p = inf, the max of |f| on |z| = r with an error
+    proved up to rounding, :func:`_circle_max`, from the smallest power of
+    two above 8N angles: the search needs 4N + 1, and twice that starts it
+    narrower for about the same cost."""
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if p != math.inf and not p >= _P_MIN:
         raise ValueError(_P_MESSAGE)
     if p == math.inf:
         return _circle_max(f, r, 1 << (8 * f.degree).bit_length())[0]
-    return _doubling(*(float(v[0]) for v in _circle_pmeans(f, r, p, q.angular_nodes)))
+    return _doubling(*(float(v[0]) for v in _circle_pmeans(f, r, p, _circle_nodes(f))))
 
 
-def hardy_norm(f: HarmonicMap, p: float, q: QuadratureSpec | None = None) -> FunctionalValue:
+def hardy_norm(f: HarmonicMap, p: float) -> FunctionalValue:
     """h^p norm, sup over 0 < r < 1 of M_p(r, f): M_p(1, f) for p >= 1 and
     p = inf, where M_p is nondecreasing in r, else the ladder sup."""
     if p >= 1.0:
-        return hardy_mean(f, p, 1.0, q)
+        return hardy_mean(f, p, 1.0)
     if not p >= _P_MIN:
         raise ValueError(_P_MESSAGE)
-    q = q or QuadratureSpec()
-    return _ladder_sup(*_circle_pmeans(f, r_ladder(), p, q.angular_nodes))
+    return _ladder_sup(*_circle_pmeans(f, r_ladder(), p, _circle_nodes(f)))
 
 
 # ---------------------------------------------------------------------------

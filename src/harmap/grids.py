@@ -1,11 +1,12 @@
-"""Sampling grids, quadrature settings and the dyadic radius ladder.
+"""Sampling grids, Gauss-Legendre rules and the dyadic radius ladder.
 
-These are the shared discretization knobs: a polar evaluation grid on a
-closed sub-disk (for sup estimation and sign scans), the angular node
-count of circle quadrature, Monte Carlo sample sizes, the ladder of radii
-1 - 2^-k used to approach the boundary, and :func:`disk_sample`, the one
-area-uniform random sampler of a disk that every Monte Carlo estimate and
-random pair set draws from.
+These are the discretizations that do not follow from a map's degree: a
+polar evaluation grid on a closed sub-disk (for sup estimation and sign
+scans), the ladder of radii 1 - 2^-k used to approach the boundary, and
+:func:`disk_sample`, the one area-uniform random sampler of a disk that
+every Monte Carlo estimate and random pair set draws from. The circle and
+disk quadratures of :mod:`harmap.functionals` size their nodes by the
+degree alone.
 
 numpy is the one module-level dependency of the package, and
 :func:`gauss_legendre_01` builds its rule with numpy alone, so the fuzzer and
@@ -24,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "QuadratureSpec", "r_ladder", "gauss_legendre_01", "disk_sample"]
+__all__ = ["Grid", "r_ladder", "gauss_legendre_01", "disk_sample"]
 
 
 def _read_only(*arrays: np.ndarray):
@@ -76,33 +77,6 @@ class Grid:
 
 # The grid of every ``grid=None`` default: one instance, so its nodes are built once.
 _DEFAULT_GRID = Grid()
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution settings for circle integrals and Monte Carlo areas.
-
-    angular_nodes must be even (the trapezoid rule is paired with node
-    doubling); mc_samples must be at least 10^4 so that Monte Carlo area
-    verdicts carry a meaningful 3-sigma band. The disk integral
-    ``area_quadrature`` and a p = inf Hardy mean size their nodes by the map
-    degree alone.
-    """
-
-    angular_nodes: int = 256
-    mc_samples: int = 1_000_000
-    seed: int = 42
-
-    def __post_init__(self):
-        # The ladder sups scan 20 x 2 angular_nodes points.
-        if not 8 <= self.angular_nodes <= 1 << 14 or self.angular_nodes % 2 != 0:
-            raise ValueError("angular_nodes must be even and lie in 8..16384")
-        if self.mc_samples < 10_000:
-            raise ValueError("mc_samples must be >= 10000 for area verdicts")
-        if self.mc_samples > 4_000_000:  # an overlap estimate peaks at about 45 B a sample
-            raise ValueError("mc_samples must be at most 4000000")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 def r_ladder() -> np.ndarray:

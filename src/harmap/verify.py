@@ -3,9 +3,10 @@
 Each verifier computes both sides of one inequality, validates its
 hypotheses (the quasiconformal ones, sense preservation and a finite
 distortion constant K, are read by ``_distortion`` off the map's one grid
-scan, ``core._grid_scan``, which a campaign memoizes like
-``_boundary_length``), and returns a :class:`~harmap.report.VerificationReport`
-(or a list of them, one per coefficient index or sample family). Slack policy:
+scan, ``core._grid_scan``, which a campaign memoizes like the boundary
+length ``functionals.length_sup``), and returns a
+:class:`~harmap.report.VerificationReport` (or a list of them, one per
+coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
 sides, and a 3-sigma band for Monte Carlo verdicts.
 
@@ -30,7 +31,6 @@ from .core import (
     HarmonicMap,
     _abs2,
     _grid_scan,
-    _memoized,
     _stretch,
     wirtinger,
 )
@@ -41,7 +41,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import _DEFAULT_GRID, Grid, QuadratureSpec, disk_sample
+from .grids import _DEFAULT_GRID, Grid, disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -65,6 +65,15 @@ CLOSED_FORM_SLACK = 1e-12
 QUADRATURE_SLACK_REL = 1e-9
 
 _MC_CHUNK = 1 << 16  # Monte Carlo points whose derivative fields are held at once
+_GRADIENT_SAMPLES = 64  # seeded sample points of verify_gradient_bound
+
+
+def _check_mc_samples(count: int) -> None:
+    """Refuse a Monte Carlo size outside 10^4..4 10^6: fewer samples leave an
+    area verdict no meaningful 3-sigma band, and an overlap estimate peaks at
+    about 45 B a sample."""
+    if not 10_000 <= count <= 4_000_000:
+        raise ValueError(f"mc_samples must lie in 10000..4000000, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -232,15 +241,6 @@ def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
     )
 
 
-@_memoized
-def _boundary_length(f: HarmonicMap, angular_nodes: int):
-    """l_f(1), shared by the coefficient and gradient bounds. Memoized in a
-    campaign per (map, angular nodes), the only part of the task quadrature
-    that :func:`~harmap.functionals.length_sup` reads, so each map's
-    boundary length is computed once."""
-    return length_sup(f, QuadratureSpec(angular_nodes=angular_nodes))
-
-
 def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationReport:
     """Log-convexity bound for the area function across concentric circles.
 
@@ -275,10 +275,12 @@ def verify_area_overlap(
     f: HarmonicMap,
     omega1: DiskDomain | None = None,
     omega2: DiskDomain | None = None,
-    q: QuadratureSpec | None = None,
+    seed: int = 42,
     K: float | None = None,
     grid: Grid | None = None,
     assume_univalent: bool = False,
+    *,
+    mc_samples: int = 1_000_000,
 ) -> VerificationReport:
     """Overlap-area bound K A(f(O1) n O2) + A(f^-1(O2)) >= min d^2(0).
 
@@ -288,7 +290,8 @@ def verify_area_overlap(
     through its affine chart w -> (w - c1)/R1 and recentered so it vanishes
     at the origin. Both areas come from one Monte Carlo sample of O1; the
     verdict allows a 3-sigma band. When no draw lands in f^-1(O2), sigma is
-    a third of a 95% bound on what the sample cannot see.
+    a third of a 95% bound on what the sample cannot see. The sample has
+    ``mc_samples`` points (10^4..4 10^6), drawn from the stream of ``seed``.
 
     Injectivity is a hypothesis this artifact cannot certify beyond degree
     one (linear sense-preserving maps are injective); for higher degree pass
@@ -296,7 +299,7 @@ def verify_area_overlap(
     """
     omega1 = omega1 or DiskDomain()
     omega2 = omega2 or DiskDomain()
-    q = q or QuadratureSpec()
+    _check_mc_samples(mc_samples)
     if not (omega1.contains(0j) and omega2.contains(0j)):
         raise ValueError("the origin must lie in both domains")
     grid_K, qc_hyp = _distortion(f, grid or _DEFAULT_GRID)
@@ -311,8 +314,8 @@ def verify_area_overlap(
     if not all(hyp.values()):
         return make_report(name, None, None, 0.0, hypotheses=hyp)
 
-    rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x41524541)))
-    w = omega1.sample(rng, q.mc_samples)  # drawn whole: a chunked draw changes the stream
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x41524541)))
+    w = omega1.sample(rng, mc_samples)  # drawn whole: a chunked draw changes the stream
     f0 = f(-omega1.center / omega1.radius)
     area1 = omega1.radius**2  # normalized area of a radius-R disk is R^2
     stat, overlap = np.empty(len(w)), np.empty(len(w))
@@ -326,11 +329,11 @@ def verify_area_overlap(
         stat[part] = (K * jac + 1.0) * inside[part] * area1
         overlap[part] = jac * inside[part]
     lhs = float(np.mean(stat))
-    sigma = float(np.std(stat) / math.sqrt(q.mc_samples))
+    sigma = float(np.std(stat) / math.sqrt(mc_samples))
     if not inside.any():  # no hit in n draws: the hit fraction is below 3/n at 95%, and a
         # hit adds at most area1 (K sup J + 1), with J R1^2 <= Lambda_f^2 <= (sum n (|a_n| + |b_n|))^2
         sup_jac = (np.abs(f._da).sum() + np.abs(f._db).sum()) ** 2 / omega1.radius**2
-        sigma = float(area1 * (K * sup_jac + 1.0) / q.mc_samples)
+        sigma = float(area1 * (K * sup_jac + 1.0) / mc_samples)
     d1 = omega1.boundary_distance(0j)
     d2 = omega2.boundary_distance(0j)
     rhs = min(d1, d2) ** 2
@@ -371,18 +374,13 @@ def verify_hardy_area(f: HarmonicMap, grid: Grid | None = None) -> VerificationR
     )
 
 
-def verify_coeff_bound(
-    f: HarmonicMap,
-    q: QuadratureSpec | None = None,
-    grid: Grid | None = None,
-) -> list[VerificationReport]:
+def verify_coeff_bound(f: HarmonicMap, grid: Grid | None = None) -> list[VerificationReport]:
     """Per-degree bound |a_n| + |b_n| <= K l_f(1) / (2 n pi), one row per n."""
-    q = q or QuadratureSpec()
     K, hyp = _distortion(f, grid or _DEFAULT_GRID)
     if not all(hyp.values()):
         return [make_report("coeff-bound", None, None, 0.0, hypotheses=hyp, n=n)
                 for n in range(1, f.degree + 1)]
-    lf1 = _boundary_length(f, q.angular_nodes)
+    lf1 = length_sup(f)
     reports = []
     for n in range(1, f.degree + 1):
         lhs = abs(f.a[n]) + abs(f.b[n - 1])
@@ -398,38 +396,33 @@ def verify_coeff_bound(
     return reports
 
 
-def _gradient_sample(q: QuadratureSpec, count: int = 64) -> np.ndarray:
-    """The seeded default sample points of :func:`verify_gradient_bound`."""
-    rng = np.random.default_rng(np.random.SeedSequence((q.seed, 0x47524144)))
-    return disk_sample(rng, count, 0.95)
+def _gradient_sample(seed: int = 42) -> np.ndarray:
+    """The seeded sample points of :func:`verify_gradient_bound`."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x47524144)))
+    return disk_sample(rng, _GRADIENT_SAMPLES, 0.95)
 
 
-def verify_gradient_bounds(
-    maps, samples, qs, grid: Grid | None = None
-) -> list[list[VerificationReport]]:
+def verify_gradient_bounds(maps, samples, grid: Grid | None = None) -> list[list[VerificationReport]]:
     """:func:`verify_gradient_bound` for each map, with its own entry of
-    ``samples`` and ``qs`` (None takes the default). The Bloch seminorms of
-    the maps that meet the hypotheses come from one batched sup,
+    ``samples`` (None takes the default). The Bloch seminorms of the maps
+    that meet the hypotheses come from one batched sup,
     :func:`~harmap.functionals.bloch_seminorms`."""
     grid = grid or _DEFAULT_GRID
-    qs = [q or QuadratureSpec() for q in qs]
     distortion = [_distortion(f, grid) for f in maps]
     held = [p for p, (K, hyp) in enumerate(distortion) if all(hyp.values())]
     betas = dict(zip(held, bloch_seminorms([maps[p] for p in held], grid)))
     names = ("gradient-bound-length", "gradient-bound-area", "bloch-bound")
     out = []
-    for p, (f, sample, q) in enumerate(zip(maps, samples, qs)):
+    for p, (f, sample) in enumerate(zip(maps, samples)):
         K, hyp = distortion[p]
         if p not in betas:
             out.append([make_report(nm, None, None, 0.0, hypotheses=hyp) for nm in names])
             continue
-        if sample is None:
-            sample = _gradient_sample(q)
-        z = np.asarray(sample, dtype=complex)
+        z = np.asarray(_gradient_sample() if sample is None else sample, dtype=complex)
         lam = _stretch(f, z) * (1.0 - np.abs(z))
         k = int(np.argmax(lam))
         worst = complex(z.ravel()[k])
-        lf1 = _boundary_length(f, q.angular_nodes)
+        lf1 = length_sup(f)
         s1 = area_sup(f).value
 
         lhs1 = float(lam.ravel()[k])
@@ -457,10 +450,7 @@ def verify_gradient_bounds(
 
 
 def verify_gradient_bound(
-    f: HarmonicMap,
-    sample=None,
-    q: QuadratureSpec | None = None,
-    grid: Grid | None = None,
+    f: HarmonicMap, sample=None, grid: Grid | None = None
 ) -> list[VerificationReport]:
     """Pointwise stretch bounds from the boundary length and total area.
 
@@ -473,19 +463,16 @@ def verify_gradient_bound(
     Equality in the first two at z = 0 for the identity map. The one-map
     case of :func:`verify_gradient_bounds`.
     """
-    return verify_gradient_bounds([f], [sample], [q], grid)[0]
+    return verify_gradient_bounds([f], [sample], grid)[0]
 
 
-def verify_isoperimetric(
-    f: HarmonicMap, r: float, q: QuadratureSpec | None = None
-) -> VerificationReport:
+def verify_isoperimetric(f: HarmonicMap, r: float) -> VerificationReport:
     """S_f(r) <= l_f(r)^2 / (4 pi^2), equality for the identity map.
 
     The normalized-area convention makes the constant exactly 1/(4 pi^2).
     """
-    q = q or QuadratureSpec()
     lhs = area_series(f, r).value
-    length = length_function(f, r, q)
+    length = length_function(f, r)
     rhs = length.value**2 / (4.0 * math.pi**2)
     rhs_err = length.value * length.error_estimate / (2.0 * math.pi**2)
     return make_report(

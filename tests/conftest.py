@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
 
-from harmap import FuzzSpec, Grid, HarmonicMap, QuadratureSpec, fuzz_corpus
+from harmap import FuzzSpec, Grid, HarmonicMap, fuzz_corpus
 
 settings.register_profile(
     "harmap",
@@ -17,11 +17,6 @@ settings.load_profile("harmap")
 @pytest.fixture(scope="session")
 def grid():
     return Grid()
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QuadratureSpec()
 
 
 @pytest.fixture(scope="session")

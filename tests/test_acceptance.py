@@ -21,7 +21,6 @@ from harmap import (
     Grid,
     HarmonicMap,
     PowerMajorant,
-    QuadratureSpec,
     area_quadrature,
     area_series,
     coeff_from_contour,
@@ -140,13 +139,13 @@ def test_05_length_coefficient_gradient_bounds(corpus):
     # The batched form polishes every map's Bloch sup in lockstep; on 20
     # maps it matches the one-map form bit for bit.
     defaults = [None] * len(corpus)
-    for reps in verify_gradient_bounds(corpus, defaults, defaults):
+    for reps in verify_gradient_bounds(corpus, defaults):
         for rep in reps:
             assert rep.status == PASS
     def rows(chunks):
         return json.dumps([rep.to_json_dict() for chunk in chunks for rep in chunk])
 
-    batched = verify_gradient_bounds(corpus[:20], defaults[:20], defaults[:20])
+    batched = verify_gradient_bounds(corpus[:20], defaults[:20])
     assert rows(batched) == rows(verify_gradient_bound(f) for f in corpus[:20])
     report_line(5, "length-derived coefficient and stretch bounds", time.perf_counter() - t0)
 
@@ -176,16 +175,15 @@ def test_07_isoperimetric(corpus):
 
 def test_08_area_overlap_desk_scale():
     t0 = time.perf_counter()
-    q = QuadratureSpec(mc_samples=1_000_000)
     for t in (0.1, 0.5):
         f = HarmonicMap(a=(0, t), b=(0,))
-        rep = verify_area_overlap(f, q=q, K=1.0)
+        rep = verify_area_overlap(f, K=1.0, mc_samples=1_000_000)
         sigma = rep.details["mc_sigma"]
         assert abs(rep.lhs - (1 + t * t)) <= 3 * sigma + 1e-12
         assert rep.lhs >= 1.0 - 3 * sigma
         assert rep.status == PASS
     for f in AFFINE_FAMILY:
-        rep = verify_area_overlap(f, q=q)
+        rep = verify_area_overlap(f, mc_samples=1_000_000)
         assert rep.status == PASS
     elapsed = time.perf_counter() - t0
     assert elapsed < 20.0

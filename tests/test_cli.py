@@ -11,7 +11,7 @@ import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
 from harmap.core import MAX_FILE_DEGREE, HarmonicMap, map_json_bytes
-from harmap.grids import Grid, QuadratureSpec
+from harmap.grids import Grid
 from harmap.lipschitz import PowerMajorant
 from harmap.verify import FuzzSpec, builtin_maps, fuzz_corpus
 
@@ -218,7 +218,7 @@ def small_config(tmp_path, fmt="json"):
         "suites": ["three-circles", "hardy-area", "isoperimetric"],
         "include_builtin": True,
         "fuzz": {"count": 3, "degree": 4, "seed": 5},
-        "quadrature": {"mc_samples": 20000, "seed": 5},
+        "mc_samples": 20000,
         "seed": 5,
         "output": {"path": str(tmp_path / f"rows.{fmt}"), "format": fmt},
     }
@@ -345,9 +345,9 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"include_builtin": "false"},
         {"seed": 4.9},
         {"seed": True},
-        {"gradient_sample_count": "7"},
+        {"mc_samples": "7"},
         {"grid": {"n_r": 8.5}},
-        {"quadrature": {"mc_samples": 1e5}},
+        {"mc_samples": 1e5},
         {"fuzz": {"count": 2.5}},
         {"three_circles_pairs": [[0.1, 0.3, 99]]},
         {"maps": "ab.json"},
@@ -357,7 +357,7 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"maps": ["unknown-key.json"]},
         {"maps": ["degree-over-cap.json"]},
         {"grid": {"n_r": 10**8, "n_theta": 10**8}},
-        {"quadrature": {"mc_samples": 10**13}},
+        {"mc_samples": 10**13},
         {"isoperimetric_radii": [10**400]},
         {"fuzz": {"target_K": math.nan}},
         {"output": {"path": "no-such-dir/rows.jsonl"}},
@@ -375,6 +375,9 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"three_circles_pairs": [[0.1, 0.3], [0.1, 0.3000001]]},
         {"isoperimetric_radii": [0.5, 0.5]},
         {"maps": ["a/m.json", "b/m.json"]},
+        {"mc_samples": 5000},
+        {"quadrature": {"mc_samples": 200000}},
+        {"gradient_sample_count": 64},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -389,7 +392,8 @@ def test_verify_malformed_config(tmp_path, capsys):
          "fuzz-count-over-cap", "too-many-gradient-samples",
          "sampled-majorants-one-label", "power-majorants-one-label",
          "three-circles-pairs-one-name", "isoperimetric-radii-one-name",
-         "map-files-one-basename"],
+         "map-files-one-basename", "too-few-mc-samples", "quadrature-is-an-unknown-key",
+         "gradient-sample-count-is-an-unknown-key"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -492,7 +496,7 @@ def test_readme_config_example_parses():
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     import harmap.cli as cli
 
-    def broken(f, r, q=None):
+    def broken(f, r):
         raise RuntimeError("broken\nverifier")
 
     monkeypatch.setattr(cli, "verify_isoperimetric", broken)
@@ -616,7 +620,7 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
     import harmap.cli as cli
     from harmap.report import make_report
 
-    def broken(f, r, q=None):
+    def broken(f, r):
         return make_report("isoperimetric(stub)", 2.0, 1.0, slack=0.0)
 
     monkeypatch.setattr(cli, "verify_isoperimetric", broken)
@@ -684,7 +688,7 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     obj = {
         "maps": [str(maps / "map-0002.json"), str(maps / "map-0000.json"), str(maps / "dup.json")],
         "fuzz": {"count": 3, "degree": 4, "seed": 9},
-        "quadrature": {"mc_samples": 10000, "seed": 3},
+        "mc_samples": 10000,
         "grid": {"n_r": 16, "n_theta": 32},
         "seed": 77,
         "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
@@ -971,7 +975,7 @@ def test_disk_sups_are_polished_for_all_maps_at_once(monkeypatch):
             suites=("gradient-bound", "lipschitz-16", "hl-17"),
             include_builtin=False,
             fuzz=FuzzSpec(count=count, degree=4, seed=3),
-            quadrature=QuadratureSpec(mc_samples=10_000, seed=3),
+            mc_samples=10_000,
             grid=Grid(n_r=16, n_theta=32),
         )
         scalar.clear()
@@ -1001,11 +1005,11 @@ def test_per_map_memos_live_for_one_campaign(monkeypatch):
 
     lengths = Counter()
     original = verify.length_sup
-    monkeypatch.setattr(verify, "length_sup", lambda f, q: lengths.update([f]) or original(f, q))
+    monkeypatch.setattr(verify, "length_sup", lambda f: lengths.update([f]) or original(f))
     cfg = SuiteConfig(
         suites=("coeff-bound", "gradient-bound", "hardy-area"),
         fuzz=FuzzSpec(count=2, degree=3, seed=8),
-        quadrature=QuadratureSpec(mc_samples=10_000, seed=8),
+        mc_samples=10_000,
     )
     scans = _count_grid_scans(monkeypatch, cfg.grid.nodes.shape)
     per_run = []
@@ -1025,7 +1029,7 @@ def test_a_campaign_evaluates_each_maps_fields_on_its_grid_once(monkeypatch):
         suites=("area-overlap", "hardy-area", "coeff-bound", "gradient-bound",
                 "lipschitz-16", "hl-17"),
         fuzz=FuzzSpec(count=3, degree=4, seed=5),
-        quadrature=QuadratureSpec(mc_samples=10_000, seed=5),
+        mc_samples=10_000,
         grid=grid,
     )
     maps = [*builtin_maps().values(), *fuzz_corpus(cfg.fuzz, grid)]

@@ -13,7 +13,6 @@ from harmap import (
     FuzzSpec,
     Grid,
     HarmonicMap,
-    QuadratureSpec,
     area_quadrature,
     area_series,
     area_sup,
@@ -145,6 +144,24 @@ def test_area_quadrature_matches_the_series_on_the_query_corpus():
             assert fv.error_estimate <= 1e-13 * max(1.0, abs(fv.value))
 
 
+def _unnormalised_degree_3_maps():
+    """250 maps whose |h'|^2 and |g'|^2 may nearly cancel: standard normal
+    a_0..a_3 then b_1..b_3, unscaled."""
+    rng = np.random.default_rng(7)
+    for _ in range(250):
+        c = rng.standard_normal((7, 2)) @ [1.0, 1j]
+        yield HarmonicMap(a=tuple(c[:4]), b=tuple(c[4:]))
+
+
+def test_area_quadrature_estimate_covers_cancelling_terms():
+    # Where the two squared moduli cancel, rounding follows their sum, not
+    # the value, and so must the estimate.
+    for f in _unnormalised_degree_3_maps():
+        for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            fv = area_quadrature(f, r)
+            assert abs(fv.value - area_series(f, r).value) <= fv.error_estimate
+
+
 def test_area_quadrature_caps_its_angles_where_the_rule_is_exact():
     # On a ring the Jacobian has trigonometric degree N - 1, so N angles are
     # exact and 2N are the fine rule: a rule with twice the radii and angles
@@ -195,12 +212,14 @@ def test_length_identity_half_radius():
 
 
 def test_length_ellipse_resolution_agreement():
+    from harmap.functionals import _circle_lengths
+
     r = 1.0 - 1e-9
-    lo = length_function(AFFINE_HALF, r, QuadratureSpec(angular_nodes=512))
-    hi = length_function(AFFINE_HALF, r, QuadratureSpec(angular_nodes=1024))
-    assert lo.value == pytest.approx(hi.value, abs=1e-8)
+    lo, hi = (float(_circle_lengths(AFFINE_HALF, r, n)[0][0]) for n in (512, 1024))
+    assert lo == pytest.approx(hi, abs=1e-8)
+    assert length_function(AFFINE_HALF, r).value == pytest.approx(lo, abs=1e-8)
     # semi-axes 1.5 and 0.5: perimeter bounds sanity
-    assert 2 * math.pi * 0.5 < lo.value < 2 * math.pi * 1.5
+    assert 2 * math.pi * 0.5 < lo < 2 * math.pi * 1.5
 
 
 def test_length_constant_map():
@@ -235,26 +254,30 @@ def _circle_lengths_one_rule(f, rs, n_ang):
     return rs * (2.0 * np.pi / n_ang) * integrand.sum(axis=1)
 
 
-@pytest.mark.parametrize("angular_nodes", [256, 512])
-def test_lengths_read_the_coarse_rule_off_the_fine_nodes(angular_nodes):
-    # length_sup and length_function evaluate 2n angles once and take the
-    # n-angle rule from the even nodes; value and error must keep the bits of
-    # evaluating the two rules separately.
-    from harmap.functionals import QUADRATURE, _error_floor, _ladder_sup
+@pytest.mark.parametrize("n_ang", [256, 512])
+def test_lengths_read_the_coarse_rule_off_the_fine_nodes(n_ang):
+    # _circle_lengths evaluates 2n angles once and takes the n-angle rule
+    # from the even nodes; value and error must keep the bits of evaluating
+    # the two rules separately. At n = 256 these are length_sup and
+    # length_function of maps of degree <= 64.
+    from harmap.functionals import QUADRATURE, _circle_lengths, _doubling, _error_floor, _ladder_sup
     from harmap.verify import builtin_maps
 
-    q = QuadratureSpec(angular_nodes=angular_nodes)
     maps = [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=8, degree=8, seed=42))]
     for f in maps:
         rs = r_ladder()
-        want = _ladder_sup(_circle_lengths_one_rule(f, rs, 2 * angular_nodes),
-                           _circle_lengths_one_rule(f, rs, angular_nodes))
-        assert length_sup(f, q) == want
+        want = _ladder_sup(_circle_lengths_one_rule(f, rs, 2 * n_ang),
+                           _circle_lengths_one_rule(f, rs, n_ang))
+        assert _ladder_sup(*_circle_lengths(f, rs, n_ang)) == want
+        if n_ang == 256:
+            assert length_sup(f) == want
         for r in (0.3, 0.9, 1.0 - 2.0**-10):
-            v1 = float(_circle_lengths_one_rule(f, r, angular_nodes)[0])
-            v2 = float(_circle_lengths_one_rule(f, r, 2 * angular_nodes)[0])
+            v1 = float(_circle_lengths_one_rule(f, r, n_ang)[0])
+            v2 = float(_circle_lengths_one_rule(f, r, 2 * n_ang)[0])
             want = FunctionalValue(v2, QUADRATURE, max(abs(v2 - v1), _error_floor(v2)))
-            assert length_function(f, r, q) == want
+            assert _doubling(*(float(v[0]) for v in _circle_lengths(f, r, n_ang))) == want
+            if n_ang == 256:
+                assert length_function(f, r) == want
 
 
 def test_lengths_formed_in_place_keep_the_bits_of_the_temporaries():
@@ -269,7 +292,7 @@ def test_lengths_formed_in_place_keep_the_bits_of_the_temporaries():
         return [rs * (2.0 * np.pi / m) * integrand[:, ::step].sum(axis=1)
                 for m, step in ((2 * n_ang, 1), (n_ang, 2))]
 
-    n_ang = QuadratureSpec().angular_nodes
+    n_ang = 256
     rs = np.concatenate(([0.3, 0.9], r_ladder()))
     for f in fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42)):
         for got, want in zip(_circle_lengths(f, rs, n_ang), out_of_place(f, rs, n_ang)):
@@ -295,6 +318,43 @@ def test_hardy_mean_parseval_crosscheck():
     # Coefficient-sum oracle: M_2^2 = sum (|a_n|^2 + |b_n|^2) r^(2n)
     m2 = hardy_mean(AFFINE_HALF, 2, 0.8).value
     assert m2**2 == pytest.approx(0.8, abs=1e-12)
+
+
+def _decaying_map(degree):
+    """Standard normal coefficients of default_rng(0) over n, a_0..a_N then b_1..b_N."""
+    rng = np.random.default_rng(0)
+    n = np.arange(1, degree + 1)
+    c = rng.standard_normal((2 * degree + 1, 2)) @ [1.0, 1j]
+    return HarmonicMap(a=tuple(c[: degree + 1] / np.r_[1, n]), b=tuple(c[degree + 1 :] / n))
+
+
+@pytest.mark.parametrize("degree", [128, 300, 600, 1024])
+def test_hardy_mean_p2_is_exact_above_degree_64(degree):
+    # |f|^2 on a ring has trigonometric degree 2N, and the circle rules take
+    # at least 4N angles: M_2 meets the coefficient sum to rounding.
+    f = _decaying_map(degree)
+    n = np.arange(1, degree + 1)
+    for r in (0.9, 1.0):
+        tail = (np.abs(f._a_arr[1:]) ** 2 + np.abs(f._b_full[1:]) ** 2) @ r ** (2 * n)
+        want = math.sqrt(abs(f.a[0]) ** 2 + float(tail))
+        fv = hardy_mean(f, 2, r)
+        assert abs(fv.value - want) <= fv.error_estimate
+        assert fv.error_estimate <= 1e-12 * fv.value
+
+
+def test_circle_rules_keep_256_angles_up_to_degree_64():
+    # The rule derived from the degree is the 256-angle one for every map of
+    # degree <= 64: the builtins and the degree-32 query corpus keep their bits.
+    from harmap.functionals import _circle_lengths, _circle_nodes, _circle_pmeans, _doubling, _ladder_sup
+    from harmap.verify import builtin_maps
+
+    assert [_circle_nodes(_decaying_map(n)) for n in (1, 64, 65, 128, 129, 4096, 4097)] == [
+        256, 256, 512, 512, 1024, 1 << 14, 1 << 14]
+    for f in [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42))]:
+        assert length_sup(f) == _ladder_sup(*_circle_lengths(f, r_ladder(), 256))
+        assert length_function(f, 0.9) == _doubling(*(float(v[0]) for v in _circle_lengths(f, 0.9, 256)))
+        assert hardy_norm(f, 0.5) == _ladder_sup(*_circle_pmeans(f, r_ladder(), 0.5, 256))
+        assert hardy_mean(f, 2, 0.9) == _doubling(*(float(v[0]) for v in _circle_pmeans(f, 0.9, 2, 256)))
 
 
 @given(harmonic_maps(), st.sampled_from([0.4, 0.8]))
@@ -401,7 +461,7 @@ def test_circle_max_closed_form_oracle():
 def test_circle_max_matches_golden_polish(small_corpus):
     import cmath
 
-    n_ang = 4 * QuadratureSpec().angular_nodes
+    n_ang = 1024
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     dt = theta[1] - theta[0]
     for f in small_corpus[:4]:
@@ -910,14 +970,14 @@ def test_length_dominates_mean_stretch_integral(small_corpus, grid):
 
 
 def test_error_estimates_are_honest(small_corpus):
-    q = QuadratureSpec(angular_nodes=64)
-    q2 = QuadratureSpec(angular_nodes=128)
+    from harmap.functionals import _circle_lengths, _doubling
+
     for f in small_corpus[:5]:
         for r in (0.4, 0.8):
             base = area_quadrature(f, r)
             assert abs(area_series(f, r).value - base.value) <= base.error_estimate + 1e-13
-            base = length_function(f, r, q)
-            moved = length_function(f, r, q2)
+            base, moved = (_doubling(*(float(v[0]) for v in _circle_lengths(f, r, n)))
+                           for n in (64, 128))
             assert abs(moved.value - base.value) <= base.error_estimate + 1e-13 * (1 + base.value)
 
 

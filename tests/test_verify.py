@@ -11,7 +11,6 @@ from harmap import (
     GenerationFailed,
     Grid,
     HarmonicMap,
-    QuadratureSpec,
     area_sup,
     builtin_maps,
     fuzz_corpus,
@@ -122,10 +121,9 @@ def test_three_circles_argument_validation():
 
 
 def test_area_overlap_scaling_family_exact():
-    q = QuadratureSpec(mc_samples=100_000)
     for t in (0.5, 0.1, 0.01):
         f = HarmonicMap(a=(0, t), b=(0,))
-        rep = verify_area_overlap(f, q=q, K=1.0)
+        rep = verify_area_overlap(f, K=1.0, mc_samples=100_000)
         assert rep.status == PASS
         # constant integrand: the Monte Carlo estimate is exact
         assert rep.lhs == pytest.approx(1 + t * t, abs=1e-12)
@@ -133,10 +131,9 @@ def test_area_overlap_scaling_family_exact():
 
 
 def test_area_overlap_identity_and_affine():
-    q = QuadratureSpec(mc_samples=100_000)
-    rep = verify_area_overlap(IDENTITY, q=q)
+    rep = verify_area_overlap(IDENTITY, mc_samples=100_000)
     assert rep.status == PASS and rep.lhs == pytest.approx(2.0, abs=1e-12)
-    rep = verify_area_overlap(AFFINE_ROOT2, q=q)
+    rep = verify_area_overlap(AFFINE_ROOT2, mc_samples=100_000)
     assert rep.status == PASS
     assert rep.details["K"] == pytest.approx((math.sqrt(2) + 1) / (math.sqrt(2) - 1), rel=1e-9)
     assert rep.lhs >= rep.rhs - 3 * rep.details["mc_sigma"]
@@ -145,25 +142,23 @@ def test_area_overlap_identity_and_affine():
 def test_area_overlap_affine_matches_ellipse_oracle():
     # J = 1 everywhere, so the multiplicity area of f(D_r) is r^2 and the
     # image-overlap estimate must agree with the indicator mean.
-    q = QuadratureSpec(mc_samples=200_000)
-    rep = verify_area_overlap(AFFINE_ROOT2, q=q)
+    rep = verify_area_overlap(AFFINE_ROOT2, mc_samples=200_000)
     assert rep.details["image_overlap_area"] == pytest.approx(
         rep.details["preimage_area"], abs=1e-9
     )
 
 
 def test_area_overlap_hypothesis_gates():
-    q = QuadratureSpec(mc_samples=10_000)
-    rep = verify_area_overlap(SQUARE, q=q)
+    rep = verify_area_overlap(SQUARE, mc_samples=10_000)
     assert rep.status == HYPOTHESIS_VIOLATED
     assert not rep.hypotheses["univalence certified or assumed"]
-    rep = verify_area_overlap(SQUARE, q=q, assume_univalent=True)
+    rep = verify_area_overlap(SQUARE, assume_univalent=True, mc_samples=10_000)
     assert rep.status == PASS
     shifted = HarmonicMap(a=(0.2, 1), b=(0,))
-    rep = verify_area_overlap(shifted, q=q)
+    rep = verify_area_overlap(shifted, mc_samples=10_000)
     assert rep.status == HYPOTHESIS_VIOLATED and not rep.hypotheses["f(0) = 0"]
     with pytest.raises(ValueError):
-        verify_area_overlap(IDENTITY, DiskDomain(center=5 + 0j), q=q)
+        verify_area_overlap(IDENTITY, DiskDomain(center=5 + 0j), mc_samples=10_000)
 
 
 @pytest.mark.parametrize("scale, hits", [(1e5, 0), (1e3, 1)])
@@ -189,12 +184,11 @@ def test_area_overlap_of_a_large_map(tmp_path, scale, hits):
 
 
 def test_area_overlap_general_disks():
-    q = QuadratureSpec(mc_samples=100_000)
     rep = verify_area_overlap(
         IDENTITY,
         DiskDomain(center=0.2 + 0j, radius=1.5),
         DiskDomain(center=0j, radius=2.0),
-        q=q,
+        mc_samples=100_000,
     )
     assert rep.status == PASS
 
@@ -231,7 +225,7 @@ def test_verifiers_report_sense_reversal_as_hypothesis():
     anti = HarmonicMap(a=(0, 0.2), b=(1.0,))  # conj-dominant, J < 0
     for rep in (
         verify_hardy_area(anti),
-        verify_area_overlap(anti, q=QuadratureSpec(mc_samples=10_000)),
+        verify_area_overlap(anti, mc_samples=10_000),
         *verify_coeff_bound(anti),
         *verify_gradient_bound(anti),
     ):
@@ -257,7 +251,7 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     f = HarmonicMap(a=(0, 1.0, 0.05), b=(0.1, 0.02))  # used by no other test
     with _campaign_memo():  # sharing is a property of a campaign
         reports = [
-            verify_area_overlap(f, q=QuadratureSpec(mc_samples=10_000)),
+            verify_area_overlap(f, mc_samples=10_000),
             verify_hardy_area(f),
             *verify_coeff_bound(f),
             *verify_gradient_bound(f),
@@ -338,17 +332,22 @@ def test_fuzz_admission_scans_each_draw_once_and_keeps_nothing(monkeypatch):
 
 
 def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
-    import harmap.verify as verify
+    # length_sup is memoized in a campaign: the two verifiers evaluate the
+    # map's circle lengths once between them.
+    import harmap.functionals as functionals
 
     calls = []
-    original = verify.length_sup
-    monkeypatch.setattr(verify, "length_sup", lambda f, q: calls.append(q) or original(f, q))
+    original = functionals._circle_lengths
+    monkeypatch.setattr(functionals, "_circle_lengths",
+                        lambda f, rs, n: calls.append(f) or original(f, rs, n))
     f = HarmonicMap(a=(0, 1.0, 0.07), b=(0.05, 0.03))
     with _campaign_memo():  # sharing is a property of a campaign
-        coeff = verify_coeff_bound(f, QuadratureSpec(seed=1))
-        verify_gradient_bound(f, q=QuadratureSpec(seed=2))
-    assert len(calls) == 1
-    assert coeff[0].details["length_sup"] == original(f, QuadratureSpec()).value
+        coeff = verify_coeff_bound(f)
+        gradient = verify_gradient_bound(f)
+    assert calls == [f]
+    assert coeff[0].details["length_sup"] == functionals.length_sup(f).value
+    assert gradient[0].error_estimate == (functionals.length_sup(f).error_estimate
+                                          * math.sqrt(coeff[0].details["K"]) / (2.0 * math.pi))
 
 
 # -- coefficient and gradient bounds ----------------------------------------------
@@ -470,18 +469,18 @@ def test_fuzz_spec_validation():
 
 
 def test_report_moves_less_than_error_estimate(small_corpus):
-    # Doubling the quadrature resolution shifts the quadrature-backed side by
-    # less than the recorded error estimate.
-    q1 = QuadratureSpec(angular_nodes=64)
-    q2 = QuadratureSpec(angular_nodes=128)
+    # Doubling the circle rules' resolution shifts the boundary length and
+    # l_f(0.8), which the coefficient and isoperimetric bounds scale, by less
+    # than the error estimate of the coarser pair.
+    from harmap.functionals import _circle_lengths, _doubling, _ladder_sup
+    from harmap.grids import r_ladder
+
     for f in small_corpus[:5]:
-        base = verify_coeff_bound(f, q1)
-        moved = verify_coeff_bound(f, q2)
-        for b, m in zip(base, moved):
-            assert abs(m.rhs - b.rhs) <= b.error_estimate + 1e-12 * (1 + abs(b.rhs))
-        b = verify_isoperimetric(f, 0.8, q1)
-        m = verify_isoperimetric(f, 0.8, q2)
-        assert abs(m.rhs - b.rhs) <= b.error_estimate + 1e-12 * (1 + abs(b.rhs))
+        base, moved = (_ladder_sup(*_circle_lengths(f, r_ladder(), n)) for n in (64, 128))
+        assert abs(moved.value - base.value) <= base.error_estimate + 1e-12 * (1 + base.value)
+        base, moved = (_doubling(*(float(v[0]) for v in _circle_lengths(f, 0.8, n)))
+                       for n in (64, 128))
+        assert abs(moved.value - base.value) <= base.error_estimate + 1e-12 * (1 + base.value)
 
 
 def test_grid_and_quadrature_validation():
@@ -489,10 +488,9 @@ def test_grid_and_quadrature_validation():
         Grid(n_theta=4)
     with pytest.raises(ValueError):
         Grid(r_max=1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(angular_nodes=15)
-    with pytest.raises(ValueError):
-        QuadratureSpec(mc_samples=100)
+    for count in (100, 5_000, 4_000_001):
+        with pytest.raises(ValueError, match="mc_samples"):
+            verify_area_overlap(IDENTITY, mc_samples=count)
 
 
 def test_builtin_maps_admissible(grid):
