@@ -1001,11 +1001,12 @@ def test_campaign_runs_on_one_thread_by_default(monkeypatch):
 def test_per_map_memos_live_for_one_campaign(monkeypatch):
     # A second campaign in the same process does the same scans as the
     # first: it does not reuse the first one's memos.
-    import harmap.verify as verify
+    import harmap.functionals as functionals
 
-    lengths = Counter()
-    original = verify.length_sup
-    monkeypatch.setattr(verify, "length_sup", lambda f: lengths.update([f]) or original(f))
+    lengths = Counter()  # circle-length evaluations, i.e. length_sup memo misses
+    original = functionals._circle_lengths
+    monkeypatch.setattr(functionals, "_circle_lengths",
+                        lambda f, rs, n: lengths.update([f]) or original(f, rs, n))
     cfg = SuiteConfig(
         suites=("coeff-bound", "gradient-bound", "hardy-area"),
         fuzz=FuzzSpec(count=2, degree=3, seed=8),

@@ -468,19 +468,20 @@ def test_fuzz_spec_validation():
             FuzzSpec(**kwargs)
 
 
-def test_report_moves_less_than_error_estimate(small_corpus):
-    # Doubling the circle rules' resolution shifts the boundary length and
-    # l_f(0.8), which the coefficient and isoperimetric bounds scale, by less
-    # than the error estimate of the coarser pair.
-    from harmap.functionals import _circle_lengths, _doubling, _ladder_sup
-    from harmap.grids import r_ladder
+def test_report_moves_less_than_error_estimate(small_corpus, monkeypatch):
+    # Doubling the circle rules' resolution shifts the quadrature-backed side
+    # by less than the recorded error estimate.
+    import harmap.functionals as functionals
+
+    def reports(f, n):
+        monkeypatch.setattr(functionals, "_circle_nodes", lambda f: n)
+        return verify_coeff_bound(f), verify_isoperimetric(f, 0.8)
 
     for f in small_corpus[:5]:
-        base, moved = (_ladder_sup(*_circle_lengths(f, r_ladder(), n)) for n in (64, 128))
-        assert abs(moved.value - base.value) <= base.error_estimate + 1e-12 * (1 + base.value)
-        base, moved = (_doubling(*(float(v[0]) for v in _circle_lengths(f, 0.8, n)))
-                       for n in (64, 128))
-        assert abs(moved.value - base.value) <= base.error_estimate + 1e-12 * (1 + base.value)
+        (base, b), (moved, m) = reports(f, 64), reports(f, 128)
+        for c, d in zip(base, moved):
+            assert abs(d.rhs - c.rhs) <= c.error_estimate + 1e-12 * (1 + abs(c.rhs))
+        assert abs(m.rhs - b.rhs) <= b.error_estimate + 1e-12 * (1 + abs(b.rhs))
 
 
 def test_grid_and_quadrature_validation():
