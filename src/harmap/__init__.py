@@ -28,7 +28,6 @@ from .functionals import (
     area_quadrature,
     area_series,
     area_sup,
-    bloch_norm,
     bloch_seminorm,
     grid_sup,
     hardy_mean,
@@ -38,7 +37,7 @@ from .functionals import (
     length_sup,
     lipschitz_ratio,
 )
-from .grids import Grid, r_ladder
+from .grids import r_ladder
 from .lipschitz import (
     PowerMajorant,
     SampledMajorant,

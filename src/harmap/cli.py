@@ -13,14 +13,12 @@ configuration error, 3 corpus generation failure, 4 internal error (an
 unexpected exception, reported on one line as ``error: internal: ...``).
 Hypothesis-violated rows are counted separately and do not fail a run. A
 campaign runs each suite as one task over a block of maps (all of them up
-to 94 on the default grid), so a suite's disk suprema are polished for the
-block at once. It calls each Lipschitz-space constant once per majorant, and
-the campaign memo of ``core``, one per block, computes each map's
-majorant-free side once. The tasks run one after another: the work is
-Python-bound under the interpreter lock, and on a 2-core machine a 2-thread
-pool raised the default campaign's CPU time (4.1-4.6 s against 3.9-4.0 s
-serial, measured when the pool was removed; the campaign now takes about
-1 s of CPU). Report rows are emitted in sorted order, so identical seeds give
+to 94), so a suite's disk suprema are polished for the block at once. It
+calls each Lipschitz-space constant once per majorant, and the campaign
+memo of ``core``, one per block, computes each map's majorant-free side
+once. The tasks run one after another, on one thread: the work is
+Python-bound under the interpreter lock, so threads would not run it in
+parallel. Report rows are emitted in sorted order, so identical seeds give
 byte-identical report files. ``functional`` and ``fuzz`` never load scipy,
 nor does ``verify`` outside the ``lipschitz-16``, ``hl-17`` and
 ``majorant-regularity`` suites (see :mod:`harmap.grids`).
@@ -33,7 +31,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused: the benchmark tracer binds this name
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -50,7 +48,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import Grid, disk_sample
+from .grids import GRID, disk_sample
 from .lipschitz import (
     Majorant,
     OutsideTable,
@@ -113,7 +111,7 @@ def _per_map(run):
 
 
 def _gradient_bound(fs, cfg: SuiteConfig, seeds):
-    return verify_gradient_bounds(fs, [_gradient_sample(seed) for seed in seeds], cfg.grid)
+    return verify_gradient_bounds(fs, [_gradient_sample(seed) for seed in seeds])
 
 
 def _chord_row(seed: int):
@@ -154,7 +152,7 @@ def _per_majorant(fs, cfg: SuiteConfig, names, run):
 def _lipschitz_16(fs, cfg: SuiteConfig, seeds):
     def run(omega):
         chunks = []
-        for f, c1 in zip(fs, cond_a_constants(fs, omega, cfg.grid)):
+        for f, c1 in zip(fs, cond_a_constants(fs, omega)):
             c2, c3 = cond_b_constant(f, omega), cond_c_constant(f, omega)
             chunks.append([make_report("cond-b-vs-a", c2, math.pi * c1, slack=1e-6,
                                        details={"C1": c1, "C2": c2, "C3": c3})])
@@ -168,7 +166,7 @@ def _lipschitz_16(fs, cfg: SuiteConfig, seeds):
 
 def _hl_17(fs, cfg: SuiteConfig, seeds):
     return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
-                         lambda omega: verify_hl_equivalences(fs, omega, cfg.grid))
+                         lambda omega: verify_hl_equivalences(fs, omega))
 
 
 def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
@@ -207,9 +205,9 @@ SUITES = {
     "three-circles": _per_map(lambda f, cfg, seed: [verify_three_circles(f, r1, r)
                                                     for r1, r in cfg.three_circles_pairs]),
     "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(
-        f, seed=seed, grid=cfg.grid, mc_samples=cfg.mc_samples)]),
-    "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f, cfg.grid)]),
-    "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f, cfg.grid)),
+        f, seed=seed, mc_samples=cfg.mc_samples)]),
+    "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f)]),
+    "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f)),
     "gradient-bound": _gradient_bound,
     "isoperimetric": _per_map(lambda f, cfg, seed: [verify_isoperimetric(f, r)
                                                     for r in cfg.isoperimetric_radii]),
@@ -235,7 +233,6 @@ class SuiteConfig:
     include_builtin: bool = True
     fuzz: FuzzSpec | None = None
     mc_samples: int = 1_000_000
-    grid: Grid = field(default_factory=Grid)
     majorants: tuple[Majorant, ...] = (PowerMajorant(0.5), PowerMajorant(1.0))
     three_circles_pairs: tuple[tuple[float, float], ...] = (
         (0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
@@ -339,7 +336,7 @@ def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
             sources.append((f"builtin:{name}", f))
     sources.extend(cfg._file_maps)
     if cfg.fuzz is not None:
-        for i, f in enumerate(fuzz_corpus(cfg.fuzz, cfg.grid)):
+        for i, f in enumerate(fuzz_corpus(cfg.fuzz)):
             sources.append((f"fuzz-{i:04d}", f))
     return sources
 
@@ -365,14 +362,14 @@ def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, first: int):
     return reports
 
 
-def _memo_block(grid: Grid) -> int:
+def _memo_block() -> int:
     """Maps a campaign runs its per-map suites on under one memo: as many as
     keep every array memoized for a map within ``_MEMO_BUDGET``, at least 1.
-    A map's arrays are its Lambda_f scan (8 bytes a node), its pair
-    quotients (8 bytes a pair of :func:`default_pair_sample`) and its hl-17
-    fields (16 bytes a pair of ``_hl_sample``): 94 maps on the default grid."""
-    pairs, hl_pairs = default_pair_sample()[0].size, _hl_sample(grid.r_max)[0].size
-    return max(1, _MEMO_BUDGET // (8 * grid.nodes.size + 8 * pairs + 16 * hl_pairs))
+    A map's arrays are its Lambda_f scan (8 bytes a node of ``grids.GRID``),
+    its pair quotients (8 bytes a pair of :func:`default_pair_sample`) and
+    its hl-17 fields (16 bytes a pair of ``_hl_sample``): 94 maps."""
+    pairs, hl_pairs = default_pair_sample()[0].size, _hl_sample()[0].size
+    return max(1, _MEMO_BUDGET // (8 * GRID.n_r * GRID.n_theta + 8 * pairs + 16 * hl_pairs))
 
 
 def run_config(cfg: SuiteConfig):
@@ -392,7 +389,7 @@ def run_config(cfg: SuiteConfig):
             starts[suite], index = index, index + (1 if suite in GLOBAL_SUITES else len(sources))
         for suite in starts.keys() & GLOBAL_SUITES:
             reports.extend(_run_suite_on_map(suite, [("-", None)], cfg, starts.pop(suite)))
-        block = _memo_block(cfg.grid)
+        block = _memo_block()
         for lo in range(0, len(sources), block):
             with _campaign_memo():
                 for suite, start in starts.items():

@@ -20,9 +20,11 @@ cost hardly grows with the degree. It is not a matrix product because a BLAS
 product of that size starts a pool of spinning threads. The grids whose
 values feed the pinned campaign digest stay on Horner until that digest is
 re-pinned: the circle lengths, and :func:`_grid_scan`, the one evaluation of
-a map's fields on a grid that its Lambda_f suprema share, and the only code
-that decides sense preservation and the distortion constant K:
-:func:`is_sense_preserving` and :func:`qc_constant` read it.
+a map's fields on the fixed grid ``grids.GRID`` (64 x 256 nodes up to
+r = 0.995), which its Lambda_f suprema share. It is the only code that
+decides sense preservation and the distortion constant K:
+:func:`is_sense_preserving` and :func:`qc_constant` read it, and no caller
+can choose another grid.
 
 Everything here is pure and all types are immutable after construction, so
 instances are safe to share across threads. Grid reductions go through
@@ -50,7 +52,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grids import _DEFAULT_GRID, Grid, _read_only
+from .grids import GRID, _read_only
 
 __all__ = [
     "HarmonicMap",
@@ -419,20 +421,20 @@ class SensePreservation:
     witness: complex
 
 
-def is_sense_preserving(f: HarmonicMap, grid: Grid | None = None) -> SensePreservation:
+def is_sense_preserving(f: HarmonicMap) -> SensePreservation:
     """The Jacobian scan of :func:`_grid_scan`: ok iff J > 0 at every grid node."""
-    return _grid_scan(f, grid or _DEFAULT_GRID)[1]
+    return _grid_scan(f)[1]
 
 
-def qc_constant(f: HarmonicMap, grid: Grid | None = None) -> float:
+def qc_constant(f: HarmonicMap) -> float:
     """The distortion constant K of :func:`_grid_scan`: the grid max of Lambda /
     lambda, or math.inf unless J > 0 and lambda >= LAMBDA_FLOOR * Lambda at every node."""
-    return _grid_scan(f, grid or _DEFAULT_GRID)[2]
+    return _grid_scan(f)[2]
 
 
 @_memoized
-def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservation, float]:
-    """One evaluation of (f_z, f_zbar) on ``grid.nodes`` and all a campaign
+def _grid_scan(f: HarmonicMap) -> tuple[np.ndarray, SensePreservation, float]:
+    """One evaluation of (f_z, f_zbar) on ``grids.GRID.nodes`` and all a campaign
     reads of it: Lambda_f on the nodes (read-only), and the one rule for the
     Jacobian scan of :func:`is_sense_preserving` and the :func:`qc_constant` K:
     K = max Lambda / lambda, lambda = |f_z| - |f_zbar|, when J > 0 and lambda >=
@@ -440,11 +442,11 @@ def _grid_scan(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, SensePreservatio
     scale-free and sends to inf a map whose J and lambda round to opposite
     signs. The quasiconformal hypotheses and the disk suprema of Lambda_f share
     it; fuzz admission calls it unmemoized."""
-    fz, fzbar = wirtinger(f, grid.nodes)
+    fz, fzbar = wirtinger(f, GRID.nodes)
     jac = (_abs2(fz) - _abs2(fzbar)).ravel()
     k = int(np.argmin(jac))
     sense = SensePreservation(ok=bool(jac[k] > 0.0), min_jacobian=float(jac[k]),
-                              witness=complex(grid.nodes.ravel()[k]))
+                              witness=complex(GRID.nodes.ravel()[k]))
     m1, m2 = np.abs(fz), np.abs(fzbar)
     stretch, lam = m1 + m2, m1 - m2
     resolved = sense.ok and bool(np.all(lam >= LAMBDA_FLOOR * stretch))
@@ -487,24 +489,22 @@ def coeff_from_contour(f: HarmonicMap, n: int, r: float, m: int) -> tuple[comple
     return complex(ring[1][n - 1]), complex(ring[2][n - 1])
 
 
-@lru_cache(maxsize=8)
-def _directions(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cos t, sin t) on n_theta uniform angles. Cached; the arrays are read-only."""
-    t = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+@lru_cache(maxsize=1)
+def _directions() -> tuple[np.ndarray, np.ndarray]:
+    """(cos t, sin t) on 4096 uniform angles. Cached; the arrays are read-only."""
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     return _read_only(np.cos(t), np.sin(t))
 
 
-def directional_derivative_max(
-    f: HarmonicMap, z: complex, n_theta: int = 4096, step: float = 1e-6
-) -> float:
-    """Grid maximum over directions of |f_x cos t + f_y sin t|.
+def directional_derivative_max(f: HarmonicMap, z: complex) -> float:
+    """Maximum over 4096 uniform directions of |f_x cos t + f_y sin t|.
 
     The partials f_x, f_y are central finite differences of the map itself,
-    so this estimates the maximal directional stretch without touching the
-    analytic derivative path; it should reproduce Lambda_f(z).
+    step 1e-6, so this estimates the maximal directional stretch without
+    touching the analytic derivative path; it should reproduce Lambda_f(z).
     """
-    z = complex(z)
+    z, step = complex(z), 1e-6
     fx = (f(z + step) - f(z - step)) / (2.0 * step)
     fy = (f(z + 1j * step) - f(z - 1j * step)) / (2.0 * step)
-    c, s = _directions(n_theta)
+    c, s = _directions()
     return float(np.max(np.abs(fx * c + fy * s)))

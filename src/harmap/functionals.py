@@ -66,7 +66,7 @@ import numpy as np
 
 from .core import HarmonicMap, MapStack, _abs2, _grid_scan, _memoized, _stretch, wirtinger
 from .core import _ring_fields, _ring_values
-from .grids import _DEFAULT_GRID, Grid, _read_only, gauss_legendre_01, r_ladder
+from .grids import GRID, _read_only, gauss_legendre_01, r_ladder
 
 __all__ = [
     "FunctionalValue",
@@ -82,7 +82,6 @@ __all__ = [
     "hardy_norm",
     "bloch_seminorm",
     "bloch_seminorms",
-    "bloch_norm",
     "hyperbolic_distance",
     "lipschitz_ratio",
     "grid_sup",
@@ -559,9 +558,9 @@ def _origin_stretch(stack: MapStack) -> np.ndarray:
     return np.abs(stack._da[0]) + np.abs(stack._db[0])
 
 
-def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
-    """sup over the disk covered by the grid of ratio(Lambda_f(z), z), for
-    each map at once, one value per map.
+def grid_sup(maps, ratio) -> list[FunctionalValue]:
+    """sup over the disk |z| <= 0.995 of ``grids.GRID`` of ratio(Lambda_f(z), z),
+    for each map at once, one value per map.
 
     ``ratio(lam, z)`` weighs Lambda_f at the points z elementwise, say by
     1 - |z|^2 for the Bloch seminorm. Protocol, per map: coarse max over
@@ -578,26 +577,25 @@ def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
     (maps, M) arrays of radii and angles, each point by the same elementwise
     operations as when each call held one point a map.
     """
-    grid = grid or _DEFAULT_GRID
     stack, count = MapStack(maps), len(maps)
 
     def at(rs, ts):  # ratio at rs e^{i ts}, given as (maps, M) arrays
         z = np.ascontiguousarray(rs) * np.exp(1j * np.ascontiguousarray(ts))
         return ratio(_stretch(stack, z), z)
 
-    radii, angles = grid.radii, grid.angles
+    radii, angles = GRID.radii, GRID.angles
     origin = ratio(_origin_stretch(stack)[:, None], np.zeros((count, 1), dtype=complex))[:, 0]
     v, flat = np.empty(count), np.empty(count, dtype=int)
     for p, f in enumerate(maps):
-        vals = ratio(_grid_scan(f, grid)[0], grid.nodes)
+        vals = ratio(_grid_scan(f)[0], GRID.nodes)
         flat[p] = np.argmax(vals)
         v[p] = vals.flat[flat[p]]
-    i, j = np.divmod(flat, grid.n_theta)
+    i, j = np.divmod(flat, GRID.n_theta)
     centre = origin > v
     v, i = np.where(centre, origin, v), np.where(centre, -1, i)
     r, t = np.where(centre, 0.0, radii[i]), np.where(centre, 0.0, angles[j])
     # The radius bracket spans the neighbouring rings; the origin's is [0, radii[0]].
-    ext = np.concatenate(([0.0], radii, [grid.r_max]))
+    ext = np.concatenate(([0.0], radii, [GRID.r_max]))
     lo, hi = ext[np.maximum(i, 0)], ext[i + 2]
 
     def along(fixed, m):  # each map's fixed coordinate at each of its m probes
@@ -618,22 +616,16 @@ def grid_sup(maps, ratio, grid: Grid | None = None) -> list[FunctionalValue]:
 # ---------------------------------------------------------------------------
 
 
-def bloch_seminorms(maps, grid: Grid | None = None) -> list[FunctionalValue]:
+def bloch_seminorms(maps) -> list[FunctionalValue]:
     """sup over the disk of (1 - |z|^2) Lambda_f(z) for each map, all
     polished in lockstep by one batched :func:`grid_sup`."""
-    return grid_sup(maps, lambda lam, z: (1.0 - _abs2(z)) * lam, grid)
+    return grid_sup(maps, lambda lam, z: (1.0 - _abs2(z)) * lam)
 
 
-def bloch_seminorm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:
+def bloch_seminorm(f: HarmonicMap) -> FunctionalValue:
     """sup over the disk of (1 - |z|^2) Lambda_f(z): the one-map case of
     :func:`bloch_seminorms`."""
-    return bloch_seminorms([f], grid)[0]
-
-
-def bloch_norm(f: HarmonicMap, grid: Grid | None = None) -> FunctionalValue:
-    """|f(0)| plus the Bloch seminorm."""
-    semi = bloch_seminorm(f, grid)
-    return FunctionalValue(abs(f(0j)) + semi.value, GRID_SUP, semi.error_estimate)
+    return bloch_seminorms([f])[0]
 
 
 def hyperbolic_distance(z: complex, w: complex) -> float:

@@ -1,8 +1,9 @@
 """Sampling grids, Gauss-Legendre rules and the dyadic radius ladder.
 
-These are the discretizations that do not follow from a map's degree: a
-polar evaluation grid on a closed sub-disk (for sup estimation and sign
-scans), the ladder of radii 1 - 2^-k used to approach the boundary, and
+These are the discretizations that do not follow from a map's degree:
+``GRID``, the one polar evaluation grid, 64 x 256 nodes on |z| <= 0.995 (for
+sup estimation and sign scans; no caller sets another), the ladder of radii
+1 - 2^-k used to approach the boundary, and
 :func:`disk_sample`, the one area-uniform random sampler of a disk that
 every Monte Carlo estimate and random pair set draws from. The circle and
 disk quadratures of :mod:`harmap.functionals` size their nodes by the
@@ -20,12 +21,11 @@ majorant integrals import ``scipy.integrate`` (see :mod:`harmap.lipschitz`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "r_ladder", "gauss_legendre_01", "disk_sample"]
+__all__ = ["GRID", "r_ladder", "gauss_legendre_01", "disk_sample"]
 
 
 def _read_only(*arrays: np.ndarray):
@@ -35,28 +35,18 @@ def _read_only(*arrays: np.ndarray):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Polar tensor grid on the disk |z| <= r_max < 1.
+class _PolarGrid:
+    """The polar tensor grid on the disk |z| <= 0.995: 64 radii times 256 angles.
 
     Radii are Chebyshev-spaced in (0, r_max] (clustered toward 0 and toward
     r_max, where the interesting extrema of distortion quantities live);
-    angles are uniform on [0, 2*pi). Nodes never touch |z| = 1.
+    angles are uniform on [0, 2*pi). Nodes never touch |z| = 1. The arrays
+    are built on first use and read-only.
     """
 
-    n_r: int = 64
-    n_theta: int = 256
-    r_max: float = 0.995
-
-    def __post_init__(self):
-        if self.n_r < 1:
-            raise ValueError("n_r must be >= 1")
-        if self.n_theta < 8:
-            raise ValueError("n_theta must be >= 8")
-        if self.n_r * self.n_theta > 1 << 20:  # a scan then holds about 130 MB of arrays
-            raise ValueError("n_r * n_theta must be at most 2^20")
-        if not 0.0 < self.r_max < 1.0:
-            raise ValueError("r_max must lie in (0, 1)")
+    n_r = 64
+    n_theta = 256
+    r_max = 0.995
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -75,8 +65,8 @@ class Grid:
         return _read_only(self.radii[:, None] * np.exp(1j * self.angles[None, :]))
 
 
-# The grid of every ``grid=None`` default: one instance, so its nodes are built once.
-_DEFAULT_GRID = Grid()
+# The one grid of the sense and K scan and of the disk suprema.
+GRID = _PolarGrid()
 
 
 def r_ladder() -> np.ndarray:

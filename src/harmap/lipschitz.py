@@ -21,7 +21,10 @@ majorant are estimated as empirical constants:
 * ``cond_b``: sup over pairs of (|f(z)-f(w)| / |z-w|) / omega(1/sqrt(d(z)d(w))),
 * ``cond_c``: sup of disk means of |f - f(z)| over r omega(1/r),
 
-with d(z) = 1 - |z| the boundary distance. Each takes a map side that no
+with d(z) = 1 - |z| the boundary distance. Their sample sets are fixed, and
+no argument sets them: C1 and hl-17's C4 are disk suprema on ``grids.GRID``,
+C2 reads :func:`default_pair_sample`, C3 18 probe disks, and hl-17 its 512
+segment pairs. Each takes a map side that no
 majorant enters (Lambda_f on the grid, the pair quotients, the disk means,
 the segment fields of hl-17), which a campaign's memo keeps once per map for
 all its majorants (``core._memoized``), and C2 and C3 a majorant side that no
@@ -39,14 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .core import _PAIRS, HarmonicMap, _abs2, _grid_scan, _memoized, _stretch, from_json
 from .core import wirtinger  # unused: the benchmark's tracer test reads this binding
 from .functionals import grid_sup
-from .grids import _DEFAULT_GRID, Grid, _read_only, _roots_legendre_01, disk_sample
+from .grids import GRID, _read_only, _roots_legendre_01, disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -281,14 +284,14 @@ class ScalingCheck:
     witnesses: tuple  # (lambda, t, lhs, rhs) rows where the inequality broke
 
 
-def check_scaling_lemma(omega: Majorant, probes) -> ScalingCheck:
-    """omega(lambda t) <= lambda omega(t) for every probe with lambda >= 1.
+def check_scaling_lemma(omega: Majorant, pairs) -> ScalingCheck:
+    """omega(lambda t) <= lambda omega(t) for every pair (lambda, t) with lambda >= 1.
 
     Direct consequence of omega(t)/t non-increasing; verified pointwise with
     1e-12 relative slack.
     """
     bad = []
-    for lam, t in probes:
+    for lam, t in pairs:
         lam, t = float(lam), float(t)
         if lam < 1.0:
             raise ValueError("scaling factors must be >= 1")
@@ -311,20 +314,18 @@ class RegularityReport:
     c_eq3_truncation: float = 0.0
 
 
-def regularity_check(omega: Majorant, delta0: float, probes: int = 24) -> RegularityReport:
+def regularity_check(omega: Majorant, delta0: float) -> RegularityReport:
     """Smallest empirical constants in the two regularity conditions.
 
-    Both integrals are evaluated by adaptive quadrature at log-spaced scales
-    delta in (0, delta0) and divided by omega(delta); the suprema over the
-    probe set are reported. The linear majorant t^1 has a divergent tail
+    Both integrals are evaluated by adaptive quadrature at 24 log-spaced
+    scales delta in (0, delta0) and divided by omega(delta); the suprema over
+    those scales are reported. The linear majorant t^1 has a divergent tail
     integral and reports c_eq3 = None.
     """
     if delta0 <= 0.0:
         raise ValueError("delta0 must be positive")
-    if probes < 2:
-        raise ValueError("need at least two probe scales")
     lo = max(delta0 * 1e-3, omega.probe_floor)
-    deltas = np.geomspace(lo, delta0 * 0.999, probes)
+    deltas = np.geomspace(lo, delta0 * 0.999, 24)
     c2 = 0.0
     c3: float | None = 0.0
     trunc = 0.0
@@ -354,25 +355,27 @@ def _regularity(omega: Majorant) -> RegularityReport:
 # ---------------------------------------------------------------------------
 
 
-def cond_a_constants(maps, omega: Majorant, grid: Grid | None = None) -> list[float]:
+def cond_a_constants(maps, omega: Majorant) -> list[float]:
     """:func:`cond_a_constant` for each map, all polished in lockstep by one
     batched :func:`~harmap.functionals.grid_sup`."""
-    sups = grid_sup(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))), grid)
+    sups = grid_sup(maps, lambda lam, z: lam / omega(1.0 / (1.0 - np.abs(z))))
     return [fv.value for fv in sups]
 
 
-def cond_a_constant(f: HarmonicMap, omega: Majorant, grid: Grid | None = None) -> float:
+def cond_a_constant(f: HarmonicMap, omega: Majorant) -> float:
     """Smallest empirical C with Lambda_f(z) <= C omega(1/d(z)) on the disk."""
-    return cond_a_constants([f], omega, grid)[0]
+    return cond_a_constants([f], omega)[0]
 
 
-@lru_cache(maxsize=8)
-def default_pair_sample(count: int = 4096, seed: int = 7, r_cap: float = 0.999) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (z, w) pairs mixing random, local, antipodal and
-    direction-sweep configurations (the sweeps at shrinking separations pin
-    down local-stretch suprema), without degenerate pairs (coincident, or
-    touching the boundary). Cached; the arrays are read-only."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x50414952)))
+@cache
+def default_pair_sample() -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (z, w) pairs from 4096 draws of |z| < 0.999 (seed 7),
+    mixing random, local, antipodal and direction-sweep configurations (the
+    sweeps at shrinking separations pin down local-stretch suprema), without
+    degenerate pairs (coincident, or touching the boundary). Cached; the
+    arrays are read-only."""
+    count, r_cap = 4096, 0.999
+    rng = np.random.default_rng(np.random.SeedSequence((7, 0x50414952)))
     half = count // 2
     quarter = count // 4
     z_parts = [disk_sample(rng, half, r_cap)]
@@ -415,13 +418,13 @@ def _pair_quotients(f: HarmonicMap) -> np.ndarray:
     return _read_only(np.abs(f(z) - f(w)) / np.abs(z - w))
 
 
-def default_mean_probes() -> tuple[tuple[complex, tuple[float, ...]], ...]:
-    centers = (0j, 0.3 + 0j, 0.25 + 0.43j, -0.7 + 0j, 0.45j, -0.2 - 0.55j)
-    return tuple((z, (0.25, 0.5, 1.0)) for z in centers)
+# C3's probes: (centre z0, radii as fractions of d(z0)), 18 disks D(z0, r).
+_MEAN_PROBES = tuple((z0, (0.25, 0.5, 1.0)) for z0 in
+                     (0j, 0.3 + 0j, 0.25 + 0.43j, -0.7 + 0j, 0.45j, -0.2 - 0.55j))
 
 
-@lru_cache(maxsize=8)
-def _probe_grids(probes):
+@cache
+def _probe_grids():
     """The map-independent side of :func:`_disk_means`, one entry per probe
     radius: its centre's index, the radius r, the radial weights w rho and the
     polar nodes z0 + rho e^(i theta) of D(z0, r), rho = r x for 32 Gauss-Legendre
@@ -429,15 +432,10 @@ def _probe_grids(probes):
     x, wts = _roots_legendre_01(32)
     ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False))
     centre, radii, weights, nodes = [], [], [], []
-    for i, (z0, fractions) in enumerate(probes):
-        z0 = complex(z0)
+    for i, (z0, fractions) in enumerate(_MEAN_PROBES):
         d = 1.0 - abs(z0)
         for frac in fractions:
-            r = float(frac) * d
-            if r <= 0.0:
-                raise ValueError("probe radii must be positive")
-            if r > d * (1.0 + 1e-12):
-                raise ValueError("probe radius exceeds the boundary distance")
+            r = frac * d
             rho = r * x
             centre.append(i)
             radii.append(r)
@@ -447,36 +445,32 @@ def _probe_grids(probes):
 
 
 @_memoized
-def _disk_means(f: HarmonicMap, probes) -> tuple[tuple[float, float], ...]:
+def _disk_means(f: HarmonicMap) -> tuple[tuple[float, float], ...]:
     """(r, disk mean of |f - f(z0)| over D(z0, r)) for each probe of
     :func:`cond_c_constant`, the map's side of that constant: f on every
     probe's nodes in one call, then per probe
     (2 / r^2) int_0^r rho mean_theta |f - f(z0)| drho by its quadrature."""
-    centre, radii, weights, nodes = _probe_grids(probes)
-    f0 = np.array([f(complex(z0)) for z0, _ in probes])  # one evaluation per centre
+    centre, radii, weights, nodes = _probe_grids()
+    f0 = np.array([f(z0) for z0, _ in _MEAN_PROBES])  # one evaluation per centre
     vals = np.abs(f(nodes) - f0[list(centre), None, None])
     n_ang = nodes.shape[-1]
     return tuple((r, float((2.0 / r) * np.sum(w @ v) / n_ang))
                  for r, w, v in zip(radii, weights, vals))
 
 
-def cond_c_constant(f: HarmonicMap, omega: Majorant, probes=None) -> float:
+def cond_c_constant(f: HarmonicMap, omega: Majorant) -> float:
     """Smallest empirical C with the disk means of |f - f(z)| over D(z, r)
-    bounded by C r omega(1/r), the radii running up to the boundary distance.
-
-    ``probes`` lists (center, radius fractions of d(center)); absolute radii
-    beyond d(center) are rejected.
-    """
-    probes = tuple((z0, tuple(fr)) for z0, fr in probes or default_mean_probes())
-    scales = _mean_scales(omega, probes)
-    return max([0.0, *(mean / scale for (_, mean), scale in zip(_disk_means(f, probes), scales))])
+    bounded by C r omega(1/r), over 18 probe disks D(z, r) at 6 centres z,
+    the radii a quarter, a half and all of the boundary distance."""
+    scales = _mean_scales(omega)
+    return max([0.0, *(mean / scale for (_, mean), scale in zip(_disk_means(f), scales))])
 
 
 @lru_cache(maxsize=64)
-def _mean_scales(omega: Majorant, probes) -> tuple[float, ...]:
+def _mean_scales(omega: Majorant) -> tuple[float, ...]:
     """r omega(1/r) at each probe radius r: the majorant's side of
-    :func:`cond_c_constant`, once per (majorant value, probes)."""
-    return tuple(r * omega(1.0 / r) for r in _probe_grids(probes)[1])
+    :func:`cond_c_constant`, once per majorant value."""
+    return tuple(r * omega(1.0 / r) for r in _probe_grids()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +520,9 @@ def poisson_kernel_wirtinger(w: complex, z: complex, r: float, theta):
     return dw, dwbar
 
 
-def poisson_kernel_mean(w: complex, z: complex, r: float, n_theta: int = 1024) -> float:
-    """Angular mean of the kernel (trapezoid rule); equals 1 inside."""
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+def poisson_kernel_mean(w: complex, z: complex, r: float) -> float:
+    """Angular mean of the kernel (trapezoid rule on 1024 angles); equals 1 inside."""
+    th = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     return float(np.mean(poisson_kernel(w, z, r, th)))
 
 
@@ -537,11 +531,11 @@ def poisson_kernel_mean(w: complex, z: complex, r: float, n_theta: int = 1024) -
 # ---------------------------------------------------------------------------
 
 
-def trig_max_identity(w: complex, z: complex, n_theta: int = 4096) -> tuple[float, float]:
-    """max over theta of |w cos theta + z sin theta|: grid max and the
-    closed form (|w + i z| + |w - i z|) / 2."""
+def trig_max_identity(w: complex, z: complex) -> tuple[float, float]:
+    """max over theta of |w cos theta + z sin theta|: the max on 4096 uniform
+    angles and the closed form (|w + i z| + |w - i z|) / 2."""
     w, z = complex(w), complex(z)
-    t = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     grid_val = float(np.max(np.abs(w * np.cos(t) + z * np.sin(t))))
     closed = 0.5 * (abs(w + 1j * z) + abs(w - 1j * z))
     return grid_val, closed
@@ -569,13 +563,13 @@ def chord_interpolation_bound(z, w, t):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _hl_sample(r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """hl-17's 512 pairs (z, w) for a grid reaching r_max, kept inside
-    |z| <= r_cap = r_max (1 - 1e-3) so segment points stay within the sup
-    grid's reach (segments between two points of a disk stay in it).
-    Cached; the arrays are read-only."""
-    count, r_cap = 512, r_max * (1.0 - 1e-3)
+@cache
+def _hl_sample() -> tuple[np.ndarray, np.ndarray]:
+    """hl-17's 512 pairs (z, w), kept inside |z| <= r_cap = r_max (1 - 1e-3)
+    with r_max = 0.995 the reach of ``grids.GRID``, so segment points stay
+    within the sup grid's reach (segments between two points of a disk stay
+    in it). Cached; the arrays are read-only."""
+    count, r_cap = 512, GRID.r_max * (1.0 - 1e-3)
     rng = np.random.default_rng(np.random.SeedSequence((11, 0x484C5052)))
     half = count // 2
     z = np.concatenate([disk_sample(rng, half, r_cap), disk_sample(rng, count - half, r_cap)])
@@ -591,32 +585,31 @@ def _hl_sample(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(z[keep], w[keep])
 
 
-@lru_cache(maxsize=8)
-def _hl_segments(r_max: float):
+@cache
+def _hl_segments():
     """:func:`_hl_sample`'s pairs (z, w), |z - w|, the nodes of the segments
     from w to z, their boundary distances and weights. Cached, read-only."""
-    z, w = _hl_sample(r_max)
+    z, w = _hl_sample()
     x, wts = _roots_legendre_01(64)
     seg = w[:, None] + x[None, :] * (z - w)[:, None]
     return (z, w, *_read_only(np.abs(z - w), seg, 1.0 - np.abs(seg)), wts)
 
 
 @_memoized
-def _hl_fields(f: HarmonicMap, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _hl_fields(f: HarmonicMap) -> tuple[np.ndarray, np.ndarray]:
     """The map's side of :func:`verify_hl_equivalences`: |f(z) - f(w)| on the
     pairs and Lambda_f integrated along each segment."""
-    z, w, sep, seg, _, wts = _hl_segments(grid.r_max)
+    z, w, sep, seg, _, wts = _hl_segments()
     return _read_only(np.abs(f(z) - f(w)), sep * (_stretch(f, seg) @ wts))
 
 
 def verify_hl_equivalences(
-    maps, omega: Majorant, grid: Grid | None = None
+    maps, omega: Majorant
 ) -> list[tuple[VerificationReport, VerificationReport]]:
     """:func:`verify_hl_equivalence` for each map, C4 from one batched
     :func:`~harmap.functionals.grid_sup`. The map sides, :func:`_hl_fields`
     and the Lambda_f grids, involve no majorant: a campaign memoizes them,
     so its majorants share one computation per map."""
-    grid = grid or _DEFAULT_GRID
     reg = _regularity(omega)
     hyp = {"majorant head-regular": reg.c_eq2 is not None and math.isfinite(reg.c_eq2)}
     if not all(hyp.values()):
@@ -627,19 +620,19 @@ def verify_hl_equivalences(
         d = 1.0 - np.abs(z)
         return lam * d / omega(d)
 
-    c4s = [fv.value for fv in grid_sup(maps, grad_ratio, grid)]
+    c4s = [fv.value for fv in grid_sup(maps, grad_ratio)]
 
-    z, w, sep, _, d_seg, wts = _hl_segments(grid.r_max)
+    z, w, sep, _, d_seg, wts = _hl_segments()
     int_omega = sep * ((omega(d_seg) / d_seg) @ wts)
     omega_sep = omega(sep)
     c_seg = float(np.max(int_omega / omega_sep))
 
-    nodes = grid.nodes.ravel()
+    nodes = GRID.nodes.ravel()
     inner = 1.0 - np.abs(nodes) >= 1e-3  # hl-reverse's nodes
 
     out = []
     for f, c4 in zip(maps, c4s):
-        df, int_lambda = _hl_fields(f, grid)
+        df, int_lambda = _hl_fields(f)
         c5 = float(np.max(df / omega_sep))
 
         # Chain checks: the gradient theorem bound and the pointwise C4 bound
@@ -659,7 +652,7 @@ def verify_hl_equivalences(
         )
 
         # The reverse scan reads C4's coarse array at the nodes with d >= 1e-3.
-        ratios = grad_ratio(_grid_scan(f, grid)[0], grid.nodes).ravel()[inner]
+        ratios = grad_ratio(_grid_scan(f)[0], GRID.nodes).ravel()[inner]
         k = int(np.argmax(ratios))
         lhs_rev = float(ratios[k])
         rev = make_report("hl-reverse", lhs_rev, 21.0 * c5 / math.pi, slack=1e-6, hypotheses=hyp,
@@ -669,7 +662,7 @@ def verify_hl_equivalences(
 
 
 def verify_hl_equivalence(
-    f: HarmonicMap, omega: Majorant, grid: Grid | None = None
+    f: HarmonicMap, omega: Majorant
 ) -> tuple[VerificationReport, VerificationReport]:
     """Both directions of the gradient / modulus-of-continuity equivalence.
 
@@ -689,4 +682,4 @@ def verify_hl_equivalence(
     regularity condition (finite c_eq2). The one-map case of
     :func:`verify_hl_equivalences`.
     """
-    return verify_hl_equivalences([f], omega, grid)[0]
+    return verify_hl_equivalences([f], omega)[0]

@@ -2,9 +2,10 @@
 
 Each verifier computes both sides of one inequality, validates its
 hypotheses (the quasiconformal ones, sense preservation and a finite
-distortion constant K, are read by ``_distortion`` off the map's one grid
-scan, ``core._grid_scan``, which a campaign memoizes like the boundary
-length ``functionals.length_sup``), and returns a
+distortion constant K, are read by ``_distortion`` off the map's one scan
+of the fixed grid ``grids.GRID`` (64 x 256 nodes up to r = 0.995, which no
+argument changes), ``core._grid_scan``, which a campaign memoizes like the
+boundary length ``functionals.length_sup``), and returns a
 :class:`~harmap.report.VerificationReport` (or a list of them, one per
 coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
@@ -41,7 +42,7 @@ from .functionals import (
     length_function,
     length_sup,
 )
-from .grids import _DEFAULT_GRID, Grid, disk_sample
+from .grids import disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
@@ -119,7 +120,7 @@ class FuzzSpec:
 
     Coefficients decay geometrically like coeff_decay^n. With
     enforce_coeff_dominance, b_n is rescaled onto |b_n| <= |a_n|. Draws
-    failing the Jacobian sign scan on the default grid, or whose distortion
+    failing the Jacobian sign scan on ``grids.GRID``, or whose distortion
     constant exceeds target_K, are redrawn (at most 100 attempts per map).
     With rescale_area, accepted maps are scaled so S_f(1) <= 1.
     """
@@ -174,14 +175,13 @@ def _draw_candidate(rng: np.random.Generator, spec: FuzzSpec) -> HarmonicMap:
     return HarmonicMap(a=tuple(a), b=tuple(b))
 
 
-def fuzz_corpus(spec: FuzzSpec, grid: Grid | None = None) -> list[HarmonicMap]:
+def fuzz_corpus(spec: FuzzSpec) -> list[HarmonicMap]:
     """Deterministic corpus of maps satisfying the spec's admissibility gates.
 
     Per-map RNG streams are derived from (seed, index), so the corpus does
     not depend on generation order and re-running with the same seed
     reproduces it exactly.
     """
-    grid = grid or _DEFAULT_GRID
     maps: list[HarmonicMap] = []
     for idx in range(spec.count):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, idx)))
@@ -190,7 +190,7 @@ def fuzz_corpus(spec: FuzzSpec, grid: Grid | None = None) -> list[HarmonicMap]:
         last_k = math.nan
         for _ in range(spec.MAX_ATTEMPTS):
             cand = _draw_candidate(rng, spec)
-            _, sense, k = _grid_scan.__wrapped__(cand, grid)  # a draw stays out of the memo
+            _, sense, k = _grid_scan.__wrapped__(cand)  # a draw stays out of the memo
             last_min_j = sense.min_jacobian
             if not sense.ok:
                 continue
@@ -230,12 +230,12 @@ def builtin_maps() -> dict[str, HarmonicMap]:
 # ---------------------------------------------------------------------------
 
 
-def _distortion(f: HarmonicMap, grid: Grid) -> tuple[float, MappingProxyType]:
+def _distortion(f: HarmonicMap) -> tuple[float, MappingProxyType]:
     """The shared quasiconformal hypothesis: (K, hypotheses) on the grid, read
     off :func:`~harmap.core._grid_scan`, the one rule for sense and K. K is the
     grid distortion constant, or inf unless J > 0 and lambda >= LAMBDA_FLOOR *
     Lambda at every node; an inf K makes a row hypothesis-violated."""
-    _, sense, K = _grid_scan(f, grid)
+    _, sense, K = _grid_scan(f)
     return K, MappingProxyType(
         {"sense-preserving": sense.ok, "finite distortion constant": math.isfinite(K)}
     )
@@ -277,7 +277,6 @@ def verify_area_overlap(
     omega2: DiskDomain | None = None,
     seed: int = 42,
     K: float | None = None,
-    grid: Grid | None = None,
     assume_univalent: bool = False,
     *,
     mc_samples: int = 1_000_000,
@@ -302,7 +301,7 @@ def verify_area_overlap(
     _check_mc_samples(mc_samples)
     if not (omega1.contains(0j) and omega2.contains(0j)):
         raise ValueError("the origin must lie in both domains")
-    grid_K, qc_hyp = _distortion(f, grid or _DEFAULT_GRID)
+    grid_K, qc_hyp = _distortion(f)
     K = grid_K if K is None else K
     hyp = {
         "f(0) = 0": f.a[0] == 0,
@@ -354,14 +353,14 @@ def verify_area_overlap(
     )
 
 
-def verify_hardy_area(f: HarmonicMap, grid: Grid | None = None) -> VerificationReport:
+def verify_hardy_area(f: HarmonicMap) -> VerificationReport:
     """Hardy-area bound ||f||_2^2 <= K A(f(D)) for maps vanishing at 0.
 
     The squared h^2 norm is the coefficient sum over n >= 1 of
     |a_n|^2 + |b_n|^2; A(f(D)) counting multiplicity is S_f(1). Equality for
     the identity map.
     """
-    K, qc_hyp = _distortion(f, grid or _DEFAULT_GRID)
+    K, qc_hyp = _distortion(f)
     hyp = {"f(0) = 0": f.a[0] == 0, **qc_hyp}
     name = "hardy-area"
     if not all(hyp.values()):
@@ -374,9 +373,9 @@ def verify_hardy_area(f: HarmonicMap, grid: Grid | None = None) -> VerificationR
     )
 
 
-def verify_coeff_bound(f: HarmonicMap, grid: Grid | None = None) -> list[VerificationReport]:
+def verify_coeff_bound(f: HarmonicMap) -> list[VerificationReport]:
     """Per-degree bound |a_n| + |b_n| <= K l_f(1) / (2 n pi), one row per n."""
-    K, hyp = _distortion(f, grid or _DEFAULT_GRID)
+    K, hyp = _distortion(f)
     if not all(hyp.values()):
         return [make_report("coeff-bound", None, None, 0.0, hypotheses=hyp, n=n)
                 for n in range(1, f.degree + 1)]
@@ -402,15 +401,14 @@ def _gradient_sample(seed: int = 42) -> np.ndarray:
     return disk_sample(rng, _GRADIENT_SAMPLES, 0.95)
 
 
-def verify_gradient_bounds(maps, samples, grid: Grid | None = None) -> list[list[VerificationReport]]:
+def verify_gradient_bounds(maps, samples) -> list[list[VerificationReport]]:
     """:func:`verify_gradient_bound` for each map, with its own entry of
     ``samples`` (None takes the default). The Bloch seminorms of the maps
     that meet the hypotheses come from one batched sup,
     :func:`~harmap.functionals.bloch_seminorms`."""
-    grid = grid or _DEFAULT_GRID
-    distortion = [_distortion(f, grid) for f in maps]
+    distortion = [_distortion(f) for f in maps]
     held = [p for p, (K, hyp) in enumerate(distortion) if all(hyp.values())]
-    betas = dict(zip(held, bloch_seminorms([maps[p] for p in held], grid)))
+    betas = dict(zip(held, bloch_seminorms([maps[p] for p in held])))
     names = ("gradient-bound-length", "gradient-bound-area", "bloch-bound")
     out = []
     for p, (f, sample) in enumerate(zip(maps, samples)):
@@ -449,9 +447,7 @@ def verify_gradient_bounds(maps, samples, grid: Grid | None = None) -> list[list
     return out
 
 
-def verify_gradient_bound(
-    f: HarmonicMap, sample=None, grid: Grid | None = None
-) -> list[VerificationReport]:
+def verify_gradient_bound(f: HarmonicMap, sample=None) -> list[VerificationReport]:
     """Pointwise stretch bounds from the boundary length and total area.
 
     Checked in scale-free form at each sample point z:
@@ -463,7 +459,7 @@ def verify_gradient_bound(
     Equality in the first two at z = 0 for the identity map. The one-map
     case of :func:`verify_gradient_bounds`.
     """
-    return verify_gradient_bounds([f], [sample], grid)[0]
+    return verify_gradient_bounds([f], [sample])[0]
 
 
 def verify_isoperimetric(f: HarmonicMap, r: float) -> VerificationReport:

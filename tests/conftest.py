@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
 
-from harmap import FuzzSpec, Grid, HarmonicMap, fuzz_corpus
+from harmap import FuzzSpec, HarmonicMap, fuzz_corpus
 
 settings.register_profile(
     "harmap",
@@ -12,11 +12,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("harmap")
-
-
-@pytest.fixture(scope="session")
-def grid():
-    return Grid()
 
 
 @pytest.fixture(scope="session")

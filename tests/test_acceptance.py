@@ -18,7 +18,6 @@ import pytest
 
 from harmap import (
     FuzzSpec,
-    Grid,
     HarmonicMap,
     PowerMajorant,
     area_quadrature,

@@ -11,7 +11,7 @@ import pytest
 
 from harmap.cli import ConfigError, SuiteConfig, default_config, main, run_config
 from harmap.core import MAX_FILE_DEGREE, HarmonicMap, map_json_bytes
-from harmap.grids import Grid
+from harmap.grids import GRID
 from harmap.lipschitz import PowerMajorant
 from harmap.verify import FuzzSpec, builtin_maps, fuzz_corpus
 
@@ -246,7 +246,6 @@ def test_verify_summary_counts_unresolved_passes(tmp_path, capsys):
     obj = small_config(tmp_path)
     obj["suites"] = ["three-circles", "isoperimetric"]
     obj["fuzz"] = None
-    obj["grid"] = {"n_r": 16, "n_theta": 32}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
@@ -283,7 +282,6 @@ def test_area_sup_runs_once_per_map_in_a_campaign(tmp_path, monkeypatch):
         "maps": [str(path)],
         "include_builtin": False,
         "fuzz": None,
-        "grid": {"n_r": 16, "n_theta": 32},
         "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
     cfg = tmp_path / "cfg.json"
@@ -378,6 +376,7 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"mc_samples": 5000},
         {"quadrature": {"mc_samples": 200000}},
         {"gradient_sample_count": 64},
+        {"grid": {"r_max": 0.4}},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
@@ -393,7 +392,7 @@ def test_verify_malformed_config(tmp_path, capsys):
          "sampled-majorants-one-label", "power-majorants-one-label",
          "three-circles-pairs-one-name", "isoperimetric-radii-one-name",
          "map-files-one-basename", "too-few-mc-samples", "quadrature-is-an-unknown-key",
-         "gradient-sample-count-is-an-unknown-key"],
+         "gradient-sample-count-is-an-unknown-key", "grid-is-an-unknown-key"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -419,6 +418,8 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
     assert err[0].startswith(f"error: bad configuration: {next(iter(bad))}")  # names the key
+    if next(iter(bad)) in ("grid", "quadrature", "gradient_sample_count"):
+        assert err == [f"error: bad configuration: {next(iter(bad))}: not a config key"]
 
 
 def test_functional_rejects_malformed_map_files(tmp_path, capsys):
@@ -516,7 +517,6 @@ def test_sampled_majorant_short_of_the_evaluated_range(tmp_path, capsys):
     # bytes.
     def rows(majorants):
         obj = {"suites": ["lipschitz-16", "hl-17"], "majorants": majorants,
-               "grid": {"n_r": 16, "n_theta": 32},
                "output": {"path": str(tmp_path / "rows.jsonl")}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(obj))
@@ -578,9 +578,9 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
     calls = Counter()
     original = lipschitz.regularity_check
 
-    def counting(omega, delta0, probes=24):
-        calls[(omega, delta0, probes)] += 1
-        return original(omega, delta0, probes)
+    def counting(omega, delta0):
+        calls[(omega, delta0)] += 1
+        return original(omega, delta0)
 
     monkeypatch.setattr(lipschitz, "regularity_check", counting)
     cfg = SuiteConfig(suites=("hl-17", "majorant-regularity"),
@@ -588,7 +588,7 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
     reports, counts = run_config(cfg)
     assert counts["fail"] == 0
     assert sum(rep.name.startswith("hl-forward") for rep in reports) == 12
-    assert calls == Counter({(cfg.majorants[0], 1.0, 24): 1, (cfg.majorants[1], 1.0, 24): 1})
+    assert calls == Counter({(cfg.majorants[0], 1.0): 1, (cfg.majorants[1], 1.0): 1})
 
 
 def test_lipschitz_16_weighs_by_each_majorant_once(monkeypatch):
@@ -689,7 +689,6 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
         "maps": [str(maps / "map-0002.json"), str(maps / "map-0000.json"), str(maps / "dup.json")],
         "fuzz": {"count": 3, "degree": 4, "seed": 9},
         "mc_samples": 10000,
-        "grid": {"n_r": 16, "n_theta": 32},
         "seed": 77,
         "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
@@ -697,14 +696,13 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     cfg.write_text(json.dumps(obj))
     assert main(["verify", "--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
-    assert digest == "45d9204f54393875dab6e6d6cf7fd0179288c3020c9f235e9043af2b072e0704"
+    assert digest == "8073763bc0e6a93760eb3fef58751138a135dd1ea9ae65d9bc0f41a0d2c781b5"
 
 
-def _small_grid_digest(tmp_path):
+def _disk_sup_digest(tmp_path):
     obj = {
         "suites": ["gradient-bound", "lipschitz-16", "hl-17"],
         "fuzz": {"count": 4, "degree": 5, "seed": 11},
-        "grid": {"n_r": 16, "n_theta": 32},
         "majorants": [{"family": "power", "alpha": 0.75},
                       {"family": "sampled",
                        "table": [[1e-8, 1e-6], [1e-2, 0.05], [1.0, 1.0], [1e4, 10.0]]}],
@@ -717,19 +715,20 @@ def _small_grid_digest(tmp_path):
     return hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
 
 
-SMALL_GRID_DIGEST = "240f5842ea0c6438e700c7669d5c5395f5fa3f8fdf8039d7230e077196357a3b"
+DISK_SUP_DIGEST = "0ccc5159e6fc751df216a4e866719123cb816f5c95f44f0a5affa68e7b4b9347"
 
 
-def test_verify_small_grid_digest(tmp_path):
-    # Pins the disk-sup suites on a second grid: the identity's Bloch ratio
-    # peaks at the origin, and a sampled majorant covers every probed range.
-    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+def test_verify_disk_sup_digest(tmp_path):
+    # Pins the disk-sup suites on their own maps and majorants: the
+    # identity's Bloch ratio peaks at the origin, and a sampled majorant
+    # covers every probed range.
+    assert _disk_sup_digest(tmp_path) == DISK_SUP_DIGEST
 
 
-def _count_grid_scans(monkeypatch, shape):
-    """Count, by map, the evaluations of one map's derivative fields on a grid
-    of ``shape`` while a campaign's suites run. The fuzzer's admission scans,
-    made while the sources load, are left out."""
+def _count_grid_scans(monkeypatch):
+    """Count, by map, the evaluations of one map's derivative fields on the
+    grid while a campaign's suites run. The fuzzer's admission scans, made
+    while the sources load, are left out."""
     import harmap.cli as cli
     import harmap.core as core
 
@@ -737,7 +736,7 @@ def _count_grid_scans(monkeypatch, shape):
     wirtinger, load = core.wirtinger, cli._load_sources
 
     def counting(f, z):
-        if isinstance(f, HarmonicMap) and np.shape(z) == shape:
+        if isinstance(f, HarmonicMap) and np.shape(z) == GRID.nodes.shape:
             scans[f] += 1
         return wirtinger(f, z)
 
@@ -758,9 +757,9 @@ def test_a_memo_that_keeps_nothing_gives_the_same_bytes(tmp_path, monkeypatch):
 
     import harmap.cli as cli
 
-    scans = _count_grid_scans(monkeypatch, (16, 32))
+    scans = _count_grid_scans(monkeypatch)
     monkeypatch.setattr(cli, "_campaign_memo", contextlib.nullcontext)
-    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+    assert _disk_sup_digest(tmp_path) == DISK_SUP_DIGEST
     assert len(scans) == 10 and min(scans.values()) > 1  # 6 builtin and 4 fuzz maps
 
 
@@ -769,27 +768,25 @@ def test_campaign_blocks_keep_the_bytes_and_scan_each_map_once(tmp_path, monkeyp
     # rows are those of one block, and each map's grid is scanned once.
     import harmap.cli as cli
 
-    scans = _count_grid_scans(monkeypatch, (16, 32))
+    scans = _count_grid_scans(monkeypatch)
     memo, memos = cli._campaign_memo, []
-    monkeypatch.setattr(cli, "_memo_block", lambda grid: 3)
+    monkeypatch.setattr(cli, "_memo_block", lambda: 3)
     monkeypatch.setattr(cli, "_campaign_memo", lambda: memos.append(1) or memo())
-    assert _small_grid_digest(tmp_path) == SMALL_GRID_DIGEST
+    assert _disk_sup_digest(tmp_path) == DISK_SUP_DIGEST
     assert len(memos) == 4
     assert len(scans) == 10 and set(scans.values()) == {1}
 
 
 def test_memo_block_fits_every_memoized_array_of_its_maps():
     # A map keeps 8 bytes a grid node, 8 a pair of the Lipschitz pair sample
-    # and 16 a pair of hl-17's segments: 177 104 bytes on the default grid.
+    # and 16 a pair of hl-17's segments: 177 104 bytes.
     import harmap.cli as cli
 
-    assert cli._memo_block(Grid()) == 94
-    assert cli._memo_block(Grid(n_r=16, n_theta=32)) == 334
-    assert cli._memo_block(Grid(n_r=1024, n_theta=1024)) == 1
+    assert cli._memo_block() == 94
 
 
 def test_memo_blocks_compute_each_maps_majorant_free_sides_once(monkeypatch):
-    # 30 maps take more than the budget: blocks of 20, each computing a
+    # 30 maps take more than the budget: blocks of 23, each computing a
     # map's pair quotients and hl-17 fields once for both majorants, and
     # none keeping more array bytes than the budget.
     import contextlib
@@ -817,13 +814,13 @@ def test_memo_blocks_compute_each_maps_majorant_free_sides_once(monkeypatch):
                       for v in (value if isinstance(value, tuple) else (value,))]
             held.append(sum(getattr(v, "nbytes", 0) for v in values))
 
-    monkeypatch.setattr(cli, "_MEMO_BUDGET", 1 << 20)
+    monkeypatch.setattr(cli, "_MEMO_BUDGET", 4 << 20)
     monkeypatch.setattr(cli, "_campaign_memo", measured)
     cfg = SuiteConfig(suites=("lipschitz-16", "hl-17"), include_builtin=False,
-                      fuzz=FuzzSpec(count=30, degree=3, seed=42), grid=Grid(n_r=16, n_theta=32))
+                      fuzz=FuzzSpec(count=30, degree=3, seed=42))
     run_config(cfg)
     assert len(runs) == 60 and set(runs.values()) == {1}
-    assert len(held) == 2 and max(held) <= 1 << 20
+    assert len(held) == 2 and max(held) <= 4 << 20
 
 
 def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, capsys):
@@ -833,7 +830,6 @@ def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, cap
         "suites": ["majorant-regularity", "lipschitz-16", "hl-17"],
         "majorants": [{"family": "sampled", "table": [[2, 1], [100, 3]]}],
         "fuzz": None,
-        "grid": {"n_r": 16, "n_theta": 32},
         "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
     cfg = tmp_path / "cfg.json"
@@ -863,7 +859,7 @@ def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):
 
     monkeypatch.setattr(core.HarmonicMap, "__call__", counting)
     cfg = SuiteConfig(suites=("lipschitz-16",), include_builtin=False,
-                      fuzz=FuzzSpec(count=3, degree=3, seed=4), grid=Grid(n_r=16, n_theta=32))
+                      fuzz=FuzzSpec(count=3, degree=3, seed=4))
     assert len(cfg.majorants) == 2
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
@@ -887,7 +883,7 @@ def test_lipschitz_16_computes_each_maps_pair_quotients_once(monkeypatch):
         return original(f, z)
 
     monkeypatch.setattr(core.HarmonicMap, "__call__", counting)
-    cfg = SuiteConfig(suites=("lipschitz-16",), fuzz=None, grid=Grid(n_r=16, n_theta=32))
+    cfg = SuiteConfig(suites=("lipschitz-16",), fuzz=None)
     assert len(cfg.majorants) == 2
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
@@ -902,17 +898,16 @@ def test_lipschitz_suites_scan_each_maps_side_once(monkeypatch):
     import harmap.core as core
     from harmap.core import HarmonicMap
 
-    grid = Grid(n_r=16, n_theta=32)
     scans = Counter()
     original = core.wirtinger
 
     def counting(f, z):
         if isinstance(f, HarmonicMap):
-            scans["grid" if z is grid.nodes else np.shape(z)[1:], f] += 1
+            scans["grid" if z is GRID.nodes else np.shape(z)[1:], f] += 1
         return original(f, z)
 
     monkeypatch.setattr(core, "wirtinger", counting)
-    cfg = SuiteConfig(suites=("hl-17", "lipschitz-16"), fuzz=None, grid=grid)
+    cfg = SuiteConfig(suites=("hl-17", "lipschitz-16"), fuzz=None)
     assert len(cfg.majorants) == 2
     maps = builtin_maps().values()
     for _ in range(2):
@@ -920,29 +915,6 @@ def test_lipschitz_suites_scan_each_maps_side_once(monkeypatch):
         reports, summary = run_config(cfg)
         assert summary["fail"] == 0
         assert scans == Counter({**{("grid", f): 1 for f in maps}, **{((64,), f): 1 for f in maps}})
-
-
-def test_lipschitz_results_on_a_grid_do_not_reuse_another_grids_memos():
-    # Within a campaign's memo, scans on one grid serve no other grid.
-    import harmap.core as core
-    from harmap.functionals import bloch_seminorms
-    from harmap.lipschitz import cond_a_constants, verify_hl_equivalences
-
-    maps = list(builtin_maps().values())
-    omega = PowerMajorant(0.5)
-
-    def results(grid):
-        return (bloch_seminorms(maps, grid), cond_a_constants(maps, omega, grid),
-                verify_hl_equivalences(maps, omega, grid))
-
-    other = Grid(n_r=16, n_theta=32, r_max=0.9)
-    fresh = results(other)
-    with core._campaign_memo():
-        default = results(Grid())  # the memo now holds the default grid's scans
-        assert sum(key[0] is core._grid_scan.__wrapped__ for key in core._MEMO) == len(maps)
-        assert results(other) == fresh
-    assert default != fresh
-    assert core._MEMO is None  # nothing outlives the block
 
 
 def _count_scalar_wirtinger(monkeypatch):
@@ -976,7 +948,6 @@ def test_disk_sups_are_polished_for_all_maps_at_once(monkeypatch):
             include_builtin=False,
             fuzz=FuzzSpec(count=count, degree=4, seed=3),
             mc_samples=10_000,
-            grid=Grid(n_r=16, n_theta=32),
         )
         scalar.clear()
         reports, summary = run_config(cfg)
@@ -1012,7 +983,7 @@ def test_per_map_memos_live_for_one_campaign(monkeypatch):
         fuzz=FuzzSpec(count=2, degree=3, seed=8),
         mc_samples=10_000,
     )
-    scans = _count_grid_scans(monkeypatch, cfg.grid.nodes.shape)
+    scans = _count_grid_scans(monkeypatch)
     per_run = []
     for _ in range(2):
         lengths.clear()
@@ -1025,16 +996,14 @@ def test_per_map_memos_live_for_one_campaign(monkeypatch):
 def test_a_campaign_evaluates_each_maps_fields_on_its_grid_once(monkeypatch):
     # The quasiconformal hypotheses of four suites, the Bloch, C1 and C4
     # suprema and hl-reverse all read one grid scan per map.
-    grid = Grid(n_r=16, n_theta=32)
     cfg = SuiteConfig(
         suites=("area-overlap", "hardy-area", "coeff-bound", "gradient-bound",
                 "lipschitz-16", "hl-17"),
         fuzz=FuzzSpec(count=3, degree=4, seed=5),
         mc_samples=10_000,
-        grid=grid,
     )
-    maps = [*builtin_maps().values(), *fuzz_corpus(cfg.fuzz, grid)]
-    scans = _count_grid_scans(monkeypatch, grid.nodes.shape)
+    maps = [*builtin_maps().values(), *fuzz_corpus(cfg.fuzz)]
+    scans = _count_grid_scans(monkeypatch)
     reports, summary = run_config(cfg)
     assert summary["fail"] == 0
     assert scans == Counter({f: 1 for f in maps})

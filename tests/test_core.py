@@ -7,7 +7,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from harmap import (
-    Grid,
     HarmonicMap,
     MapStack,
     coeff_from_contour,
@@ -161,47 +160,47 @@ def test_derivatives_match_finite_differences(f, z):
 # -- sense preservation and distortion ----------------------------------------
 
 
-def test_sense_preserving_cases(grid):
-    assert is_sense_preserving(IDENTITY, grid).ok
-    assert is_sense_preserving(IDENTITY, grid).min_jacobian == pytest.approx(1.0)
-    sp = is_sense_preserving(AFFINE_HALF, grid)
+def test_sense_preserving_cases():
+    assert is_sense_preserving(IDENTITY).ok
+    assert is_sense_preserving(IDENTITY).min_jacobian == pytest.approx(1.0)
+    sp = is_sense_preserving(AFFINE_HALF)
     assert sp.ok and sp.min_jacobian == pytest.approx(0.75)
-    sp = is_sense_preserving(FOLD, grid)
+    sp = is_sense_preserving(FOLD)
     assert not sp.ok
     assert sp.min_jacobian == pytest.approx(0.0, abs=1e-15)
 
 
-def test_qc_constant_cases(grid):
-    assert qc_constant(IDENTITY, grid) == pytest.approx(1.0)
-    assert qc_constant(AFFINE_HALF, grid) == pytest.approx(3.0, abs=1e-12)
-    assert qc_constant(FOLD, grid) == math.inf
+def test_qc_constant_cases():
+    assert qc_constant(IDENTITY) == pytest.approx(1.0)
+    assert qc_constant(AFFINE_HALF) == pytest.approx(3.0, abs=1e-12)
+    assert qc_constant(FOLD) == math.inf
 
 
-def test_qc_constant_sense_reversing_rejected(grid):
+def test_qc_constant_sense_reversing_rejected():
     anti = HarmonicMap(a=(0, 0), b=(1.0,))  # conj(z)
-    assert qc_constant(anti, grid) == math.inf
-    assert not is_sense_preserving(anti, grid).ok
+    assert qc_constant(anti) == math.inf
+    assert not is_sense_preserving(anti).ok
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-13, 1e-20])
-def test_qc_constant_is_scale_free(grid, c):
+def test_qc_constant_is_scale_free(c):
     from harmap import verify_coeff_bound, verify_hardy_area
 
     f = AFFINE_HALF.scaled(c)  # c (z + conj(z) / 2)
-    assert qc_constant(f, grid) == pytest.approx(3.0, rel=1e-12, abs=0.0)
+    assert qc_constant(f) == pytest.approx(3.0, rel=1e-12, abs=0.0)
     if c == 1e-20:
-        assert verify_hardy_area(f, grid=grid).status == "pass"
-        assert all(rep.status == "pass" for rep in verify_coeff_bound(f, grid=grid))
+        assert verify_hardy_area(f).status == "pass"
+        assert all(rep.status == "pass" for rep in verify_coeff_bound(f))
 
 
-def test_sense_and_k_follow_one_rule_where_their_roundings_disagree(grid):
+def test_sense_and_k_follow_one_rule_where_their_roundings_disagree():
     # |a_1| and |b_1| agree to 16 digits: |f_z|^2 - |f_zbar|^2 rounds
     # positive while |f_z| - |f_zbar| is far below 1e-14 Lambda, so the map is
     # sense-preserving on the grid with an unbounded K.
     f = HarmonicMap(a=(0, complex(-340.5365670018157, 576.8574068568087)),
                     b=(complex(-433.22418163072047, 510.9270297814907),))
-    assert is_sense_preserving(f, grid).ok
-    assert qc_constant(f, grid) == math.inf
+    assert is_sense_preserving(f).ok
+    assert qc_constant(f) == math.inf
 
 
 # -- contour recovery ----------------------------------------------------------
@@ -319,17 +318,18 @@ def _same_bits(got, want):
     return np.array_equal(got.view(float), want.view(float))
 
 
-def test_horner_in_place_keeps_the_out_of_place_bits(grid):
+def test_horner_in_place_keeps_the_out_of_place_bits():
     # _horner steps one buffer in place; each step must round exactly as the
     # out-of-place recurrence does, on every shape the package evaluates.
     from harmap.core import _horner
+    from harmap.grids import GRID
 
     rng = np.random.default_rng(15)
     points = 0.999 * np.sqrt(rng.random(1001)) * np.exp(2j * np.pi * rng.random(1001))
     points[0] = 0.0  # the origin
     for degree in range(1, 65):
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        for z in (points, grid.nodes, np.zeros(3, dtype=complex),
+        for z in (points, GRID.nodes, np.zeros(3, dtype=complex),
                   *(points[size : 2 * size] for size in range(1, 9))):
             assert _same_bits(_horner(c, z), _horner_out_of_place(c, z)), (degree, z.size)
         for z0 in (0j, complex(points[1])):
@@ -340,7 +340,7 @@ def test_horner_in_place_keeps_the_out_of_place_bits(grid):
                         b=rng.standard_normal(d) + 1j * rng.standard_normal(d))
             for d in (1, 2, 5, 17, 64)]
     stack = MapStack(maps)
-    for z in (np.broadcast_to(points[:127], (5, 127)), np.broadcast_to(grid.nodes, (5, 64, 256))):
+    for z in (np.broadcast_to(points[:127], (5, 127)), np.broadcast_to(GRID.nodes, (5, 64, 256))):
         for c in (stack._da, stack._db):
             assert _same_bits(_horner(c, z), _horner_out_of_place(c, z))
 
@@ -366,8 +366,8 @@ def test_directional_max_equals_max_stretch(f, z):
 def test_direction_table_is_shared_and_read_only():
     from harmap.core import _directions
 
-    c, s = _directions(64)
-    assert _directions(64)[0] is c and _directions(64)[1] is s
+    c, s = _directions()
+    assert _directions()[0] is c and _directions()[1] is s
     with pytest.raises(ValueError):
         c[0] = 2.0
     with pytest.raises(ValueError):
@@ -378,8 +378,25 @@ def test_wirtinger_on_a_stack_matches_each_map_bit_for_bit(small_corpus):
     # Degrees 1, 2 and 6 in one stack: the short rows are zero-padded.
     maps = [IDENTITY, SQUARE, MIXED, *small_corpus[:5]]
     stack = MapStack(maps)
-    z = Grid(n_r=6, n_theta=16).nodes.ravel()[None, :] * np.ones((len(maps), 1))
+    ring = 0.9 * np.exp(2j * np.pi * np.arange(96) / 96)
+    z = np.linspace(0.1, 1.0, len(maps))[:, None] * ring[None, :]  # one radius a map
     fz, fzbar = wirtinger(stack, z)
     for p, f in enumerate(maps):
         ref = wirtinger(f, z[p])
         assert np.array_equal(fz[p], ref[0]) and np.array_equal(fzbar[p], ref[1])
+
+
+def test_no_public_function_takes_a_discretisation_parameter():
+    # The grid, the probe disks, the pair samples and the direction counts
+    # are fixed: no public function may take one of them back as a parameter.
+    import inspect
+
+    from harmap import core, functionals, lipschitz, verify
+
+    knobs = {"grid", "probes", "n_theta", "step", "r_cap"}
+    for mod in (core, functionals, lipschitz, verify):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not inspect.isclass(obj):
+                taken = knobs & set(inspect.signature(obj).parameters)
+                assert not taken, f"{mod.__name__}.{name} takes {sorted(taken)}"

@@ -9,7 +9,6 @@ from harmap import (
     DiskDomain,
     FuzzSpec,
     GenerationFailed,
-    Grid,
     HarmonicMap,
     area_sup,
     builtin_maps,
@@ -26,6 +25,7 @@ from harmap import (
     write_json_lines,
 )
 from harmap.core import _campaign_memo
+from harmap.grids import GRID
 from harmap.report import FAIL, HYPOTHESIS_VIOLATED, PASS, make_report, summarize
 
 from conftest import AFFINE_HALF, AFFINE_ROOT2, FOLD, IDENTITY, MIXED, SQUARE
@@ -243,7 +243,7 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
     original = core.wirtinger
 
     def counting(f, z):
-        if np.shape(z) == Grid().nodes.shape:
+        if np.shape(z) == GRID.nodes.shape:
             scans.append(f)
         return original(f, z)
 
@@ -257,7 +257,7 @@ def test_qc_verifiers_share_one_distortion_scan(monkeypatch):
             *verify_gradient_bound(f),
         ]
         scanned = [key[1:] for key in core._MEMO if key[0] is core._grid_scan.__wrapped__]
-        assert scanned == [(f, Grid())]
+        assert scanned == [(f,)]
     assert scans == [f]
     assert all(rep.hypotheses["sense-preserving"] for rep in reports)
     assert len({rep.details["K"] for rep in reports if "K" in rep.details}) == 1
@@ -269,20 +269,19 @@ def test_sense_k_and_the_distortion_hypothesis_read_one_scan(monkeypatch):
     import harmap.core as core
     from harmap.verify import _distortion
 
-    grid = Grid(n_r=16, n_theta=32)
     scans = []
     original = core.wirtinger
 
     def counting(f, z):
-        if np.shape(z) == grid.nodes.shape:
+        if np.shape(z) == GRID.nodes.shape:
             scans.append(f)
         return original(f, z)
 
     monkeypatch.setattr(core, "wirtinger", counting)
     f = HarmonicMap(a=(0, 1.0, 0.04), b=(0.2, 0.03))  # used by no other test
     with _campaign_memo():
-        sense, K = is_sense_preserving(f, grid), qc_constant(f, grid)
-        assert _distortion(f, grid) == (K, {"sense-preserving": sense.ok,
+        sense, K = is_sense_preserving(f), qc_constant(f)
+        assert _distortion(f) == (K, {"sense-preserving": sense.ok,
                                             "finite distortion constant": math.isfinite(K)})
     assert scans == [f]
     assert sense.ok and 1.0 < K < math.inf
@@ -307,7 +306,6 @@ def test_fuzz_admission_scans_each_draw_once_and_keeps_nothing(monkeypatch):
     import harmap.core as core
     import harmap.verify as verify
 
-    grid = Grid(n_r=16, n_theta=32)
     draws, scans = [], []
     draw, wirtinger = verify._draw_candidate, core.wirtinger
 
@@ -316,7 +314,7 @@ def test_fuzz_admission_scans_each_draw_once_and_keeps_nothing(monkeypatch):
         return draws[-1]
 
     def counting(f, z):
-        if z is grid.nodes:
+        if z is GRID.nodes:
             scans.append(f)
         return wirtinger(f, z)
 
@@ -324,11 +322,11 @@ def test_fuzz_admission_scans_each_draw_once_and_keeps_nothing(monkeypatch):
     monkeypatch.setattr(core, "wirtinger", counting)
     spec = FuzzSpec(count=6, degree=4, seed=1, target_K=1.5, enforce_coeff_dominance=False)
     with _campaign_memo():
-        maps = fuzz_corpus(spec, grid)
+        maps = fuzz_corpus(spec)
         assert core._MEMO == {}
     assert len(draws) == 50 and len(maps) == spec.count  # 44 draws rejected, one by the sense gate
     assert scans == draws
-    assert maps == fuzz_corpus(spec, grid)
+    assert maps == fuzz_corpus(spec)
 
 
 def test_coeff_and_gradient_bounds_share_one_boundary_length(monkeypatch):
@@ -429,12 +427,12 @@ def test_fuzz_degree_one_is_affine():
     assert abs(f.b[0]) <= abs(f.a[1])
 
 
-def test_fuzz_contracts(grid, small_corpus):
+def test_fuzz_contracts(small_corpus):
     spec = FuzzSpec(count=40, degree=6, seed=7)
     for f in small_corpus:
         assert f.degree == spec.degree
-        assert is_sense_preserving(f, grid).ok
-        assert qc_constant(f, grid) <= spec.target_K * (1 + 1e-12)
+        assert is_sense_preserving(f).ok
+        assert qc_constant(f) <= spec.target_K * (1 + 1e-12)
         assert area_sup(f).value <= 1.0 + 1e-12
         a = np.abs(np.asarray(f.a[1:]))
         b = np.abs(np.asarray(f.b))
@@ -485,20 +483,16 @@ def test_report_moves_less_than_error_estimate(small_corpus, monkeypatch):
 
 
 def test_grid_and_quadrature_validation():
-    with pytest.raises(ValueError):
-        Grid(n_theta=4)
-    with pytest.raises(ValueError):
-        Grid(r_max=1.0)
     for count in (100, 5_000, 4_000_001):
         with pytest.raises(ValueError, match="mc_samples"):
             verify_area_overlap(IDENTITY, mc_samples=count)
 
 
-def test_builtin_maps_admissible(grid):
+def test_builtin_maps_admissible():
     maps = builtin_maps()
     assert set(maps) == {
         "identity", "affine-root2", "affine-quarters", "scale-half",
         "square", "mixed-quadratic",
     }
     for f in maps.values():
-        assert is_sense_preserving(f, grid).ok
+        assert is_sense_preserving(f).ok
