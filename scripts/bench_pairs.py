@@ -17,13 +17,19 @@ than it moves either side's median. A gain is claimed when the change wins
 at least nine tenths of the pairs and its median beats the parent's by
 more than the parent's interquartile range. A metric with a bound in
 ``BENCHMARK.json`` is within it when the change's median is no worse than
-the parent's by more than that fraction. The summary is printed and stored in ``--out``, a
-JSON object keyed by ``workload/seed``; the file's other keys are kept.
+the parent's by more than that fraction. Beside the metrics, the summary
+gives what the benchmark also rejects on: whether the two sides' digests
+agree, whether each side's digests equal the reference of PARENT's
+``perfbench/workloads.py`` (``campaign`` at a seed that has one), and each
+side's failed/attempted share. The summary is printed and stored in
+``--out``, a JSON object keyed by ``workload/seed``; the file's other keys
+are kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -99,6 +105,32 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
     return out
 
 
+def outputs(pairs: list[tuple[dict, dict]], reference: str | None) -> dict:
+    """The checks on the runs' outputs, from (parent run, change run) pairs:
+    whether every pair's digests agree, each side's digests against
+    ``reference`` (None: no reference), and each side's share of failed
+    operations over all its runs."""
+    out = {"digests_agree": all(p["digest"] == c["digest"] for p, c in pairs),
+           "reference": reference}
+    for i, side in enumerate(("parent", "change")):
+        runs = [pair[i] for pair in pairs]
+        out[f"{side}_matches_reference"] = (
+            None if reference is None else all(run["digest"] == reference for run in runs))
+        attempted = sum(run["attempted"] for run in runs)
+        out[f"{side}_failed_share"] = sum(run["failed"] for run in runs) / max(attempted, 1)
+    return out
+
+
+def campaign_reference(checkout: Path, workload: str, seed: int) -> str | None:
+    """The campaign digest that ``checkout``'s benchmark pins for ``seed``."""
+    if workload != "campaign":
+        return None
+    spec = importlib.util.spec_from_file_location("workloads", checkout / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CAMPAIGN_REFERENCE.get(seed)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
@@ -133,7 +165,15 @@ def main() -> int:
               flush=True)
 
     metrics = summarize(pairs, declared["end_to_end"])
+    checks = outputs(pairs, campaign_reference(args.parent, args.workload, args.seed))
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    print(f"  digests agree: {'yes' if checks['digests_agree'] else 'NO'}"
+          + ("" if checks["reference"] is None else
+             f"; equal the reference {checks['reference'][:8]}: parent "
+             f"{'yes' if checks['parent_matches_reference'] else 'NO'}, change "
+             f"{'yes' if checks['change_matches_reference'] else 'NO'}"))
+    print(f"  failed/attempted: parent {checks['parent_failed_share']:.4g}, "
+          f"change {checks['change_failed_share']:.4g}")
     print(f"  {'metric':16s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'ratio':>7s} {'wins':>6s}  gain  bound")
     for name, m in metrics.items():
@@ -149,6 +189,7 @@ def main() -> int:
         "seconds": seconds,
         "correct": all(run["correct"] for pair in pairs for run in pair),
         "digests": sorted({run["digest"] for pair in pairs for run in pair}),
+        **checks,
         "metrics": metrics,
     }
     stored = json.loads(args.out.read_text()) if args.out.exists() else {}

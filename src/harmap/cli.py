@@ -5,8 +5,12 @@ Three subcommands:
 * ``functional`` evaluates one functional of one map file and prints it as
   JSON (optionally emitting a CSV table of radius-parameterized curves),
 * ``verify`` runs a suite configuration over map files / builtins / a fuzz
-  corpus and writes one report row per check (JSON lines or CSV),
-* ``fuzz`` writes a reproducible corpus of map files plus a manifest.
+  corpus and writes one report row per check (JSON lines or CSV); the
+  three-circles rows take the fixed (r1, r) pairs ``THREE_CIRCLES_PAIRS``
+  and the isoperimetric rows the fixed radii ``ISOPERIMETRIC_RADII``,
+* ``fuzz`` writes a reproducible corpus of map files, drawn from the one
+  distribution of :func:`~harmap.verify.fuzz_corpus`, plus a manifest that
+  names it.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 configuration error, 3 corpus generation failure, 4 internal error (an
@@ -74,6 +78,7 @@ from .report import (
 from .verify import (
     FuzzSpec,
     GenerationFailed,
+    _COEFF_DECAY,
     _check_mc_samples,
     _gradient_sample,
     builtin_maps,
@@ -197,20 +202,25 @@ def _run_majorant_regularity(fs, cfg: SuiteConfig, seeds):
     return _per_majorant(fs, cfg, names, run)
 
 
+# The (r1, r) pairs of the three-circles rows and the radii of the
+# isoperimetric rows, one row per map each.
+THREE_CIRCLES_PAIRS = ((0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
+ISOPERIMETRIC_RADII = (0.3, 0.6, 0.9)
+
 # Suite name -> runner. A runner takes (maps, config, one task seed per map)
 # and returns one list of rows per map, so a suite's disk suprema are
 # polished for every map at once. A global suite runs once per campaign, on
 # the one map None.
 SUITES = {
     "three-circles": _per_map(lambda f, cfg, seed: [verify_three_circles(f, r1, r)
-                                                    for r1, r in cfg.three_circles_pairs]),
+                                                    for r1, r in THREE_CIRCLES_PAIRS]),
     "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(
         f, seed=seed, mc_samples=cfg.mc_samples)]),
     "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f)]),
     "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f)),
     "gradient-bound": _gradient_bound,
     "isoperimetric": _per_map(lambda f, cfg, seed: [verify_isoperimetric(f, r)
-                                                    for r in cfg.isoperimetric_radii]),
+                                                    for r in ISOPERIMETRIC_RADII]),
     "lipschitz-16": _lipschitz_16,
     "hl-17": _hl_17,
     "majorant-regularity": _run_majorant_regularity,
@@ -234,9 +244,6 @@ class SuiteConfig:
     fuzz: FuzzSpec | None = None
     mc_samples: int = 1_000_000
     majorants: tuple[Majorant, ...] = (PowerMajorant(0.5), PowerMajorant(1.0))
-    three_circles_pairs: tuple[tuple[float, float], ...] = (
-        (0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
-    isoperimetric_radii: tuple[float, ...] = (0.3, 0.6, 0.9)
     seed: int = 42
     output_path: str = "harmap-reports.jsonl"
     output_format: str = "json"
@@ -258,20 +265,10 @@ class SuiteConfig:
             _check_mc_samples(self.mc_samples)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for r1, r in self.three_circles_pairs:
-            if not 0.0 < r1 <= r < 1.0:
-                raise ConfigError(f"three_circles_pairs: need 0 < r1 <= r < 1, got {[r1, r]}")
-        for r in self.isoperimetric_radii:
-            if not 0.0 < r <= 1.0 - 1e-9:
-                raise ConfigError(f"isoperimetric_radii: need 0 < r <= 1 - 1e-9, got {r}")
         # Entries whose rows would share a name; a file listed twice is one map.
         files = {Path(path).resolve(): f"@file:{Path(path).name}" for path in self.map_files}
         for key, names in (("maps", list(files.values())),
-                           ("majorants", [omega.label() for omega in self.majorants]),
-                           ("three_circles_pairs", [f"three-circles(r1={r1:g},r={r:g})"
-                                                    for r1, r in self.three_circles_pairs]),
-                           ("isoperimetric_radii", [f"isoperimetric(r={r:g})"
-                                                    for r in self.isoperimetric_radii])):
+                           ("majorants", [omega.label() for omega in self.majorants])):
             shared = sorted({name for name in names if names.count(name) > 1})
             if shared:
                 raise ConfigError(f"{key}: more than one entry names rows {', '.join(shared)}")
@@ -517,9 +514,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     try:
-        spec = FuzzSpec(count=args.count, degree=args.degree, seed=args.seed, coeff_decay=args.decay,
-                        enforce_coeff_dominance=args.dominance, target_K=args.target_k,
-                        rescale_area=not args.no_rescale)
+        spec = FuzzSpec(count=args.count, degree=args.degree, seed=args.seed)
         outdir = Path(args.out)  # its nearest existing part must be a directory
         if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
             raise ValueError(f"--out: {args.out!r} is not a directory path")
@@ -535,14 +530,22 @@ def _cmd_fuzz(args) -> int:
     files = [f"map-{i:04d}.json" for i in range(len(maps))]
     for name, f in zip(files, maps):
         (outdir / name).write_bytes(map_json_bytes(f))
-    manifest = json.dumps({"spec": asdict(spec), "files": files}, indent=2) + "\n"
+    # The draw no option changes, named so that a corpus still explains itself.
+    draw = {"coeff_decay": _COEFF_DECAY, "target_K": spec.target_K,
+            "enforce_coeff_dominance": True, "rescale_area": True}
+    manifest = json.dumps({"spec": asdict(spec), "draw": draw, "files": files}, indent=2) + "\n"
     (outdir / "manifest.json").write_bytes(manifest.encode("ascii"))
     print(f"wrote {len(files)} maps to {outdir}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it on one line and exits 2, as for any usage error
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmap",
         description="Distortion functionals and inequality verification for "
         "planar harmonic mappings on the unit disk.",
@@ -572,20 +575,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fz.add_argument("--count", type=int, default=100)
     p_fz.add_argument("--degree", type=int, default=8)
     p_fz.add_argument("--seed", type=int, default=42)
-    p_fz.add_argument("--decay", type=float, default=0.55)
-    p_fz.add_argument("--dominance", action="store_true", default=False,
-                      help="rescale b so |b_n| <= |a_n|")
-    p_fz.add_argument("--target-k", type=float, default=10.0)
-    p_fz.add_argument("--no-rescale", action="store_true", default=False,
-                      help="skip the rescale to total area <= 1")
     p_fz.add_argument("--out", default="fuzz-maps")
     p_fz.set_defaults(func=_cmd_fuzz)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except Exception as exc:  # a fault in the program, not in its input

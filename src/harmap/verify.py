@@ -11,13 +11,13 @@ coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
 sides, and a 3-sigma band for Monte Carlo verdicts.
 
-The fuzzer draws coefficient vectors with geometric decay, optionally
-rescaled to coefficient dominance (|b_n| <= |a_n|), rejects draws that fail
-the Jacobian sign scan or exceed the target distortion constant (both from
-one unmemoized grid scan per draw), and
-rescales accepted maps so the total area S_f(1) is at most 1. Streams are
-derived from (seed, index), so corpora are reproducible and order
-independent.
+The fuzzer draws one distribution, the one the three-circles and
+quasiconformal checks assume: coefficient vectors with geometric decay
+0.55^n, rescaled to coefficient dominance (|b_n| <= |a_n|). It rejects
+draws that fail the Jacobian sign scan or have distortion constant above
+10 (both from one unmemoized grid scan per draw), and rescales accepted
+maps so the total area S_f(1) is at most 1. Streams are derived from
+(seed, index), so corpora are reproducible and order independent.
 """
 
 from __future__ import annotations
@@ -114,25 +114,24 @@ class GenerationFailed(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget."""
 
 
+_COEFF_DECAY = 0.55  # coefficients of degree n shrink like _COEFF_DECAY^n
+
+
 @dataclass(frozen=True)
 class FuzzSpec:
     """Generator settings for a reproducible corpus of admissible maps.
 
-    Coefficients decay geometrically like coeff_decay^n. With
-    enforce_coeff_dominance, b_n is rescaled onto |b_n| <= |a_n|. Draws
-    failing the Jacobian sign scan on ``grids.GRID``, or whose distortion
-    constant exceeds target_K, are redrawn (at most 100 attempts per map).
-    With rescale_area, accepted maps are scaled so S_f(1) <= 1.
+    Coefficients decay geometrically like 0.55^n, and b_n is rescaled onto
+    |b_n| <= |a_n|. Draws failing the Jacobian sign scan on ``grids.GRID``,
+    or whose distortion constant exceeds target_K = 10, are redrawn (at most
+    100 attempts per map). Accepted maps are scaled so S_f(1) <= 1.
     """
 
     count: int = 100
     degree: int = 8
     seed: int = 42
-    coeff_decay: float = 0.55
-    enforce_coeff_dominance: bool = True
-    target_K: float = 10.0
-    rescale_area: bool = True
 
+    target_K = 10.0
     MAX_DEGREE = 64
     MAX_ATTEMPTS = 100
     MAX_COUNT = 10_000  # 10 000 maps of degree 64 peak at about 75 MB
@@ -142,10 +141,6 @@ class FuzzSpec:
             raise ValueError(f"count must lie in 1..{self.MAX_COUNT}")
         if not 1 <= self.degree <= self.MAX_DEGREE:
             raise ValueError(f"degree must lie in 1..{self.MAX_DEGREE}")
-        if not 0.0 < self.coeff_decay < 1.0:
-            raise ValueError("coeff_decay must lie in (0, 1)")
-        if not self.target_K >= 1.0:
-            raise ValueError("target_K must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -163,15 +158,11 @@ def _draw_candidate(rng: np.random.Generator, spec: FuzzSpec) -> HarmonicMap:
     a[1] = rng.uniform(0.7, 1.3) * np.exp(2j * np.pi * rng.random())
     if d >= 2:
         n = np.arange(2, d + 1)
-        a[2:] = spec.coeff_decay**n / (2.0 * n) * _complex_normal(rng, d - 1)
+        a[2:] = _COEFF_DECAY**n / (2.0 * n) * _complex_normal(rng, d - 1)
     n = np.arange(1, d + 1)
-    b[:] = 0.35 * spec.coeff_decay**n / n * _complex_normal(rng, d)
-    if spec.enforce_coeff_dominance:
-        over = np.abs(b) > np.abs(a[1:])
-        scale = np.ones(d)
-        nz = over & (np.abs(b) > 0)
-        scale[nz] = np.abs(a[1:])[nz] / np.abs(b)[nz]
-        b *= scale
+    b[:] = 0.35 * _COEFF_DECAY**n / n * _complex_normal(rng, d)
+    over = np.abs(b) > np.abs(a[1:])  # rescaled onto coefficient dominance |b_n| <= |a_n|
+    b[over] *= np.abs(a[1:])[over] / np.abs(b)[over]
     return HarmonicMap(a=tuple(a), b=tuple(b))
 
 
@@ -204,10 +195,9 @@ def fuzz_corpus(spec: FuzzSpec) -> list[HarmonicMap]:
                 f"map {idx}: {spec.MAX_ATTEMPTS} draws rejected "
                 f"(last min Jacobian {last_min_j:.3e}, last K {last_k:.3g})"
             )
-        if spec.rescale_area:
-            s = area_sup.__wrapped__(accepted).value  # out of the memo: it may be rescaled next
-            if s > 1.0:
-                accepted = accepted.scaled(1.0 / math.sqrt(s))
+        s = area_sup.__wrapped__(accepted).value  # out of the memo: it may be rescaled next
+        if s > 1.0:
+            accepted = accepted.scaled(1.0 / math.sqrt(s))
         maps.append(accepted)
     return maps
 

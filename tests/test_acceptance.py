@@ -44,6 +44,7 @@ from harmap import (
     verify_three_circles,
 )
 from harmap.cli import main
+from harmap.core import map_json_bytes
 from harmap.report import PASS
 from harmap.verify import verify_gradient_bounds
 
@@ -305,3 +306,16 @@ def test_campaign_digest_pins_agree(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
     assert workloads.CAMPAIGN_REFERENCE[42] == DEFAULT_CAMPAIGN_SHA256
+
+
+# sha256 of the concatenated map file bytes of the benchmark's two fuzz
+# corpora: 1000 maps of degree 8 (the `corpus` workload, CORPUS_SPEC) and
+# 32 maps of degree 32 (the `query` workload), both at seed 42.
+CORPUS_SHA256 = "038e4866c73bb0a3eab8956816cac5a2d27f1eb95edd2f9ca968af8798296f4a"
+QUERY_CORPUS_SHA256 = "4fc8bdaebd0b9d15f305a8373c687462105238196e54189b51d87df7b87041eb"
+
+
+def test_benchmark_corpora_bytes_are_pinned(corpus):
+    query = fuzz_corpus(FuzzSpec(count=32, degree=32, seed=42))
+    for maps, digest in ((corpus, CORPUS_SHA256), (query, QUERY_CORPUS_SHA256)):
+        assert hashlib.sha256(b"".join(map(map_json_bytes, maps))).hexdigest() == digest

@@ -105,9 +105,11 @@ def test_functional_malformed_map(tmp_path, capsys):
 
 def test_functional_bad_params(capsys, id_map_file):
     assert main(["functional", "--map", str(id_map_file), "--name", "area", "--r", "1.5"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["functional", "--map", str(id_map_file), "--name", "nope"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["functional", "--map", str(id_map_file), "--name", "nope"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: argument --name: invalid choice: 'nope'")
 
 
 @pytest.mark.parametrize("p", ["1e-310", "5e-324"])
@@ -171,26 +173,25 @@ def test_fuzz_reproducible_bytes(tmp_path):
 
 def test_fuzz_dominance_contract(tmp_path):
     out = tmp_path / "dom"
-    assert main(["fuzz", "--count", "3", "--degree", "4", "--seed", "9", "--dominance", "--out", str(out)]) == 0
+    assert main(["fuzz", "--count", "3", "--degree", "4", "--seed", "9", "--out", str(out)]) == 0
     for path in sorted(out.glob("map-*.json")):
         obj = json.loads(path.read_text())
         for (ar, ai), (br, bi) in zip(obj["a"][1:], obj["b"]):
             assert math.hypot(br, bi) <= math.hypot(ar, ai) + 1e-12
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["spec"]["enforce_coeff_dominance"] is True
+    assert manifest["spec"] == {"count": 3, "degree": 4, "seed": 9}
+    assert manifest["draw"] == {"coeff_decay": 0.55, "target_K": 10.0,
+                                "enforce_coeff_dominance": True, "rescale_area": True}
     assert manifest["files"] == ["map-0000.json", "map-0001.json", "map-0002.json"]
-
-
-def test_fuzz_nan_target_k_is_a_usage_error(tmp_path, capsys):
-    assert main(["fuzz", "--count", "1", "--target-k", "nan", "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: target_K must be >= 1"]
-    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["--out", "taken"], ["--out", "taken/sub"], ["--count", str(10**12), "--out", "new"]],
-    ids=["out-is-a-file", "out-below-a-file", "count-over-cap"],
+    [["--out", "taken"], ["--out", "taken/sub"], ["--count", str(10**12), "--out", "new"],
+     ["--decay", "0.55", "--out", "new"], ["--dominance", "--out", "new"],
+     ["--target-k", "nan", "--out", "new"], ["--no-rescale", "--out", "new"]],
+    ids=["out-is-a-file", "out-below-a-file", "count-over-cap", "decay-is-not-an-option",
+         "dominance-is-not-an-option", "target-k-is-not-an-option", "no-rescale-is-not-an-option"],
 )
 def test_fuzz_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
     import harmap.cli as cli
@@ -201,12 +202,14 @@ def test_fuzz_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
     assert main(["fuzz", "--count", "1", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    if argv[0] not in ("--out", "--count"):  # an option the fuzzer no longer has
+        assert err == f"error: unrecognized arguments: {' '.join(argv[:-2])}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
-def test_fuzz_generation_failure_exit_code(tmp_path):
-    code = main(["fuzz", "--count", "1", "--degree", "2", "--seed", "1",
-                 "--target-k", "1.0", "--out", str(tmp_path / "x")])
+def test_fuzz_generation_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(FuzzSpec, "target_K", 1.0)  # reached by b = 0 only, which no draw has
+    code = main(["fuzz", "--count", "1", "--degree", "2", "--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 3
 
 
@@ -336,8 +339,6 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"majorants": [0.5]},
         {"seed": -1},
         {"grid": {"n_r": "x"}},
-        {"three_circles_pairs": [[0.5, 0.2]]},
-        {"isoperimetric_radii": [1.5]},
         {"output": "x"},
         {"maps": ["nope.json"]},
         {"include_builtin": "false"},
@@ -347,7 +348,7 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"grid": {"n_r": 8.5}},
         {"mc_samples": 1e5},
         {"fuzz": {"count": 2.5}},
-        {"three_circles_pairs": [[0.1, 0.3, 99]]},
+        {"majorants": [{"family": "sampled", "table": [[0.01, 0.1, 99], [1, 1]]}]},
         {"maps": "ab.json"},
         {"suites": "hl-17"},
         {"maps": ["boolean-coefficient.json"]},
@@ -356,7 +357,7 @@ def test_verify_malformed_config(tmp_path, capsys):
         {"maps": ["degree-over-cap.json"]},
         {"grid": {"n_r": 10**8, "n_theta": 10**8}},
         {"mc_samples": 10**13},
-        {"isoperimetric_radii": [10**400]},
+        {"majorants": [{"family": "power", "alpha": 10**400}]},
         {"fuzz": {"target_K": math.nan}},
         {"output": {"path": "no-such-dir/rows.jsonl"}},
         {"output": {"path": "."}},
@@ -370,16 +371,21 @@ def test_verify_malformed_config(tmp_path, capsys):
                        {"family": "sampled", "table": [[0.01, 0.2], [1, 1]]}]},
         {"majorants": [{"family": "power", "alpha": 0.5},
                        {"family": "power", "alpha": 0.5000001}]},
-        {"three_circles_pairs": [[0.1, 0.3], [0.1, 0.3000001]]},
-        {"isoperimetric_radii": [0.5, 0.5]},
         {"maps": ["a/m.json", "b/m.json"]},
         {"mc_samples": 5000},
         {"quadrature": {"mc_samples": 200000}},
         {"gradient_sample_count": 64},
         {"grid": {"r_max": 0.4}},
+        {"three_circles_pairs": [[0.1, 0.3], [0.1, 0.5], [0.3, 0.6], [0.3, 0.9]]},
+        {"isoperimetric_radii": [0.3, 0.6, 0.9]},
+        {"fuzz": {"count": 48, "coeff_decay": 0.55}},
+        {"fuzz": {"enforce_coeff_dominance": True}},
+        {"fuzz": {"target_K": 10.0}},
+        {"fuzz": {"rescale_area": True}},
+        {"majorants": [{"family": "power", "alpha": math.nan}]},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
-         "reversed-radius-pair", "radius-outside-disk", "output-not-object", "missing-map-file",
+         "output-not-object", "missing-map-file",
          "include-builtin-not-boolean", "fractional-seed", "boolean-seed",
          "string-sample-count", "fractional-grid", "float-mc-samples", "fractional-fuzz-count",
          "three-element-pair", "maps-not-array", "suites-not-array",
@@ -390,9 +396,12 @@ def test_verify_malformed_config(tmp_path, capsys):
          "too-many-quadrature-nodes", "radial-nodes-is-an-unknown-key",
          "fuzz-count-over-cap", "too-many-gradient-samples",
          "sampled-majorants-one-label", "power-majorants-one-label",
-         "three-circles-pairs-one-name", "isoperimetric-radii-one-name",
          "map-files-one-basename", "too-few-mc-samples", "quadrature-is-an-unknown-key",
-         "gradient-sample-count-is-an-unknown-key", "grid-is-an-unknown-key"],
+         "gradient-sample-count-is-an-unknown-key", "grid-is-an-unknown-key",
+         "three-circles-pairs-unknown-key", "isoperimetric-radii-unknown-key",
+         "coeff-decay-unknown-fuzz-field", "dominance-unknown-fuzz-field",
+         "target-k-unknown-fuzz-field", "rescale-area-unknown-fuzz-field",
+         "nan-majorant-alpha"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     import harmap.cli as cli
@@ -418,8 +427,13 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
     assert err[0].startswith(f"error: bad configuration: {next(iter(bad))}")  # names the key
-    if next(iter(bad)) in ("grid", "quadrature", "gradient_sample_count"):
-        assert err == [f"error: bad configuration: {next(iter(bad))}: not a config key"]
+    key = next(iter(bad))
+    if key in ("grid", "quadrature", "gradient_sample_count", "three_circles_pairs",
+               "isoperimetric_radii"):
+        assert err == [f"error: bad configuration: {key}: not a config key"]
+    removed = sorted(set(bad["fuzz"]) - {"count", "degree", "seed"}) if key == "fuzz" else []
+    if removed:
+        assert err == [f"error: bad configuration: fuzz: unknown fields: {removed}"]
 
 
 def test_functional_rejects_malformed_map_files(tmp_path, capsys):
@@ -677,13 +691,60 @@ def test_verify_a_map_whose_sense_and_lambda_roundings_disagree(tmp_path, capsys
     assert row["hypotheses"]["finite distortion constant"] is False
 
 
+# Three degree-3 map files; the first two have |b_3| > |a_3|, which the
+# fuzzer never draws.
+STREAM_MAPS = [
+    {
+        "a": [
+            [0.0, 0.0],
+            [0.36264550779890325, -0.9517334281782378],
+            [-0.011434137531123935, 0.052301608375151375],
+            [0.007097408339997066, 0.0018519204000981202],
+        ],
+        "b": [
+            [-0.06476380238162281, 0.19157745273833457],
+            [-0.02529094675465853, 0.008790460336122814],
+            [0.008847544930083731, -0.014573612559930386],
+        ],
+    },
+    {
+        "a": [
+            [0.0, 0.0],
+            [-1.0450077173908543, 0.19443231216360457],
+            [-0.05606681311090319, -0.034232849551407235],
+            [0.013984935839341775, 0.00641288270221102],
+        ],
+        "b": [
+            [-0.21935286204953874, -0.295710529915342],
+            [0.02892764128296013, 9.544481130552464e-05],
+            [-0.021126267769185258, -0.014293666485592858],
+        ],
+    },
+    {
+        "a": [
+            [0.0, 0.0],
+            [-0.7574541571608076, 0.36917863211980856],
+            [0.08347252737419669, 0.037394737101057576],
+            [0.006109589242795643, 0.03521159005359119],
+        ],
+        "b": [
+            [0.12513743961330479, -0.16098722106082117],
+            [-0.02591166644591354, -0.0003944930254169882],
+            [0.0009119361621530316, -0.031121918831044537],
+        ],
+    },
+]
+
+
 def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     # File ids sort between the builtin and the fuzz ids, whatever the
     # order of "maps", and a copy of a map under another name is a map of
     # its own: each map keeps the Monte Carlo stream of its sorted
     # (suite, map_id) position.
     maps = tmp_path / "maps"
-    assert main(["fuzz", "--count", "3", "--degree", "3", "--seed", "5", "--out", str(maps)]) == 0
+    maps.mkdir()
+    for i, obj in enumerate(STREAM_MAPS):
+        (maps / f"map-{i:04d}.json").write_text(json.dumps(obj))
     (maps / "dup.json").write_bytes((maps / "map-0001.json").read_bytes())
     obj = {
         "maps": [str(maps / "map-0002.json"), str(maps / "map-0000.json"), str(maps / "dup.json")],

@@ -31,16 +31,16 @@ def _bench_pairs():
     return module
 
 
-def _run_output(cpu_s, rss_mb, bloch_ms):
+def _run_output(cpu_s, rss_mb, bloch_ms, digest="ab" * 32, failed=0):
     """The lines of one perfbench/run.py run that the summary reads."""
-    result = {"correct": True, "attempted": 192, "failed": 0, "metrics": {
+    result = {"correct": not failed, "attempted": 192, "failed": failed, "metrics": {
         "setup_s": {"value": 0.3, "unit": "s"},
         "cpu_s": {"value": cpu_s, "unit": "s"},
         "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
     }}
     return "\n".join([
-        "manifest " + json.dumps({"workload": "query", "seed": 42, "digest": "ab" * 32}),
-        "query seed 42: 16 iterations, attempted 192, failed 0, failed_ratio 0",
+        "manifest " + json.dumps({"workload": "query", "seed": 42, "digest": digest}),
+        f"query seed 42: 16 iterations, attempted 192, failed {failed}, failed_ratio {failed / 192:.4g}",
         "end-to-end (wall_s and below: not in the result line; per-kind latencies: query only)",
         f"  {'cpu_s':44s} {cpu_s:12.6g} {'s':6s} n={16:<6d} -",
         f"  {'peak_rss_mb':44s} {rss_mb:12.6g} {'MB':6s} n={1:<6d} -",
@@ -106,6 +106,30 @@ def test_bench_pairs_stores_the_median_pair_ratio():
     assert m["cpu_s"]["pair_ratio_median"] == pytest.approx(0.9, rel=1e-15)
     assert m["peak_rss_mb"]["pair_ratio_median"] == 1.0
     assert m["bloch_ms"]["pair_ratio_median"] == 0.5  # the median of 9 ratios, pair 1's dropped
+
+
+def test_bench_pairs_checks_digests_and_failed_shares():
+    # Beside the metrics, the benchmark rejects a change whose digest
+    # differs from the parent's or from the pinned campaign reference, or
+    # whose runs fail a larger share of operations.
+    bench = _bench_pairs()
+    same = [(bench.parse_output(_run_output(1.0, 70.0, 20.0)),
+             bench.parse_output(_run_output(0.9, 70.0, 20.0)))] * 3
+    assert bench.outputs(same, None) == {
+        "digests_agree": True, "reference": None,
+        "parent_matches_reference": None, "change_matches_reference": None,
+        "parent_failed_share": 0.0, "change_failed_share": 0.0}
+    off = same[:2] + [(bench.parse_output(_run_output(1.0, 70.0, 20.0)),
+                       bench.parse_output(_run_output(0.9, 70.0, 20.0, "cd" * 32, failed=48)))]
+    checks = bench.outputs(off, "ab" * 32)
+    assert not checks["digests_agree"] and checks["reference"] == "ab" * 32
+    assert checks["parent_matches_reference"] and not checks["change_matches_reference"]
+    assert checks["parent_failed_share"] == 0.0 and checks["change_failed_share"] == 48 / 576
+    # The reference is the campaign digest the parent's benchmark pins for the seed.
+    reference = bench.campaign_reference(ROOT, "campaign", 42)
+    assert reference == "f804fa72d5d9fa8fac834cb3e8388ab251a7ef4f3a1867b1b50c9aa576900b62"
+    assert bench.campaign_reference(ROOT, "campaign", 17) is None
+    assert bench.campaign_reference(ROOT, "query", 42) is None
 
 
 def _row(name, lhs, rhs, status="pass", n=None, error=0.0):
