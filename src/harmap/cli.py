@@ -7,7 +7,9 @@ Three subcommands:
 * ``verify`` runs a suite configuration over map files / builtins / a fuzz
   corpus and writes one report row per check (JSON lines or CSV); the
   three-circles rows take the fixed (r1, r) pairs ``THREE_CIRCLES_PAIRS``
-  and the isoperimetric rows the fixed radii ``ISOPERIMETRIC_RADII``,
+  and the isoperimetric rows the fixed radii ``ISOPERIMETRIC_RADII``. Each
+  campaign reads its map files once, before it draws the fuzz corpus or runs
+  a suite; a file that cannot be read is a configuration error,
 * ``fuzz`` writes a reproducible corpus of map files, drawn from the one
   distribution of :func:`~harmap.verify.fuzz_corpus`, plus a manifest that
   names it.
@@ -36,7 +38,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused: the benchmark tracer binds this name
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -273,18 +274,6 @@ class SuiteConfig:
             if shared:
                 raise ConfigError(f"{key}: more than one entry names rows {', '.join(shared)}")
 
-    @cached_property
-    def _file_maps(self) -> list[tuple[str, HarmonicMap]]:
-        """(map_id, f) for each file that ``map_files`` names, once however
-        often it is listed, read on first use; a file that cannot be read as a
-        map is a configuration error. A campaign drops it when it ends, so the
-        next one reads the files again."""
-        try:
-            return [(f"file:{path.name}", load_map(path))
-                    for path in dict.fromkeys(Path(p).resolve() for p in self.map_files)]
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"maps: {exc}") from None
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuiteConfig":
         """The configuration of a JSON object, each key checked by
@@ -327,11 +316,19 @@ def default_config(seed: int = 42) -> SuiteConfig:
 
 
 def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
+    """(map_id, f) for the builtins, each file that ``map_files`` names (once
+    however often it is listed) and the fuzz corpus. The files are read
+    before the corpus is drawn; one that cannot be read as a map is a
+    configuration error."""
     sources: list[tuple[str, HarmonicMap]] = []
     if cfg.include_builtin:
         for name, f in builtin_maps().items():
             sources.append((f"builtin:{name}", f))
-    sources.extend(cfg._file_maps)
+    try:
+        for path in dict.fromkeys(Path(p).resolve() for p in cfg.map_files):
+            sources.append((f"file:{path.name}", load_map(path)))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"maps: {exc}") from None
     if cfg.fuzz is not None:
         for i, f in enumerate(fuzz_corpus(cfg.fuzz)):
             sources.append((f"fuzz-{i:04d}", f))
@@ -379,20 +376,17 @@ def run_config(cfg: SuiteConfig):
     the Monte Carlo stream of its (suite, map_id) position in sorted order.
     """
     cfg.validate()
-    try:
-        sources = sorted(_load_sources(cfg), key=lambda s: s[0])
-        starts, index, reports = {}, 0, []
-        for suite in sorted(set(cfg.suites)):
-            starts[suite], index = index, index + (1 if suite in GLOBAL_SUITES else len(sources))
-        for suite in starts.keys() & GLOBAL_SUITES:
-            reports.extend(_run_suite_on_map(suite, [("-", None)], cfg, starts.pop(suite)))
-        block = _memo_block()
-        for lo in range(0, len(sources), block):
-            with _campaign_memo():
-                for suite, start in starts.items():
-                    reports.extend(_run_suite_on_map(suite, sources[lo : lo + block], cfg, start + lo))
-    finally:
-        cfg.__dict__.pop("_file_maps", None)
+    sources = sorted(_load_sources(cfg), key=lambda s: s[0])
+    starts, index, reports = {}, 0, []
+    for suite in sorted(set(cfg.suites)):
+        starts[suite], index = index, index + (1 if suite in GLOBAL_SUITES else len(sources))
+    for suite in starts.keys() & GLOBAL_SUITES:
+        reports.extend(_run_suite_on_map(suite, [("-", None)], cfg, starts.pop(suite)))
+    block = _memo_block()
+    for lo in range(0, len(sources), block):
+        with _campaign_memo():
+            for suite, start in starts.items():
+                reports.extend(_run_suite_on_map(suite, sources[lo : lo + block], cfg, start + lo))
     reports.sort(key=lambda r: (r.name, -1 if r.n is None else r.n))
     return reports, summarize(reports)
 
@@ -482,8 +476,6 @@ def _cmd_verify(args) -> int:
             cfg.output_path = args.out
         if args.format:
             cfg.output_format = args.format
-        cfg.validate()
-        cfg._file_maps  # read the map files now: a bad one is a usage error, not a mid-run crash
         if not _is_file_path(cfg.output_path):  # refused before the campaign, not after it
             raise ConfigError(f"output: {cfg.output_path!r} is not a file path in an existing directory")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -491,6 +483,9 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         reports, counts = run_config(cfg)
+    except ConfigError as exc:  # e.g. a map file that cannot be read, refused before any draw
+        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except GenerationFailed as exc:
         print(f"error: corpus generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION

@@ -102,12 +102,12 @@ _CONFIG_FIELDS = {"family": str, "alpha": float, "table": _PAIRS}
 class Majorant:
     """Base for majorant families; instances are callables on t >= 0.
 
-    A family supplies ``_eval``, ``config()``, ``label()``, ``head_integral``,
-    ``tail_integral`` (None when divergent) and, optionally, ``probe_floor``
-    and ``exact_regularity()``.
+    A family supplies ``_eval``, ``config()`` (its JSON object, whose
+    "family" key names it), ``label()``, ``head_integral``, ``tail_integral``
+    (None when divergent) and, optionally, ``probe_floor`` and
+    ``exact_regularity()``.
     """
 
-    family = "abstract"
     probe_floor = 0.0
 
     def __call__(self, t):
@@ -155,7 +155,6 @@ class PowerMajorant(Majorant):
     """omega(t) = t^alpha with 0 < alpha <= 1 (alpha = 1 is the linear case)."""
 
     alpha: float = 0.5
-    family = "power"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -202,7 +201,6 @@ class SampledMajorant(Majorant):
     """
 
     table: tuple
-    family = "sampled"
 
     def __post_init__(self):
         rows = tuple((float(t), float(w)) for t, w in self.table)
@@ -310,22 +308,18 @@ class RegularityReport:
 
     c_eq2: float | None
     c_eq3: float | None
-    delta0: float
     c_eq3_truncation: float = 0.0
 
 
-def regularity_check(omega: Majorant, delta0: float) -> RegularityReport:
-    """Smallest empirical constants in the two regularity conditions.
+def regularity_check(omega: Majorant) -> RegularityReport:
+    """Smallest empirical constants in the two regularity conditions on (0, 1).
 
     Both integrals are evaluated by adaptive quadrature at 24 log-spaced
-    scales delta in (0, delta0) and divided by omega(delta); the suprema over
-    those scales are reported. The linear majorant t^1 has a divergent tail
-    integral and reports c_eq3 = None.
+    scales delta from max(1e-3, ``omega.probe_floor``) to 0.999 and divided
+    by omega(delta); the suprema over those scales are reported. The linear
+    majorant t^1 has a divergent tail integral and reports c_eq3 = None.
     """
-    if delta0 <= 0.0:
-        raise ValueError("delta0 must be positive")
-    lo = max(delta0 * 1e-3, omega.probe_floor)
-    deltas = np.geomspace(lo, delta0 * 0.999, 24)
+    deltas = np.geomspace(max(1e-3, omega.probe_floor), 0.999, 24)
     c2 = 0.0
     c3: float | None = 0.0
     trunc = 0.0
@@ -338,8 +332,7 @@ def regularity_check(omega: Majorant, delta0: float) -> RegularityReport:
         else:
             c3 = max(c3, tail[0] / wd)
             trunc = max(trunc, tail[1] / wd)
-    return RegularityReport(c_eq2=c2, c_eq3=c3, delta0=float(delta0),
-                            c_eq3_truncation=trunc)
+    return RegularityReport(c_eq2=c2, c_eq3=c3, c_eq3_truncation=trunc)
 
 
 @lru_cache(maxsize=64)
@@ -347,7 +340,7 @@ def _regularity(omega: Majorant) -> RegularityReport:
     """The regularity probe on (0, 1) behind the majorant-regularity rows and
     verify_hl_equivalence's hypothesis. It depends on the majorant only, so
     it runs once per majorant value."""
-    return regularity_check(omega, delta0=1.0)
+    return regularity_check(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +621,6 @@ def verify_hl_equivalences(
     c_seg = float(np.max(int_omega / omega_sep))
 
     nodes = GRID.nodes.ravel()
-    inner = 1.0 - np.abs(nodes) >= 1e-3  # hl-reverse's nodes
 
     out = []
     for f, c4 in zip(maps, c4s):
@@ -651,12 +643,12 @@ def verify_hl_equivalences(
                      "inflation": (c5 / c4) if c4 > 0.0 else 0.0},
         )
 
-        # The reverse scan reads C4's coarse array at the nodes with d >= 1e-3.
-        ratios = grad_ratio(_grid_scan(f)[0], GRID.nodes).ravel()[inner]
+        # The reverse scan reads C4's coarse array at every node.
+        ratios = grad_ratio(_grid_scan(f)[0], GRID.nodes).ravel()
         k = int(np.argmax(ratios))
         lhs_rev = float(ratios[k])
         rev = make_report("hl-reverse", lhs_rev, 21.0 * c5 / math.pi, slack=1e-6, hypotheses=hyp,
-                          witnesses=[(complex(nodes[inner][k]), lhs_rev)], details={"C5": c5})
+                          witnesses=[(complex(nodes[k]), lhs_rev)], details={"C5": c5})
         out.append((fwd, rev))
     return out
 
@@ -673,10 +665,10 @@ def verify_hl_equivalence(
     The report compares the empirical two-point constant C5 against
     C4 * C_seg and records the inflation C5 / C4.
 
-    Reverse: with C5 = sup |f(z)-f(w)| / omega(|z-w|), check at every grid
-    point with d(z) >= 1e-3 that Lambda_f(z) d(z) / omega(d(z)) stays below
-    21 C5 / pi, the constant delivered by the Poisson-kernel derivative
-    bound on half-radius disks.
+    Reverse: with C5 = sup |f(z)-f(w)| / omega(|z-w|), check at every node
+    of ``grids.GRID``, all at d >= 0.005, that Lambda_f(z) d(z) / omega(d(z))
+    stays below 21 C5 / pi, the constant delivered by the Poisson-kernel
+    derivative bound on half-radius disks.
 
     Hypothesis for both directions: the majorant satisfies the head
     regularity condition (finite c_eq2). The one-map case of

@@ -96,9 +96,9 @@ class DiskDomain:
     def contains(self, w):
         return np.abs(np.asarray(w, dtype=complex) - self.center) < self.radius
 
-    def boundary_distance(self, point: complex = 0j) -> float:
-        """Distance from an interior point to the boundary circle."""
-        return self.radius - abs(complex(point) - self.center)
+    def boundary_distance(self) -> float:
+        """Distance from the origin to the boundary circle."""
+        return self.radius - abs(self.center)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform points in the disk, drawn by :func:`~harmap.grids.disk_sample`."""
@@ -323,8 +323,8 @@ def verify_area_overlap(
         # hit adds at most area1 (K sup J + 1), with J R1^2 <= Lambda_f^2 <= (sum n (|a_n| + |b_n|))^2
         sup_jac = (np.abs(f._da).sum() + np.abs(f._db).sum()) ** 2 / omega1.radius**2
         sigma = float(area1 * (K * sup_jac + 1.0) / mc_samples)
-    d1 = omega1.boundary_distance(0j)
-    d2 = omega2.boundary_distance(0j)
+    d1 = omega1.boundary_distance()
+    d2 = omega2.boundary_distance()
     rhs = min(d1, d2) ** 2
     return make_report(
         name,

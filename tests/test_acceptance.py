@@ -193,10 +193,10 @@ def test_08_area_overlap_desk_scale():
 def test_09_majorant_regularity():
     t0 = time.perf_counter()
     for alpha in (0.25, 0.5, 0.75):
-        rep = regularity_check(PowerMajorant(alpha), 1.0)
+        rep = regularity_check(PowerMajorant(alpha))
         assert rep.c_eq2 == pytest.approx(1.0 / alpha, rel=0.05)
         assert rep.c_eq3 == pytest.approx(1.0 / (1.0 - alpha), rel=0.05)
-    rep = regularity_check(PowerMajorant(1.0), 1.0)
+    rep = regularity_check(PowerMajorant(1.0))
     assert rep.c_eq2 == pytest.approx(1.0, rel=0.05)
     assert rep.c_eq3 is None
     report_line(9, "majorant regularity constants", time.perf_counter() - t0)

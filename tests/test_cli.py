@@ -404,9 +404,11 @@ def test_verify_malformed_config(tmp_path, capsys):
          "nan-majorant-alpha"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
+    # Refused before any work: no corpus is drawn and no suite runs.
     import harmap.cli as cli
 
-    monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("campaign started"))
+    monkeypatch.setattr(cli, "fuzz_corpus", lambda spec: pytest.fail("corpus drawn"))
+    monkeypatch.setattr(cli, "_run_suite_on_map", lambda *args: pytest.fail("suite started"))
     monkeypatch.chdir(tmp_path)
     identity = {"a": [[0, 0], [1, 0]], "b": [[0, 0]]}
     bad_maps = {
@@ -592,9 +594,9 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
     calls = Counter()
     original = lipschitz.regularity_check
 
-    def counting(omega, delta0):
-        calls[(omega, delta0)] += 1
-        return original(omega, delta0)
+    def counting(omega):
+        calls[omega] += 1
+        return original(omega)
 
     monkeypatch.setattr(lipschitz, "regularity_check", counting)
     cfg = SuiteConfig(suites=("hl-17", "majorant-regularity"),
@@ -602,7 +604,7 @@ def test_regularity_runs_once_per_majorant(monkeypatch):
     reports, counts = run_config(cfg)
     assert counts["fail"] == 0
     assert sum(rep.name.startswith("hl-forward") for rep in reports) == 12
-    assert calls == Counter({(cfg.majorants[0], 1.0): 1, (cfg.majorants[1], 1.0): 1})
+    assert calls == Counter({cfg.majorants[0]: 1, cfg.majorants[1]: 1})
 
 
 def test_lipschitz_16_weighs_by_each_majorant_once(monkeypatch):
@@ -649,8 +651,8 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, affine_map_file):
-    # The configuration check reads the map files, and the campaign uses
-    # what it read; a file listed twice is read once and gives one set of rows.
+    # The campaign reads each map file once, before its fuzz draw; a file
+    # listed twice is read once and gives one set of rows.
     import harmap.cli as cli
 
     calls = Counter()
@@ -671,6 +673,33 @@ def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, aff
     names = [json.loads(line)["name"] for line in (tmp_path / "rows.json").read_text().splitlines()]
     assert names.count("hardy-area@file:id.json") == 1
     assert names.count("hardy-area@file:affine.json") == 1
+
+
+def test_verify_refuses_an_unreadable_map_file_before_any_draw(tmp_path, capsys, monkeypatch):
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "fuzz_corpus", lambda spec: pytest.fail("corpus drawn"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    obj = small_config(tmp_path)
+    obj["maps"] = [str(bad)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad configuration: maps: ")
+    assert not (tmp_path / "rows.json").exists()
+
+
+def test_a_second_campaign_reads_the_map_files_again(tmp_path):
+    path = tmp_path / "m.json"
+    cfg = SuiteConfig(suites=("coeff-bound",), map_files=(str(path),), include_builtin=False)
+    rows = []
+    for name in ("identity", "affine-root2"):
+        path.write_bytes(map_json_bytes(builtin_maps()[name]))
+        rows.append([rep.to_json_dict() for rep in run_config(cfg)[0]])
+    assert rows[1] == [rep.to_json_dict() for rep in run_config(replace(cfg))[0]]
+    assert rows[0] != rows[1]
 
 
 def test_verify_a_map_whose_sense_and_lambda_roundings_disagree(tmp_path, capsys):

@@ -112,23 +112,21 @@ def test_scaling_lemma_power_family(lam, t, alpha):
 
 
 def test_regularity_power_constants():
-    rep = regularity_check(W_HALF, 1.0)
+    rep = regularity_check(W_HALF)
     assert rep.c_eq2 == pytest.approx(2.0, rel=1e-4)
     assert rep.c_eq3 == pytest.approx(2.0, rel=1e-4)
-    rep = regularity_check(PowerMajorant(0.25), 1.0)
+    rep = regularity_check(PowerMajorant(0.25))
     assert rep.c_eq2 == pytest.approx(4.0, rel=1e-4)
     assert rep.c_eq3 == pytest.approx(4.0 / 3.0, rel=1e-4)
-    rep = regularity_check(W_ONE, 1.0)
+    rep = regularity_check(W_ONE)
     assert rep.c_eq2 == pytest.approx(1.0, rel=1e-4)
     assert rep.c_eq3 is None
-    with pytest.raises(ValueError):
-        regularity_check(W_HALF, -1.0)
 
 
 def test_regularity_sampled_truncation_recorded():
     ts = np.geomspace(1e-5, 1e4, 40)
     omega = SampledMajorant(table=tuple((t, t**0.5) for t in ts))
-    rep = regularity_check(omega, 1.0)
+    rep = regularity_check(omega)
     assert rep.c_eq2 == pytest.approx(2.0, rel=1e-2)
     assert rep.c_eq3 is not None and rep.c_eq3_truncation >= 0.0
 
@@ -304,6 +302,26 @@ def test_hl_both_directions_pass(f, omega):
     fwd, rev = verify_hl_equivalence(f, omega)
     assert fwd.status == PASS
     assert rev.status == PASS
+
+
+@pytest.mark.parametrize("omega", [W_HALF, W_ONE])
+def test_hl_reverse_reads_every_grid_node(omega):
+    # Every node of GRID lies at d >= 1e-3, so hl-reverse's lhs and witness
+    # are the max and argmax of d Lambda_f / omega(d) over the whole grid.
+    # With W_ONE the argmax lies on the outermost ring, d = 0.005.
+    from harmap.core import _grid_scan
+    from harmap.grids import GRID
+    from harmap.verify import FuzzSpec, fuzz_corpus
+
+    nodes = GRID.nodes.ravel()
+    d = 1.0 - np.abs(nodes)
+    assert np.all(d >= 1e-3)
+    f = fuzz_corpus(FuzzSpec(count=1, degree=8, seed=42))[0]
+    ratios = _grid_scan(f)[0].ravel() * d / omega(d)
+    k = int(np.argmax(ratios))
+    _, rev = verify_hl_equivalence(f, omega)
+    assert rev.lhs == ratios[k]
+    assert rev.witnesses == [(complex(nodes[k]), float(ratios[k]))]
 
 
 # -- Bloch comparison for analytic maps ----------------------------------------------
