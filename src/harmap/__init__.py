@@ -56,7 +56,6 @@ from .lipschitz import (
 )
 from .report import write_csv, write_json_lines
 from .verify import (
-    DiskDomain,
     FuzzSpec,
     GenerationFailed,
     builtin_maps,

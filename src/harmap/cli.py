@@ -15,8 +15,9 @@ Three subcommands:
   names it.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-configuration error, 3 corpus generation failure, 4 internal error (an
-unexpected exception, reported on one line as ``error: internal: ...``).
+configuration error, or an output that cannot be written (``error: cannot
+write ...``), 3 corpus generation failure, 4 internal error (an unexpected
+exception, reported on one line as ``error: internal: ...``).
 Hypothesis-violated rows are counted separately and do not fail a run. A
 campaign runs each suite as one task over a block of maps (all of them up
 to 94), so a suite's disk suprema are polished for the block at once. It
@@ -439,7 +440,10 @@ def _cmd_functional(args) -> int:
         return EXIT_USAGE
     print(json.dumps(fv.to_json_dict()))
     if args.emit_table:
-        _emit_table(f, args.emit_table, args.r1)
+        try:
+            _emit_table(f, args.emit_table, args.r1)
+        except OSError as exc:
+            return _write_error(args.emit_table, exc)
         print(f"wrote table to {args.emit_table}", file=sys.stderr)
     return EXIT_OK
 
@@ -460,6 +464,11 @@ def _emit_table(f: HarmonicMap, path: str, r1: float | None) -> None:
             row.append(m ** (math.log(r) / math.log(r1)) if r1 <= r and m > 0 else "")
         lines.append(",".join("" if v == "" else repr(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+
+
+def _write_error(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_verify(args) -> int:
@@ -489,11 +498,14 @@ def _cmd_verify(args) -> int:
     except GenerationFailed as exc:
         print(f"error: corpus generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    with open(cfg.output_path, "w", encoding="ascii", newline="") as fh:
-        if cfg.output_format == "csv":
-            write_csv(reports, fh)
-        else:
-            write_json_lines(reports, fh)
+    try:  # UTF-8 for the map names in CSV rows; json.dumps escapes to ASCII
+        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+            if cfg.output_format == "csv":
+                write_csv(reports, fh)
+            else:
+                write_json_lines(reports, fh)
+    except OSError as exc:
+        return _write_error(cfg.output_path, exc)
     # A pass is unresolved when margin <= error_estimate: at the computed
     # accuracy the row cannot tell the claim from its failure. That holds
     # for a negative margin that the row's slack lets pass, too.
@@ -521,15 +533,18 @@ def _cmd_fuzz(args) -> int:
     except GenerationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    outdir.mkdir(parents=True, exist_ok=True)
     files = [f"map-{i:04d}.json" for i in range(len(maps))]
-    for name, f in zip(files, maps):
-        (outdir / name).write_bytes(map_json_bytes(f))
     # The draw no option changes, named so that a corpus still explains itself.
     draw = {"coeff_decay": _COEFF_DECAY, "target_K": spec.target_K,
             "enforce_coeff_dominance": True, "rescale_area": True}
     manifest = json.dumps({"spec": asdict(spec), "draw": draw, "files": files}, indent=2) + "\n"
-    (outdir / "manifest.json").write_bytes(manifest.encode("ascii"))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, f in zip(files, maps):
+            (outdir / name).write_bytes(map_json_bytes(f))
+        (outdir / "manifest.json").write_bytes(manifest.encode("ascii"))
+    except OSError as exc:
+        return _write_error(outdir, exc)
     print(f"wrote {len(files)} maps to {outdir}")
     return EXIT_OK
 

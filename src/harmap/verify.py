@@ -9,7 +9,8 @@ boundary length ``functionals.length_sup``), and returns a
 :class:`~harmap.report.VerificationReport` (or a list of them, one per
 coefficient index or sample family). Slack policy:
 1e-12 absolute for closed-form sides, 1e-9 relative for quadrature-backed
-sides, and a 3-sigma band for Monte Carlo verdicts.
+sides, 1e-9 absolute plus the length's error estimate for the isoperimetric
+rows, and 3 sigma + 1e-12 for the Monte Carlo overlap.
 
 The fuzzer draws one distribution, the one the three-circles and
 quasiconformal checks assume: coefficient vectors with geometric decay
@@ -46,7 +47,6 @@ from .grids import disk_sample
 from .report import VerificationReport, make_report
 
 __all__ = [
-    "DiskDomain",
     "FuzzSpec",
     "GenerationFailed",
     "fuzz_corpus",
@@ -75,34 +75,6 @@ def _check_mc_samples(count: int) -> None:
     about 45 B a sample."""
     if not 10_000 <= count <= 4_000_000:
         raise ValueError(f"mc_samples must lie in 10000..4000000, got {count!r}")
-
-
-@dataclass(frozen=True)
-class DiskDomain:
-    """A disk D(center, radius): the desk-scale simply connected domain."""
-
-    center: complex = 0j
-    radius: float = 1.0
-
-    def __post_init__(self):
-        c, r = complex(self.center), float(self.radius)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag) and math.isfinite(r)):
-            raise ValueError("domain parameters must be finite")
-        if r <= 0.0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-
-    def contains(self, w):
-        return np.abs(np.asarray(w, dtype=complex) - self.center) < self.radius
-
-    def boundary_distance(self) -> float:
-        """Distance from the origin to the boundary circle."""
-        return self.radius - abs(self.center)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform points in the disk, drawn by :func:`~harmap.grids.disk_sample`."""
-        return self.center + disk_sample(rng, count, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +209,13 @@ def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationRep
     Hypotheses: m := S_f(r1) < 1, S_f(1) <= 1, and coefficient dominance
     |b_n| <= |a_n| for every n. Claim: S_f(r) <= m^(log r / log r1) for
     r1 <= r < 1, with equality for the normalized affine family.
+
+    Why it holds: S_f(r) = sum c_n r^(2n) with c_n = n (|a_n|^2 - |b_n|^2) >= 0
+    under dominance, a positive sum of exponentials in log r, so log S_f is
+    convex in log r; with S_f(1) <= 1 that gives the bound. A row therefore
+    tests ``area_series`` and the rhs formula. The tests' witnesses, a
+    univalent map breaking only dominance and 2z breaking only S_f(1) <= 1,
+    fail the claim at every campaign pair: both hypotheses are needed.
     """
     if not 0.0 < r1 <= r < 1.0:
         raise ValueError("need 0 < r1 <= r < 1")
@@ -261,85 +240,49 @@ def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationRep
     )
 
 
-def verify_area_overlap(
-    f: HarmonicMap,
-    omega1: DiskDomain | None = None,
-    omega2: DiskDomain | None = None,
-    seed: int = 42,
-    K: float | None = None,
-    assume_univalent: bool = False,
-    *,
-    mc_samples: int = 1_000_000,
-) -> VerificationReport:
-    """Overlap-area bound K A(f(O1) n O2) + A(f^-1(O2)) >= min d^2(0).
+def verify_area_overlap(f: HarmonicMap, *, seed: int = 42, mc_samples: int = 1_000_000,
+                        assume_univalent: bool = False) -> VerificationReport:
+    """Overlap-area bound K A(f(D) n D) + A(f^-1(D)) >= 1 on the unit disk D.
 
-    Areas are normalized so the unit disk has area 1, matching the area
-    function convention; the image area counts multiplicity (an upper bound
-    for the set area, and exact for injective maps). The map is read on O1
-    through its affine chart w -> (w - c1)/R1 and recentered so it vanishes
-    at the origin. Both areas come from one Monte Carlo sample of O1; the
-    verdict allows a 3-sigma band. When no draw lands in f^-1(O2), sigma is
-    a third of a 95% bound on what the sample cannot see. The sample has
-    ``mc_samples`` points (10^4..4 10^6), drawn from the stream of ``seed``.
+    Areas are normalized so D has area 1; the image area counts multiplicity
+    (an upper bound for the set area, exact for injective maps), and K is the
+    grid distortion constant of :func:`_distortion`. Both areas come from one
+    sample of ``mc_samples`` points of D (10^4..4 10^6, from the stream of
+    ``seed``); the verdict allows a 3-sigma band. When no draw lands in
+    f^-1(D), sigma is a third of a 95% bound on what the sample cannot see.
 
     Injectivity is a hypothesis this artifact cannot certify beyond degree
     one (linear sense-preserving maps are injective); for higher degree pass
     ``assume_univalent=True`` to run the estimate anyway.
     """
-    omega1 = omega1 or DiskDomain()
-    omega2 = omega2 or DiskDomain()
     _check_mc_samples(mc_samples)
-    if not (omega1.contains(0j) and omega2.contains(0j)):
-        raise ValueError("the origin must lie in both domains")
-    grid_K, qc_hyp = _distortion(f)
-    K = grid_K if K is None else K
-    hyp = {
-        "f(0) = 0": f.a[0] == 0,
-        "sense-preserving": qc_hyp["sense-preserving"],
-        "finite distortion constant": math.isfinite(K),
-        "univalence certified or assumed": f.degree == 1 or assume_univalent,
-    }
-    name = "area-overlap"
+    K, qc_hyp = _distortion(f)
+    hyp = {"f(0) = 0": f.a[0] == 0, **qc_hyp,
+           "univalence certified or assumed": f.degree == 1 or assume_univalent}
     if not all(hyp.values()):
-        return make_report(name, None, None, 0.0, hypotheses=hyp)
+        return make_report("area-overlap", None, None, 0.0, hypotheses=hyp)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x41524541)))
-    w = omega1.sample(rng, mc_samples)  # drawn whole: a chunked draw changes the stream
-    f0 = f(-omega1.center / omega1.radius)
-    area1 = omega1.radius**2  # normalized area of a radius-R disk is R^2
-    stat, overlap = np.empty(len(w)), np.empty(len(w))
-    inside = np.empty(len(w), dtype=bool)
-    for s in range(0, len(w), _MC_CHUNK):  # elementwise, so chunking keeps every bit
+    z = disk_sample(rng, mc_samples, 1.0)  # drawn whole: a chunked draw changes the stream
+    stat, overlap, inside = np.empty(mc_samples), np.empty(mc_samples), np.empty(mc_samples, bool)
+    for s in range(0, mc_samples, _MC_CHUNK):  # elementwise, so chunking keeps every bit
         part = slice(s, s + _MC_CHUNK)
-        zeta = (w[part] - omega1.center) / omega1.radius
-        fz, fzbar = wirtinger(f, zeta)
-        jac = (_abs2(fz) - _abs2(fzbar)) / omega1.radius**2
-        inside[part] = omega2.contains(f(zeta) - f0)
-        stat[part] = (K * jac + 1.0) * inside[part] * area1
+        fz, fzbar = wirtinger(f, z[part])
+        jac = _abs2(fz) - _abs2(fzbar)
+        inside[part] = np.abs(f(z[part])) < 1.0
+        stat[part] = (K * jac + 1.0) * inside[part]
         overlap[part] = jac * inside[part]
     lhs = float(np.mean(stat))
     sigma = float(np.std(stat) / math.sqrt(mc_samples))
     if not inside.any():  # no hit in n draws: the hit fraction is below 3/n at 95%, and a
-        # hit adds at most area1 (K sup J + 1), with J R1^2 <= Lambda_f^2 <= (sum n (|a_n| + |b_n|))^2
-        sup_jac = (np.abs(f._da).sum() + np.abs(f._db).sum()) ** 2 / omega1.radius**2
-        sigma = float(area1 * (K * sup_jac + 1.0) / mc_samples)
-    d1 = omega1.boundary_distance()
-    d2 = omega2.boundary_distance()
-    rhs = min(d1, d2) ** 2
+        # hit adds at most K sup J + 1, with J <= Lambda_f^2 <= (sum n (|a_n| + |b_n|))^2
+        sup_jac = (np.abs(f._da).sum() + np.abs(f._db).sum()) ** 2
+        sigma = float((K * sup_jac + 1.0) / mc_samples)
     return make_report(
-        name,
-        lhs,
-        rhs,
-        slack=3.0 * sigma + CLOSED_FORM_SLACK,
-        hypotheses=hyp,
-        orientation="ge",
-        error_estimate=3.0 * sigma,
-        details={
-            "K": K,
-            "image_overlap_area": float(np.mean(overlap) * area1),
-            "preimage_area": float(np.mean(inside) * area1),
-            "mc_sigma": sigma,
-        },
+        "area-overlap", lhs, 1.0, slack=3.0 * sigma + CLOSED_FORM_SLACK, hypotheses=hyp,
+        orientation="ge", error_estimate=3.0 * sigma,
+        details={"K": K, "image_overlap_area": float(np.mean(overlap)),
+                 "preimage_area": float(np.mean(inside)), "mc_sigma": sigma},
     )
 
 

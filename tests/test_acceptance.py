@@ -177,7 +177,8 @@ def test_08_area_overlap_desk_scale():
     t0 = time.perf_counter()
     for t in (0.1, 0.5):
         f = HarmonicMap(a=(0, t), b=(0,))
-        rep = verify_area_overlap(f, K=1.0, mc_samples=1_000_000)
+        rep = verify_area_overlap(f, mc_samples=1_000_000)
+        assert rep.details["K"] == 1.0
         sigma = rep.details["mc_sigma"]
         assert abs(rep.lhs - (1 + t * t)) <= 3 * sigma + 1e-12
         assert rep.lhs >= 1.0 - 3 * sigma

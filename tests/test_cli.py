@@ -526,6 +526,46 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     assert err == ["error: internal: RuntimeError: broken verifier"]
 
 
+def test_verify_writes_a_csv_of_non_ascii_map_names_as_utf8(tmp_path, capsys):
+    path = tmp_path / "карта.json"
+    path.write_bytes(map_json_bytes(builtin_maps()["identity"]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["hardy-area"], "maps": [str(path)],
+                               "include_builtin": False,
+                               "output": {"path": str(tmp_path / "rows.csv"), "format": "csv"}}))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["name,n,lhs,rhs,margin,status",
+                     "hardy-area@file:карта.json,,1.0,1.0,0.0,pass"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "/dev/full"],
+    ["functional", "--map", "{map}", "--name", "area", "--emit-table", "/dev/full"],
+])
+def test_an_output_that_cannot_be_written_exits_2(capsys, monkeypatch, id_map_file, argv):
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "default_config", lambda: SuiteConfig(suites=("hardy-area",)))
+    assert main([a.format(map=id_map_file) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot write /dev/full: No space left on device"]
+
+
+def test_fuzz_corpus_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    import errno
+
+    def full(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", full)
+    out = tmp_path / "corpus"
+    assert main(["fuzz", "--count", "1", "--degree", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out}: No space left on device"]
+
+
 def test_sampled_majorant_short_of_the_evaluated_range(tmp_path, capsys):
     # The table stops at t = 50; lipschitz-16 evaluates omega up to
     # 1 / (1 - r_max) = 200. Those checks are hypothesis-violated rows that

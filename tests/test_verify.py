@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from harmap import (
-    DiskDomain,
     FuzzSpec,
     GenerationFailed,
     HarmonicMap,
@@ -108,6 +107,32 @@ def test_three_circles_hypothesis_violations():
     assert not rep.hypotheses["coefficient dominance"]
 
 
+# Each witness breaks one hypothesis of verify_three_circles, meets the other
+# two and the quasiconformal ones, and fails the claim at every campaign pair,
+# so that hypothesis is needed. s(z + 0.2 conj(z)^2), s = 0.92^(-1/2), has
+# S_f(1) = 1 up to rounding and is univalent: h = s z and |g'| <= 0.4 |h'|.
+@pytest.mark.parametrize("f, violated, s1, at_0_9", [
+    (HarmonicMap(a=(0, 0.92**-0.5, 0), b=(0, 0.2 * 0.92**-0.5)), "coefficient dominance",
+     0.9999999999999999, (0.82338, 0.81542)),
+    (HarmonicMap(a=(0, 2.0), b=(0,)), "S_f(1) <= 1", 4.0, (3.24, 0.91447)),
+])
+def test_three_circles_witnesses_each_hypothesis_is_needed(f, violated, s1, at_0_9):
+    from harmap.cli import THREE_CIRCLES_PAIRS
+    from harmap.functionals import area_series
+    from harmap.verify import _distortion
+
+    K, qc_hyp = _distortion(f)
+    assert all(qc_hyp.values()) and K < 2.33
+    for r1, r in THREE_CIRCLES_PAIRS:
+        rep = verify_three_circles(f, r1, r)
+        assert rep.status == HYPOTHESIS_VIOLATED
+        assert [key for key, held in rep.hypotheses.items() if not held] == [violated]
+        assert rep.details["S1"] == s1
+        lhs, rhs = area_series(f, r).value, rep.details["m"] ** (math.log(r) / math.log(r1))
+        assert lhs > rhs
+    assert (lhs, rhs) == pytest.approx(at_0_9, abs=1e-5)  # the last pair is (0.3, 0.9)
+
+
 def test_three_circles_argument_validation():
     with pytest.raises(ValueError):
         verify_three_circles(IDENTITY, 0.0, 0.5)
@@ -123,8 +148,9 @@ def test_three_circles_argument_validation():
 def test_area_overlap_scaling_family_exact():
     for t in (0.5, 0.1, 0.01):
         f = HarmonicMap(a=(0, t), b=(0,))
-        rep = verify_area_overlap(f, K=1.0, mc_samples=100_000)
+        rep = verify_area_overlap(f, mc_samples=100_000)
         assert rep.status == PASS
+        assert rep.details["K"] == 1.0
         # constant integrand: the Monte Carlo estimate is exact
         assert rep.lhs == pytest.approx(1 + t * t, abs=1e-12)
         assert rep.margin == pytest.approx(t * t, abs=1e-12)
@@ -157,13 +183,11 @@ def test_area_overlap_hypothesis_gates():
     shifted = HarmonicMap(a=(0.2, 1), b=(0,))
     rep = verify_area_overlap(shifted, mc_samples=10_000)
     assert rep.status == HYPOTHESIS_VIOLATED and not rep.hypotheses["f(0) = 0"]
-    with pytest.raises(ValueError):
-        verify_area_overlap(IDENTITY, DiskDomain(center=5 + 0j), mc_samples=10_000)
 
 
 @pytest.mark.parametrize("scale, hits", [(1e5, 0), (1e3, 1)])
 def test_area_overlap_of_a_large_map(tmp_path, scale, hits):
-    # f^-1(O2) has area scale^-2. With no draw in it (1e5 z) the row carries
+    # f^-1(D) has area scale^-2. With no draw in it (1e5 z) the row carries
     # the 95% bound of what the sample cannot see and may not fail; with
     # one draw in 10^6 (1e3 z) the estimate is 1 + 1e-6 with sigma 1.
     from harmap.cli import SuiteConfig, run_config
@@ -181,16 +205,6 @@ def test_area_overlap_of_a_large_map(tmp_path, scale, hits):
     else:
         assert rep.lhs == 0.0 and abs(rep.margin) <= rep.error_estimate
         assert rep.error_estimate == pytest.approx(3.0 * (scale**2 + 1.0) / 10**6, rel=1e-12)
-
-
-def test_area_overlap_general_disks():
-    rep = verify_area_overlap(
-        IDENTITY,
-        DiskDomain(center=0.2 + 0j, radius=1.5),
-        DiskDomain(center=0j, radius=2.0),
-        mc_samples=100_000,
-    )
-    assert rep.status == PASS
 
 
 # -- Hardy-area ------------------------------------------------------------------
