@@ -5,7 +5,8 @@ Three subcommands:
 * ``functional`` evaluates one functional of one map file and prints it as
   JSON (optionally emitting a CSV table of radius-parameterized curves),
 * ``verify`` runs a suite configuration over map files / builtins / a fuzz
-  corpus and writes one report row per check (JSON lines or CSV); the
+  corpus and writes one report row per check to ``--out``, as JSON lines
+  or CSV (``--format``); the config names what to verify only. The
   three-circles rows take the fixed (r1, r) pairs ``THREE_CIRCLES_PAIRS``
   and the isoperimetric rows the fixed radii ``ISOPERIMETRIC_RADII``. Each
   campaign reads its map files once, before it draws the fuzz corpus or runs
@@ -81,7 +82,6 @@ from .verify import (
     FuzzSpec,
     GenerationFailed,
     _COEFF_DECAY,
-    _check_mc_samples,
     _gradient_sample,
     builtin_maps,
     fuzz_corpus,
@@ -216,8 +216,7 @@ ISOPERIMETRIC_RADII = (0.3, 0.6, 0.9)
 SUITES = {
     "three-circles": _per_map(lambda f, cfg, seed: [verify_three_circles(f, r1, r)
                                                     for r1, r in THREE_CIRCLES_PAIRS]),
-    "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(
-        f, seed=seed, mc_samples=cfg.mc_samples)]),
+    "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(f, seed=seed)]),
     "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f)]),
     "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f)),
     "gradient-bound": _gradient_bound,
@@ -238,17 +237,17 @@ SUITE_NAMES = tuple(SUITES)
 
 @dataclass
 class SuiteConfig:
-    """A verification campaign: which suites, on which maps, how resolved."""
+    """A verification campaign: which suites, on which maps (the files of
+    ``maps``, the builtins, a fuzz corpus), against which majorants, from
+    which seed. Each field is the JSON key of its name; where the report
+    goes is ``verify``'s ``--out`` and ``--format``."""
 
     suites: tuple[str, ...] = SUITE_NAMES
-    map_files: tuple[str, ...] = ()
+    maps: tuple[str, ...] = ()
     include_builtin: bool = True
     fuzz: FuzzSpec | None = None
-    mc_samples: int = 1_000_000
     majorants: tuple[Majorant, ...] = (PowerMajorant(0.5), PowerMajorant(1.0))
     seed: int = 42
-    output_path: str = "harmap-reports.jsonl"
-    output_format: str = "json"
 
     def validate(self) -> None:
         """Refuse, before any work starts, every value a suite would reject."""
@@ -257,18 +256,12 @@ class SuiteConfig:
             raise ConfigError(f"unknown suites: {unknown}")
         if not self.suites:
             raise ConfigError("at least one suite is required")
-        if not (self.map_files or self.include_builtin or self.fuzz):
+        if not (self.maps or self.include_builtin or self.fuzz):
             raise ConfigError("at least one map source is required")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format: {self.output_format!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
-        try:
-            _check_mc_samples(self.mc_samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         # Entries whose rows would share a name; a file listed twice is one map.
-        files = {Path(path).resolve(): f"@file:{Path(path).name}" for path in self.map_files}
+        files = {Path(path).resolve(): f"@file:{Path(path).name}" for path in self.maps}
         for key, names in (("maps", list(files.values())),
                            ("majorants", [omega.label() for omega in self.majorants])):
             shared = sorted({name for name in names if names.count(name) > 1})
@@ -277,13 +270,9 @@ class SuiteConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SuiteConfig":
-        """The configuration of a JSON object, each key checked by
-        :func:`~harmap.core.from_json` against its field's annotation. A key
-        names its field, except "maps" (``map_files``) and "output" (an
-        object of "path" and "format", for ``output_path``/``output_format``)."""
+        """The configuration of a JSON object, each key the name of its field
+        and checked by :func:`~harmap.core.from_json` against its annotation."""
         kinds = json_fields(cls)
-        kinds["maps"] = kinds.pop("map_files")
-        kinds["output"] = {"path": kinds.pop("output_path"), "format": kinds.pop("output_format")}
         if not isinstance(obj, dict):
             raise ConfigError("the configuration must be a JSON object")
         unknown = sorted(set(obj) - set(kinds))
@@ -293,9 +282,6 @@ class SuiteConfig:
             kwargs = from_json(kinds, obj)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if "maps" in kwargs:
-            kwargs["map_files"] = kwargs.pop("maps")
-        kwargs.update({f"output_{key}": v for key, v in kwargs.pop("output", {}).items()})
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -303,12 +289,8 @@ class SuiteConfig:
 
 def default_config(seed: int = 42) -> SuiteConfig:
     """The default campaign: every suite on the builtin family plus a small
-    seeded corpus, with Monte Carlo resolution trimmed for turnaround."""
-    return SuiteConfig(
-        fuzz=FuzzSpec(count=48, degree=8, seed=seed),
-        mc_samples=200_000,
-        seed=seed,
-    )
+    seeded corpus."""
+    return SuiteConfig(fuzz=FuzzSpec(count=48, degree=8, seed=seed), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +299,7 @@ def default_config(seed: int = 42) -> SuiteConfig:
 
 
 def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
-    """(map_id, f) for the builtins, each file that ``map_files`` names (once
+    """(map_id, f) for the builtins, each file that ``maps`` names (once
     however often it is listed) and the fuzz corpus. The files are read
     before the corpus is drawn; one that cannot be read as a map is a
     configuration error."""
@@ -326,7 +308,7 @@ def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
         for name, f in builtin_maps().items():
             sources.append((f"builtin:{name}", f))
     try:
-        for path in dict.fromkeys(Path(p).resolve() for p in cfg.map_files):
+        for path in dict.fromkeys(Path(p).resolve() for p in cfg.maps):
             sources.append((f"file:{path.name}", load_map(path)))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"maps: {exc}") from None
@@ -475,18 +457,15 @@ def _cmd_verify(args) -> int:
     if args.config and args.seed is not None:
         print('error: --seed applies to the default campaign only; a config sets "seed"', file=sys.stderr)
         return EXIT_USAGE
+    if not _is_file_path(args.out):  # refused before the campaign, not after it
+        print(f"error: --out: {args.out!r} is not a file path in an existing directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = SuiteConfig.from_json_dict(json.load(fh))
         else:
             cfg = default_config() if args.seed is None else default_config(seed=args.seed)
-        if args.out:
-            cfg.output_path = args.out
-        if args.format:
-            cfg.output_format = args.format
-        if not _is_file_path(cfg.output_path):  # refused before the campaign, not after it
-            raise ConfigError(f"output: {cfg.output_path!r} is not a file path in an existing directory")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -499,13 +478,13 @@ def _cmd_verify(args) -> int:
         print(f"error: corpus generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     try:  # UTF-8 for the map names in CSV rows; json.dumps escapes to ASCII
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            if cfg.output_format == "csv":
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            if args.format == "csv":
                 write_csv(reports, fh)
             else:
                 write_json_lines(reports, fh)
     except OSError as exc:
-        return _write_error(cfg.output_path, exc)
+        return _write_error(args.out, exc)
     # A pass is unresolved when margin <= error_estimate: at the computed
     # accuracy the row cannot tell the claim from its failure. That holds
     # for a negative margin that the row's slack lets pass, too.
@@ -514,7 +493,7 @@ def _cmd_verify(args) -> int:
     print(
         f"{len(reports)} checks: {counts[PASS]} pass ({unresolved} unresolved), "
         f"{counts[FAIL]} fail, {counts[HYPOTHESIS_VIOLATED]} hypothesis-violated "
-        f"-> {cfg.output_path}"
+        f"-> {args.out}"
     )
     return EXIT_FAIL if counts[FAIL] else EXIT_OK
 
@@ -575,8 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run verification suites from a config")
     p_ver.add_argument("--config", default=None, help="suite config JSON (omit for the default campaign)")
-    p_ver.add_argument("--out", default=None, help="override the report output path")
-    p_ver.add_argument("--format", default=None, choices=("json", "csv"))
+    p_ver.add_argument("--out", default="harmap-reports.jsonl", help="report file (default %(default)s)")
+    p_ver.add_argument("--format", default="json", choices=("json", "csv"),
+                       help="report format: JSON lines or CSV (default %(default)s)")
     p_ver.add_argument("--seed", type=int, default=None,
                        help="seed of the default campaign (default 42); not with --config")
     p_ver.set_defaults(func=_cmd_verify)

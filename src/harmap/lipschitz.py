@@ -23,7 +23,7 @@ majorant are estimated as empirical constants:
 
 with d(z) = 1 - |z| the boundary distance. Their sample sets are fixed, and
 no argument sets them: C1 and hl-17's C4 are disk suprema on ``grids.GRID``,
-C2 reads :func:`default_pair_sample`, C3 18 probe disks, and hl-17 its 512
+C2 reads :func:`default_pair_sample`, C3 18 probe disks, and hl-17 its 704
 segment pairs. Each takes a map side that no
 majorant enters (Lambda_f on the grid, the pair quotients, the disk means,
 the segment fields of hl-17), which a campaign's memo keeps once per map for
@@ -362,9 +362,9 @@ def cond_a_constant(f: HarmonicMap, omega: Majorant) -> float:
 
 @cache
 def default_pair_sample() -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (z, w) pairs from 4096 draws of |z| < 0.999 (seed 7),
-    mixing random, local, antipodal and direction-sweep configurations (the
-    sweeps at shrinking separations pin down local-stretch suprema), without
+    """4346 deterministic (z, w) pairs of |z| < 0.999 (seed 7): 4096 random,
+    local and antipodal draws plus four direction sweeps of 64 (the sweeps
+    at shrinking separations pin down local-stretch suprema), less the
     degenerate pairs (coincident, or touching the boundary). Cached; the
     arrays are read-only."""
     count, r_cap = 4096, 0.999
@@ -558,10 +558,11 @@ def chord_interpolation_bound(z, w, t):
 
 @cache
 def _hl_sample() -> tuple[np.ndarray, np.ndarray]:
-    """hl-17's 512 pairs (z, w), kept inside |z| <= r_cap = r_max (1 - 1e-3)
-    with r_max = 0.995 the reach of ``grids.GRID``, so segment points stay
-    within the sup grid's reach (segments between two points of a disk stay
-    in it). Cached; the arrays are read-only."""
+    """hl-17's 704 pairs (z, w): 512 random and local ones plus three
+    direction sweeps of 64, all inside |z| <= r_cap = r_max (1 - 1e-3) with
+    r_max = 0.995 the reach of ``grids.GRID``, so segment points stay within
+    the sup grid's reach (segments between two points of a disk stay in it);
+    the mask drops none. Cached; the arrays are read-only."""
     count, r_cap = 512, GRID.r_max * (1.0 - 1e-3)
     rng = np.random.default_rng(np.random.SeedSequence((11, 0x484C5052)))
     half = count // 2

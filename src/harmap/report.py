@@ -64,10 +64,6 @@ class VerificationReport:
     error_estimate: float = 0.0
     details: dict = field(default_factory=dict)
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        return all(bool(v) for v in self.hypotheses.values())
-
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,

@@ -240,7 +240,7 @@ def verify_three_circles(f: HarmonicMap, r1: float, r: float) -> VerificationRep
     )
 
 
-def verify_area_overlap(f: HarmonicMap, *, seed: int = 42, mc_samples: int = 1_000_000,
+def verify_area_overlap(f: HarmonicMap, *, seed: int = 42, mc_samples: int = 200_000,
                         assume_univalent: bool = False) -> VerificationReport:
     """Overlap-area bound K A(f(D) n D) + A(f^-1(D)) >= 1 on the unit disk D.
 

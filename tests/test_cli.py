@@ -216,21 +216,26 @@ def test_fuzz_generation_failure_exit_code(tmp_path, monkeypatch):
 # -- verify -------------------------------------------------------------------------
 
 
-def small_config(tmp_path, fmt="json"):
+def small_config():
     return {
         "suites": ["three-circles", "hardy-area", "isoperimetric"],
         "include_builtin": True,
         "fuzz": {"count": 3, "degree": 4, "seed": 5},
-        "mc_samples": 20000,
         "seed": 5,
-        "output": {"path": str(tmp_path / f"rows.{fmt}"), "format": fmt},
     }
 
 
-def test_verify_small_config_json(tmp_path, capsys):
+def verify(tmp_path, obj, *argv, fmt="json"):
+    """``harmap verify`` of the config ``obj``, its report written to
+    tmp_path/rows.<fmt>."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config(tmp_path)))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps(obj))
+    out = str(tmp_path / f"rows.{fmt}")
+    return main(["verify", "--config", str(cfg), "--out", out, "--format", fmt, *argv])
+
+
+def test_verify_small_config_json(tmp_path, capsys):
+    assert verify(tmp_path, small_config()) == 0
     rows = [json.loads(line) for line in (tmp_path / "rows.json").read_text().splitlines()]
     assert rows
     statuses = {row["status"] for row in rows}
@@ -246,12 +251,10 @@ def test_verify_summary_counts_unresolved_passes(tmp_path, capsys):
     # those are rounding-level negative margins with a zero error estimate,
     # which the slack lets pass: all of affine-root2's, and identity's and
     # affine-quarters' at (r1, r) = (0.1, 0.3). They count as unresolved.
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["suites"] = ["three-circles", "isoperimetric"]
     obj["fuzz"] = None
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, obj) == 0
     rows = [json.loads(line) for line in (tmp_path / "rows.json").read_text().splitlines()]
     passes = [row for row in rows if row["status"] == "pass"]
     unresolved = [row["name"] for row in passes if row["margin"] <= row["error_estimate"]]
@@ -285,40 +288,31 @@ def test_area_sup_runs_once_per_map_in_a_campaign(tmp_path, monkeypatch):
         "maps": [str(path)],
         "include_builtin": False,
         "fuzz": None,
-        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
     monkeypatch.setattr(functionals.np, "roots", counting)
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, obj) == 0
     assert calls == [degree]
 
 
 def test_verify_csv_format(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config(tmp_path, fmt="csv")))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, small_config(), fmt="csv") == 0
     lines = (tmp_path / "rows.csv").read_text().splitlines()
     assert lines[0] == "name,n,lhs,rhs,margin,status"
     assert len(lines) > 10
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["suites"] = ["three-circles", "not-a-suite"]
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 2
+    assert verify(tmp_path, obj) == 2
 
 
 def test_verify_refuses_seed_beside_config(tmp_path, capsys, monkeypatch):
     # A config carries its own seed; --seed would be silently ignored.
     import harmap.cli as cli
 
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config(tmp_path)))
     monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("the campaign ran"))
-    assert main(["verify", "--config", str(cfg), "--seed", "7"]) == 2
+    assert verify(tmp_path, small_config(), "--seed", "7") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --seed")
     assert not (tmp_path / "rows.json").exists()
@@ -330,6 +324,33 @@ def test_verify_malformed_config(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"suites": []}))
     assert main(["verify", "--config", str(cfg)]) == 2
+
+
+def test_verify_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    assert verify(tmp_path, []) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: bad configuration: the configuration must be a JSON object"]
+
+
+@pytest.mark.parametrize("out", ["no-such-dir/rows.json", "."], ids=["missing-directory", "directory"])
+def test_verify_refuses_an_out_that_is_not_a_file_path(tmp_path, capsys, monkeypatch, out):
+    # Refused before the campaign, not after it.
+    import harmap.cli as cli
+
+    monkeypatch.setattr(cli, "run_config", lambda cfg: pytest.fail("the campaign ran"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out: {out!r} is not a file path in an existing directory"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(FuzzSpec, "target_K", 1.0)  # reached by b = 0 only, which no draw has
+    assert verify(tmp_path, {"fuzz": {"count": 1, "degree": 2, "seed": 1}}) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corpus generation failed: ")
+    assert not (tmp_path / "rows.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -423,15 +444,13 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
     for name, obj in bad_maps.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(json.dumps(obj))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(bad))
-    assert main(["verify", "--config", str(cfg)]) == 2
+    assert verify(tmp_path, bad) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: ")
     assert err[0].startswith(f"error: bad configuration: {next(iter(bad))}")  # names the key
     key = next(iter(bad))
     if key in ("grid", "quadrature", "gradient_sample_count", "three_circles_pairs",
-               "isoperimetric_radii"):
+               "isoperimetric_radii", "output", "mc_samples"):
         assert err == [f"error: bad configuration: {key}: not a config key"]
     removed = sorted(set(bad["fuzz"]) - {"count", "degree", "seed"}) if key == "fuzz" else []
     if removed:
@@ -480,21 +499,18 @@ def test_functional_refuses_coefficients_that_overflow(tmp_path, capsys, name):
 
 
 def test_verify_refuses_coefficients_that_overflow(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj.update(include_builtin=False, fuzz=None)
     obj["suites"].append("coeff-bound")
     obj["maps"] = [str(_linear_map_file(tmp_path / "huge.json", 1e200))]
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 2
+    assert verify(tmp_path, obj) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: bad configuration: maps: map coefficients too large")
     obj["maps"] = [str(_linear_map_file(tmp_path / "edge.json", 0.999 * LARGEST_A1))]
-    cfg.write_text(json.dumps(obj))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["verify", "--config", str(cfg)]) in (0, 1)
+        assert verify(tmp_path, obj) in (0, 1)
     assert "error" not in capsys.readouterr().err
 
 
@@ -504,10 +520,8 @@ def test_readme_config_example_parses():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     obj = json.loads(example)
     cfg = SuiteConfig.from_json_dict(obj)
-    renamed = {"map_files", "output_path", "output_format"}
-    assert set(obj) == {f.name for f in fields(SuiteConfig)} - renamed | {"maps", "output"}
-    assert cfg == replace(default_config(), map_files=("extra-map.json",),
-                          output_path="reports.jsonl")
+    assert set(obj) == {f.name for f in fields(SuiteConfig)}
+    assert cfg == replace(default_config(), maps=("extra-map.json",))
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -517,11 +531,9 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
         raise RuntimeError("broken\nverifier")
 
     monkeypatch.setattr(cli, "verify_isoperimetric", broken)
-    cfg = tmp_path / "cfg.json"
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["suites"] = ["isoperimetric"]
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 4
+    assert verify(tmp_path, obj) == 4
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: internal: RuntimeError: broken verifier"]
 
@@ -529,11 +541,8 @@ def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
 def test_verify_writes_a_csv_of_non_ascii_map_names_as_utf8(tmp_path, capsys):
     path = tmp_path / "карта.json"
     path.write_bytes(map_json_bytes(builtin_maps()["identity"]))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suites": ["hardy-area"], "maps": [str(path)],
-                               "include_builtin": False,
-                               "output": {"path": str(tmp_path / "rows.csv"), "format": "csv"}}))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    obj = {"suites": ["hardy-area"], "maps": [str(path)], "include_builtin": False}
+    assert verify(tmp_path, obj, fmt="csv") == 0
     lines = (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()
     assert lines == ["name,n,lhs,rhs,margin,status",
                      "hardy-area@file:карта.json,,1.0,1.0,0.0,pass"]
@@ -572,13 +581,9 @@ def test_sampled_majorant_short_of_the_evaluated_range(tmp_path, capsys):
     # record the requested range, and the power majorant's rows keep their
     # bytes.
     def rows(majorants):
-        obj = {"suites": ["lipschitz-16", "hl-17"], "majorants": majorants,
-               "output": {"path": str(tmp_path / "rows.jsonl")}}
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(obj))
-        assert main(["verify", "--config", str(cfg)]) == 0
+        assert verify(tmp_path, {"suites": ["lipschitz-16", "hl-17"], "majorants": majorants}) == 0
         assert capsys.readouterr().err == ""
-        return (tmp_path / "rows.jsonl").read_text().splitlines()
+        return (tmp_path / "rows.json").read_text().splitlines()
 
     power = {"family": "power", "alpha": 0.5}
     sampled = {"family": "sampled", "table": [[1e-3, 0.03], [1, 1], [50, 7]]}
@@ -594,12 +599,9 @@ def test_sampled_majorant_short_of_the_evaluated_range(tmp_path, capsys):
 
 
 def test_verify_runs_deterministically(tmp_path, capsys):
-    cfg_obj = small_config(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(cfg_obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, small_config()) == 0
     first = (tmp_path / "rows.json").read_bytes()
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, small_config()) == 0
     assert (tmp_path / "rows.json").read_bytes() == first
 
 
@@ -611,7 +613,7 @@ def test_config_validation_direct():
     with pytest.raises(ConfigError):
         SuiteConfig(include_builtin=False).validate()
     with pytest.raises(ConfigError):
-        SuiteConfig(output_format="xml").validate()
+        SuiteConfig(seed=2**64).validate()
     with pytest.raises(ConfigError):
         SuiteConfig.from_json_dict({"mystery": 1})
 
@@ -680,12 +682,10 @@ def test_verify_exit_one_on_failure(tmp_path, capsys, monkeypatch):
         return make_report("isoperimetric(stub)", 2.0, 1.0, slack=0.0)
 
     monkeypatch.setattr(cli, "verify_isoperimetric", broken)
-    cfg = tmp_path / "cfg.json"
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["suites"] = ["isoperimetric"]
     obj["fuzz"] = None
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 1
+    assert verify(tmp_path, obj) == 1
     out = capsys.readouterr().out
     assert "fail" in out
 
@@ -703,12 +703,10 @@ def test_verify_reads_each_map_file_once(tmp_path, monkeypatch, id_map_file, aff
         return original(path)
 
     monkeypatch.setattr(cli, "load_map", counting)
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["maps"] = [str(id_map_file), str(affine_map_file), str(id_map_file)]
     obj["fuzz"] = None
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, obj) == 0
     assert sum(calls.values()) == 2
     names = [json.loads(line)["name"] for line in (tmp_path / "rows.json").read_text().splitlines()]
     assert names.count("hardy-area@file:id.json") == 1
@@ -721,11 +719,9 @@ def test_verify_refuses_an_unreadable_map_file_before_any_draw(tmp_path, capsys,
     monkeypatch.setattr(cli, "fuzz_corpus", lambda spec: pytest.fail("corpus drawn"))
     bad = tmp_path / "bad.json"
     bad.write_text("{")
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj["maps"] = [str(bad)]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 2
+    assert verify(tmp_path, obj) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad configuration: maps: ")
     assert not (tmp_path / "rows.json").exists()
@@ -733,7 +729,7 @@ def test_verify_refuses_an_unreadable_map_file_before_any_draw(tmp_path, capsys,
 
 def test_a_second_campaign_reads_the_map_files_again(tmp_path):
     path = tmp_path / "m.json"
-    cfg = SuiteConfig(suites=("coeff-bound",), map_files=(str(path),), include_builtin=False)
+    cfg = SuiteConfig(suites=("coeff-bound",), maps=(str(path),), include_builtin=False)
     rows = []
     for name in ("identity", "affine-root2"):
         path.write_bytes(map_json_bytes(builtin_maps()[name]))
@@ -749,11 +745,9 @@ def test_verify_a_map_whose_sense_and_lambda_roundings_disagree(tmp_path, capsys
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"a": [[0.0, 0.0], [-340.5365670018157, 576.8574068568087]],
                                 "b": [[-433.22418163072047, 510.9270297814907]]}))
-    obj = small_config(tmp_path)
+    obj = small_config()
     obj.update(suites=["hardy-area"], include_builtin=False, fuzz=None, maps=[str(path)])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, obj) == 0
     (row,) = [json.loads(line) for line in (tmp_path / "rows.json").read_text().splitlines()]
     assert row["name"] == "hardy-area@file:edge.json"
     assert row["status"] == "hypothesis-violated"
@@ -818,15 +812,11 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     obj = {
         "maps": [str(maps / "map-0002.json"), str(maps / "map-0000.json"), str(maps / "dup.json")],
         "fuzz": {"count": 3, "degree": 4, "seed": 9},
-        "mc_samples": 10000,
         "seed": 77,
-        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
-    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
-    assert digest == "8073763bc0e6a93760eb3fef58751138a135dd1ea9ae65d9bc0f41a0d2c781b5"
+    assert verify(tmp_path, obj) == 0
+    digest = hashlib.sha256((tmp_path / "rows.json").read_bytes()).hexdigest()
+    assert digest == "65baddb77a4c4bb273b19d977ffd21951ae07ed8474dee872e4740bb754c4e54"
 
 
 def _disk_sup_digest(tmp_path):
@@ -837,12 +827,9 @@ def _disk_sup_digest(tmp_path):
                       {"family": "sampled",
                        "table": [[1e-8, 1e-6], [1e-2, 0.05], [1.0, 1.0], [1e4, 10.0]]}],
         "seed": 7,
-        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
-    return hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
+    assert verify(tmp_path, obj) == 0
+    return hashlib.sha256((tmp_path / "rows.json").read_bytes()).hexdigest()
 
 
 DISK_SUP_DIGEST = "0ccc5159e6fc751df216a4e866719123cb816f5c95f44f0a5affa68e7b4b9347"
@@ -960,13 +947,10 @@ def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, cap
         "suites": ["majorant-regularity", "lipschitz-16", "hl-17"],
         "majorants": [{"family": "sampled", "table": [[2, 1], [100, 3]]}],
         "fuzz": None,
-        "output": {"path": str(tmp_path / "rows.jsonl"), "format": "json"},
     }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    assert verify(tmp_path, obj) == 0
     assert "Traceback" not in capsys.readouterr().err
-    rows = {row["name"]: row for row in map(json.loads, (tmp_path / "rows.jsonl").open())}
+    rows = {row["name"]: row for row in map(json.loads, (tmp_path / "rows.json").open())}
     for name in ("majorant-head-integral", "majorant-tail-integral"):
         row = rows[f"{name}[sampled(2)]@-"]
         assert row["status"] == "hypothesis-violated"
@@ -1077,7 +1061,6 @@ def test_disk_sups_are_polished_for_all_maps_at_once(monkeypatch):
             suites=("gradient-bound", "lipschitz-16", "hl-17"),
             include_builtin=False,
             fuzz=FuzzSpec(count=count, degree=4, seed=3),
-            mc_samples=10_000,
         )
         scalar.clear()
         reports, summary = run_config(cfg)
@@ -1111,7 +1094,6 @@ def test_per_map_memos_live_for_one_campaign(monkeypatch):
     cfg = SuiteConfig(
         suites=("coeff-bound", "gradient-bound", "hardy-area"),
         fuzz=FuzzSpec(count=2, degree=3, seed=8),
-        mc_samples=10_000,
     )
     scans = _count_grid_scans(monkeypatch)
     per_run = []
@@ -1130,7 +1112,6 @@ def test_a_campaign_evaluates_each_maps_fields_on_its_grid_once(monkeypatch):
         suites=("area-overlap", "hardy-area", "coeff-bound", "gradient-bound",
                 "lipschitz-16", "hl-17"),
         fuzz=FuzzSpec(count=3, degree=4, seed=5),
-        mc_samples=10_000,
     )
     maps = [*builtin_maps().values(), *fuzz_corpus(cfg.fuzz)]
     scans = _count_grid_scans(monkeypatch)

@@ -675,8 +675,9 @@ ZERO = HarmonicMap(a=(0, 0), b=(0,))
 
 @pytest.mark.parametrize(
     "f, p, scale",
-    [(LINEAR_HALF, 1200, 0.5), (LINEAR_THREE, 800, 3.0), (ZERO, 1200, 0.0), (ZERO, 2, 0.0)],
-    ids=["underflow", "overflow", "zero", "zero-p2"],
+    [(LINEAR_HALF, 1200, 0.5), (LINEAR_THREE, 800, 3.0), (ZERO, 1200, 0.0), (ZERO, 2, 0.0),
+     (ZERO, math.inf, 0.0)],
+    ids=["underflow", "overflow", "zero", "zero-p2", "zero-inf"],
 )
 def test_hardy_means_at_large_p(f, p, scale):
     # |f| = scale r on every circle, so M_p(r, f) = scale r for every p.

@@ -123,6 +123,15 @@ def test_regularity_power_constants():
     assert rep.c_eq3 is None
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.xfail(strict=True, reason="the head integral's quadrature loses most of "
+                   "1/alpha at alpha = 0.001 (ROADMAP item 10, re-pin B)")
+def test_regularity_head_constant_at_small_alpha():
+    # The head integral of t^alpha is delta^alpha / alpha, so c_eq2 = 1/alpha.
+    # It is exact to 4e-16 down to alpha = 0.05 and reads 525.3 at 0.001.
+    assert regularity_check(PowerMajorant(0.001)).c_eq2 == pytest.approx(1000.0, rel=1e-6)
+
+
 def test_regularity_sampled_truncation_recorded():
     ts = np.geomspace(1e-5, 1e4, 40)
     omega = SampledMajorant(table=tuple((t, t**0.5) for t in ts))
