@@ -20,16 +20,19 @@ configuration error, or an output that cannot be written (``error: cannot
 write ...``), 3 corpus generation failure, 4 internal error (an unexpected
 exception, reported on one line as ``error: internal: ...``).
 Hypothesis-violated rows are counted separately and do not fail a run. A
-campaign runs each suite as one task over a block of maps (all of them up
-to 94), so a suite's disk suprema are polished for the block at once. It
-calls each Lipschitz-space constant once per majorant, and the campaign
-memo of ``core``, one per block, computes each map's majorant-free side
-once. The tasks run one after another, on one thread: the work is
-Python-bound under the interpreter lock, so threads would not run it in
-parallel. Report rows are emitted in sorted order, so identical seeds give
-byte-identical report files. ``functional`` and ``fuzz`` never load scipy,
-nor does ``verify`` outside the ``lipschitz-16``, ``hl-17`` and
-``majorant-regularity`` suites (see :mod:`harmap.grids`).
+campaign runs ``majorant-regularity``, which reads no map, once, and each
+per-map suite as one task, ``runner(maps, seeds, majorants)``, over a block
+of maps (all of them up to 94), so its disk suprema are polished for the
+block at once; map i of N sorted by id takes the stream
+``SeedSequence((seed, k N + i))`` in the k-th selected per-map suite. It
+calls each Lipschitz-space constant once per majorant, and the campaign memo
+of ``core``, one per block, computes each map's majorant-free side once. The
+tasks run one after another, on one thread: the work is Python-bound under
+the interpreter lock, so threads would not run it in parallel. Report rows
+are emitted in sorted order, so identical seeds give byte-identical report
+files. ``functional`` and ``fuzz`` never load scipy, nor does ``verify``
+outside the ``lipschitz-16``, ``hl-17`` and ``majorant-regularity`` suites
+(see :mod:`harmap.grids`).
 """
 
 from __future__ import annotations
@@ -112,15 +115,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _per_map(run):
-    """A suite runner over a list of maps from a one-map runner (f, cfg, seed)."""
-    return lambda fs, cfg, seeds: [run(f, cfg, seed) for f, seed in zip(fs, seeds)]
-
-
-def _gradient_bound(fs, cfg: SuiteConfig, seeds):
-    return verify_gradient_bounds(fs, [_gradient_sample(seed) for seed in seeds])
-
-
 def _chord_row(seed: int):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x43484F52)))
     n = 10_000
@@ -135,20 +129,19 @@ def _chord_row(seed: int):
     )
 
 
-def _per_majorant(fs, cfg: SuiteConfig, names, run):
-    """Each map's rows for every majorant, named ``name[label]``; ``run(omega)``
-    gives one row list per map (``fs`` is ``[None]`` for a global suite). A
-    majorant table short of what ``run`` asks for gives each map, per name,
-    a hypothesis-violated row with that range."""
-    reports = [[] for _ in fs]
-    for omega in cfg.majorants:
+def _per_majorant(count: int, majorants, names, run):
+    """Rows of ``count`` maps for every majorant, named ``name[label]``, from
+    ``run(omega)``, one row list per map; a table short of what ``run`` asks
+    for gives each map, per name, a hypothesis-violated row with that range."""
+    reports = [[] for _ in range(count)]
+    for omega in majorants:
         try:
             chunks = run(omega)
         except OutsideTable as exc:
             short = {"majorant table covers the evaluated range": False}
             chunks = [[make_report(name, None, None, 0.0, hypotheses=short,
                                    details={"t_lo": exc.t_lo, "t_hi": exc.t_hi})
-                       for name in names] for _ in fs]
+                       for name in names] for _ in range(count)]
         for rows, chunk in zip(reports, chunks):
             for rep in chunk:
                 rep.name = f"{rep.name}[{omega.label()}]"
@@ -156,7 +149,7 @@ def _per_majorant(fs, cfg: SuiteConfig, names, run):
     return reports
 
 
-def _lipschitz_16(fs, cfg: SuiteConfig, seeds):
+def _lipschitz_16(fs, seeds, majorants):
     def run(omega):
         chunks = []
         for f, c1 in zip(fs, cond_a_constants(fs, omega)):
@@ -165,15 +158,10 @@ def _lipschitz_16(fs, cfg: SuiteConfig, seeds):
                                        details={"C1": c1, "C2": c2, "C3": c3})])
         return chunks
 
-    reports = _per_majorant(fs, cfg, ["cond-b-vs-a"], run)
+    reports = _per_majorant(len(fs), majorants, ["cond-b-vs-a"], run)
     for rows, seed in zip(reports, seeds):
         rows.append(_chord_row(seed))
     return reports
-
-
-def _hl_17(fs, cfg: SuiteConfig, seeds):
-    return _per_majorant(fs, cfg, ["hl-forward", "hl-reverse"],
-                         lambda omega: verify_hl_equivalences(fs, omega))
 
 
 def _regularity_row(name: str, value: float | None, exact: float | None, details: dict):
@@ -187,12 +175,12 @@ def _regularity_row(name: str, value: float | None, exact: float | None, details
                        force_fail=value < exact * 0.95, details=details)
 
 
-def _run_majorant_regularity(fs, cfg: SuiteConfig, seeds):
-    """Map-independent regularity rows. Majorants with closed-form constants
-    (the power family: 1/alpha and 1/(1-alpha)) are compared against them at
-    5% tolerance; the others record their empirical constants. A sampled
-    table that does not reach down to the probe scales gives
-    hypothesis-violated rows, as in the per-map majorant suites."""
+def _run_majorant_regularity(majorants):
+    """The suite that reads no map, run once; its rows end in @-. Majorants
+    with closed-form constants (the power family: 1/alpha and 1/(1-alpha))
+    are compared against them at 5% tolerance; the others record their
+    empirical constants. A sampled table that does not reach down to the
+    probe scales gives hypothesis-violated rows, as in the per-map suites."""
     names = ["majorant-head-integral", "majorant-tail-integral"]
 
     def run(omega):
@@ -201,7 +189,10 @@ def _run_majorant_regularity(fs, cfg: SuiteConfig, seeds):
         return [[_regularity_row(names[0], rep.c_eq2, head, {}),
                  _regularity_row(names[1], rep.c_eq3, tail, {"truncation": rep.c_eq3_truncation})]]
 
-    return _per_majorant(fs, cfg, names, run)
+    [rows] = _per_majorant(1, majorants, names, run)
+    for rep in rows:
+        rep.name += "@-"
+    return rows
 
 
 # The (r1, r) pairs of the three-circles rows and the radii of the
@@ -209,25 +200,27 @@ def _run_majorant_regularity(fs, cfg: SuiteConfig, seeds):
 THREE_CIRCLES_PAIRS = ((0.1, 0.3), (0.1, 0.5), (0.3, 0.6), (0.3, 0.9))
 ISOPERIMETRIC_RADII = (0.3, 0.6, 0.9)
 
-# Suite name -> runner. A runner takes (maps, config, one task seed per map)
-# and returns one list of rows per map, so a suite's disk suprema are
-# polished for every map at once. A global suite runs once per campaign, on
-# the one map None.
+# Per-map suite name -> runner. A runner takes (maps, one Monte Carlo seed
+# per map, majorants) and returns one list of rows per map, so a suite's disk
+# suprema are polished for every map at once. The one map-independent suite,
+# majorant-regularity, runs once per campaign (_run_majorant_regularity).
 SUITES = {
-    "three-circles": _per_map(lambda f, cfg, seed: [verify_three_circles(f, r1, r)
-                                                    for r1, r in THREE_CIRCLES_PAIRS]),
-    "area-overlap": _per_map(lambda f, cfg, seed: [verify_area_overlap(f, seed=seed)]),
-    "hardy-area": _per_map(lambda f, cfg, seed: [verify_hardy_area(f)]),
-    "coeff-bound": _per_map(lambda f, cfg, seed: verify_coeff_bound(f)),
-    "gradient-bound": _gradient_bound,
-    "isoperimetric": _per_map(lambda f, cfg, seed: [verify_isoperimetric(f, r)
-                                                    for r in ISOPERIMETRIC_RADII]),
+    "three-circles": lambda fs, seeds, majorants: [
+        [verify_three_circles(f, r1, r) for r1, r in THREE_CIRCLES_PAIRS] for f in fs],
+    "area-overlap": lambda fs, seeds, majorants: [
+        [verify_area_overlap(f, seed=seed)] for f, seed in zip(fs, seeds)],
+    "hardy-area": lambda fs, seeds, majorants: [[verify_hardy_area(f)] for f in fs],
+    "coeff-bound": lambda fs, seeds, majorants: [verify_coeff_bound(f) for f in fs],
+    "gradient-bound": lambda fs, seeds, majorants: verify_gradient_bounds(
+        fs, [_gradient_sample(seed) for seed in seeds]),
+    "isoperimetric": lambda fs, seeds, majorants: [
+        [verify_isoperimetric(f, r) for r in ISOPERIMETRIC_RADII] for f in fs],
     "lipschitz-16": _lipschitz_16,
-    "hl-17": _hl_17,
-    "majorant-regularity": _run_majorant_regularity,
+    "hl-17": lambda fs, seeds, majorants: _per_majorant(
+        len(fs), majorants, ["hl-forward", "hl-reverse"],
+        lambda omega: verify_hl_equivalences(fs, omega)),
 }
-GLOBAL_SUITES = ("majorant-regularity",)
-SUITE_NAMES = tuple(SUITES)
+SUITE_NAMES = (*SUITES, "majorant-regularity")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +251,8 @@ class SuiteConfig:
             raise ConfigError("at least one suite is required")
         if not (self.maps or self.include_builtin or self.fuzz):
             raise ConfigError("at least one map source is required")
+        if not self.majorants:
+            raise ConfigError("majorants: at least one majorant is required")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         # Entries whose rows would share a name; a file listed twice is one map.
@@ -318,25 +313,15 @@ def _load_sources(cfg: SuiteConfig) -> list[tuple[str, HarmonicMap]]:
     return sources
 
 
-def _task_seed(cfg: SuiteConfig, index: int) -> int:
-    # Per-task stream index keeps Monte Carlo draws independent across tasks
-    # while staying reproducible for a fixed campaign seed.
-    return int(np.random.SeedSequence((cfg.seed, index)).generate_state(1)[0])
-
-
-def _run_suite_on_map(suite: str, targets, cfg: SuiteConfig, first: int):
-    """One campaign task: a suite on every map of ``targets`` ((map_id, f)
-    pairs) at once, each map with the Monte Carlo stream of task index
-    ``first`` plus its position; or once (targets [("-", None)]) for a
-    global suite. Row names end in @map_id."""
-    seeds = [_task_seed(cfg, first + i) for i in range(len(targets))]
-    chunks = SUITES[suite]([f for _, f in targets], cfg, seeds)
-    reports = []
+def _run_suite_on_map(suite: str, targets, seeds, majorants):
+    """One campaign task: per-map suite ``suite`` on every map of ``targets``
+    ((map_id, f) pairs) at once, each with its Monte Carlo seed from
+    ``seeds``. Row names end in @map_id."""
+    chunks = SUITES[suite]([f for _, f in targets], seeds, majorants)
     for (map_id, _), chunk in zip(targets, chunks):
         for rep in chunk:
             rep.name = f"{rep.name}@{map_id}"
-            reports.append(rep)
-    return reports
+    return [rep for chunk in chunks for rep in chunk]
 
 
 def _memo_block() -> int:
@@ -352,24 +337,24 @@ def _memo_block() -> int:
 def run_config(cfg: SuiteConfig):
     """Execute a campaign; returns (reports sorted, summary dict).
 
-    A global suite runs once. The per-map suites run in suite order on
-    blocks of :func:`_memo_block` maps, each block under its own campaign
+    ``majorant-regularity`` runs once. The per-map suites run in name order
+    on blocks of :func:`_memo_block` maps, each block under its own campaign
     memo, which holds its maps' majorant-free scans, so suites and
-    majorants share them, and drops them when the block ends. A map keeps
-    the Monte Carlo stream of its (suite, map_id) position in sorted order.
+    majorants share them, and drops them when the block ends. Of the N maps
+    sorted by id, the k-th selected per-map suite in name order gives the
+    map at position i the Monte Carlo stream SeedSequence((seed, k N + i)).
     """
     cfg.validate()
     sources = sorted(_load_sources(cfg), key=lambda s: s[0])
-    starts, index, reports = {}, 0, []
-    for suite in sorted(set(cfg.suites)):
-        starts[suite], index = index, index + (1 if suite in GLOBAL_SUITES else len(sources))
-    for suite in starts.keys() & GLOBAL_SUITES:
-        reports.extend(_run_suite_on_map(suite, [("-", None)], cfg, starts.pop(suite)))
-    block = _memo_block()
-    for lo in range(0, len(sources), block):
+    n, block, suites = len(sources), _memo_block(), sorted(SUITES.keys() & cfg.suites)
+    reports = _run_majorant_regularity(cfg.majorants) if "majorant-regularity" in cfg.suites else []
+    for lo in range(0, n, block):
+        targets = sources[lo : lo + block]
         with _campaign_memo():
-            for suite, start in starts.items():
-                reports.extend(_run_suite_on_map(suite, sources[lo : lo + block], cfg, start + lo))
+            for k, suite in enumerate(suites):
+                seeds = [int(np.random.SeedSequence((cfg.seed, k * n + i)).generate_state(1)[0])
+                         for i in range(lo, lo + len(targets))]
+                reports.extend(_run_suite_on_map(suite, targets, seeds, cfg.majorants))
     reports.sort(key=lambda r: (r.name, -1 if r.n is None else r.n))
     return reports, summarize(reports)
 

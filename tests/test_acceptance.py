@@ -303,10 +303,13 @@ def test_14_full_suite_determinism(tmp_path):
 
 def test_campaign_digest_pins_agree(monkeypatch):
     # The benchmark checks its campaign runs against its own copy of the
-    # digest; a re-pin must update both copies.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    # digest, and CI checks the installed entry point against a third; a
+    # re-pin must update all three copies.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
     workloads = importlib.import_module("workloads")
     assert workloads.CAMPAIGN_REFERENCE[42] == DEFAULT_CAMPAIGN_SHA256
+    assert DEFAULT_CAMPAIGN_SHA256 in (root / ".github" / "workflows" / "tier1.yml").read_text()
 
 
 # sha256 of the concatenated map file bytes of the benchmark's two fuzz

@@ -404,6 +404,7 @@ def test_verify_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
         {"fuzz": {"target_K": 10.0}},
         {"fuzz": {"rescale_area": True}},
         {"majorants": [{"family": "power", "alpha": math.nan}]},
+        {"majorants": []},
     ],
     ids=["majorant-without-alpha", "majorant-not-object", "negative-seed", "non-integer-grid",
          "output-not-object", "missing-map-file",
@@ -422,7 +423,7 @@ def test_verify_generation_failure_exit_code(tmp_path, capsys, monkeypatch):
          "three-circles-pairs-unknown-key", "isoperimetric-radii-unknown-key",
          "coeff-decay-unknown-fuzz-field", "dominance-unknown-fuzz-field",
          "target-k-unknown-fuzz-field", "rescale-area-unknown-fuzz-field",
-         "nan-majorant-alpha"],
+         "nan-majorant-alpha", "no-majorants"],
 )
 def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch, bad):
     # Refused before any work: no corpus is drawn and no suite runs.
@@ -430,6 +431,7 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cli, "fuzz_corpus", lambda spec: pytest.fail("corpus drawn"))
     monkeypatch.setattr(cli, "_run_suite_on_map", lambda *args: pytest.fail("suite started"))
+    monkeypatch.setattr(cli, "_run_majorant_regularity", lambda *args: pytest.fail("suite started"))
     monkeypatch.chdir(tmp_path)
     identity = {"a": [[0, 0], [1, 0]], "b": [[0, 0]]}
     bad_maps = {
@@ -455,6 +457,8 @@ def test_verify_bad_config_values_are_usage_errors(tmp_path, capsys, monkeypatch
     removed = sorted(set(bad["fuzz"]) - {"count", "degree", "seed"}) if key == "fuzz" else []
     if removed:
         assert err == [f"error: bad configuration: fuzz: unknown fields: {removed}"]
+    if bad == {"majorants": []}:  # else the campaign checks nothing and exits 0
+        assert err == ["error: bad configuration: majorants: at least one majorant is required"]
 
 
 def test_functional_rejects_malformed_map_files(tmp_path, capsys):
@@ -819,6 +823,59 @@ def test_verify_streams_follow_sorted_ids_across_sources(tmp_path, capsys):
     assert digest == "65baddb77a4c4bb273b19d977ffd21951ae07ed8474dee872e4740bb754c4e54"
 
 
+def _stream(seed: int, index: int) -> int:
+    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+
+
+def test_each_per_map_suite_keeps_its_stream_whatever_else_is_selected(tmp_path, capsys):
+    # The k-th selected per-map suite in name order gives map i of the N maps
+    # sorted by id the stream SeedSequence((seed, k N + i)). majorant-regularity
+    # reads no map and takes no stream, and three-circles, last by name, reads
+    # none: adding the one or dropping the other moves no other row's bytes.
+    import io
+
+    from harmap.report import write_json_lines
+    from harmap.verify import _gradient_sample, verify_area_overlap, verify_gradient_bound
+
+    def lines(*suites):
+        obj = {"suites": ["area-overlap", "gradient-bound", "lipschitz-16", *suites],
+               "majorants": [{"family": "power", "alpha": 0.5}],
+               "fuzz": {"count": 2, "degree": 3, "seed": 5}, "seed": 31}
+        assert verify(tmp_path, obj) == 0
+        return (tmp_path / "rows.json").read_text().splitlines(keepends=True)
+
+    base = lines("three-circles")
+    added = lines("three-circles", "majorant-regularity")
+    dropped = lines("majorant-regularity")
+    capsys.readouterr()
+    assert len(added) == len(base) + 2 == len(dropped) + 4 * 8
+    assert [line for line in added if '@-", ' not in line] == base
+    assert [line for line in added if not line.startswith('{"name": "three-circles')] == dropped
+
+    def row_lines(reps, map_id):
+        buf = io.StringIO()
+        for rep in reps:
+            rep.name = f"{rep.name}@{map_id}"
+        write_json_lines(reps, buf)
+        return buf.getvalue().splitlines(keepends=True)
+
+    fuzz = fuzz_corpus(FuzzSpec(count=2, degree=3, seed=5))
+    maps = sorted([*((f"builtin:{name}", f) for name, f in builtin_maps().items()),
+                   *((f"fuzz-{i:04d}", f) for i, f in enumerate(fuzz))], key=lambda s: s[0])
+    n = len(maps)
+    for i, (map_id, f) in enumerate(maps):  # area-overlap is k = 0, gradient-bound k = 1
+        assert row_lines([verify_area_overlap(f, seed=_stream(31, i))], map_id)[0] in base
+        sample = _gradient_sample(_stream(31, n + i))
+        assert set(row_lines(verify_gradient_bound(f, sample=sample), map_id)) <= set(base)
+    # The streams matter: with another stream, a Monte Carlo overlap row and
+    # a fuzz map's gradient rows move.
+    (i, (map_id, f)), (j, (fuzz_id, g)) = ((i, s) for i, s in enumerate(maps)
+                                           if s[0] in ("builtin:affine-quarters", "fuzz-0000"))
+    assert row_lines([verify_area_overlap(f, seed=_stream(31, i + 1))], map_id)[0] not in base
+    sample = _gradient_sample(_stream(31, j))
+    assert not set(row_lines(verify_gradient_bound(g, sample=sample), fuzz_id)) <= set(base)
+
+
 def _disk_sup_digest(tmp_path):
     obj = {
         "suites": ["gradient-bound", "lipschitz-16", "hl-17"],
@@ -955,6 +1012,12 @@ def test_majorant_table_above_the_probe_scales_is_a_hypothesis_row(tmp_path, cap
         row = rows[f"{name}[sampled(2)]@-"]
         assert row["status"] == "hypothesis-violated"
         assert row["details"]["t_lo"] == row["details"]["t_hi"] < 2.0
+    # hl-17's rows name the short table, not an irregular head: the
+    # "majorant head-regular" hypothesis is never read false.
+    hl = [row for name, row in rows.items() if name.startswith(("hl-forward", "hl-reverse"))]
+    assert len(hl) == 2 * len(builtin_maps())
+    assert all(row["hypotheses"] == {"majorant table covers the evaluated range": False}
+               for row in hl)
 
 
 def test_lipschitz_16_computes_each_maps_disk_means_once(monkeypatch):

@@ -132,6 +132,23 @@ def test_regularity_head_constant_at_small_alpha():
     assert regularity_check(PowerMajorant(0.001)).c_eq2 == pytest.approx(1000.0, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("omega", [
+    *(PowerMajorant(alpha) for alpha in (0.001, 0.01, 0.5, 1.0)),
+    SampledMajorant(table=tuple((t, t**0.5) for t in np.geomspace(1e-5, 1e4, 40))),
+    SampledMajorant(table=((1e-8, 1e-6), (1e-2, 0.05), (1.0, 1.0), (1e4, 10.0))),
+    SampledMajorant(table=((1e-2, 0.1), (1.0, 1.0), (100.0, 10.0))),  # starts above 1e-3
+], ids=lambda omega: omega.label())
+def test_hl_17_head_regular_hypothesis_is_implied_by_the_majorant(omega):
+    # hl-17's "majorant head-regular" reads c_eq2 finite. The power head
+    # integral converges for alpha > 0 and a sampled one stops at the table
+    # floor, so c_eq2 is finite for every majorant a config can name (it read
+    # 525.3, 99.94, 2.0, 1.0, 1.994, 1.524 and 1.800). A table above the
+    # probe scales gives table-range rows instead (test_cli's
+    # test_majorant_table_above_the_probe_scales_is_a_hypothesis_row).
+    assert math.isfinite(regularity_check(omega).c_eq2)
+
+
 def test_regularity_sampled_truncation_recorded():
     ts = np.geomspace(1e-5, 1e4, 40)
     omega = SampledMajorant(table=tuple((t, t**0.5) for t in ts))

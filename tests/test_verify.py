@@ -133,6 +133,26 @@ def test_three_circles_witnesses_each_hypothesis_is_needed(f, violated, s1, at_0
     assert (lhs, rhs) == pytest.approx(at_0_9, abs=1e-5)  # the last pair is (0.3, 0.9)
 
 
+def test_three_circles_m_below_one_is_implied_by_the_other_hypotheses(small_corpus):
+    # Dominance makes every c_n = n (|a_n|^2 - |b_n|^2) >= 0, so
+    # m = S_f(r1) <= r1^2 S_f(1) <= 0.09 (1 + 1e-12) at the campaign's r1 <= 0.3:
+    # no map meeting dominance and S_f(1) <= 1 can break "m < 1".
+    from harmap.cli import THREE_CIRCLES_PAIRS
+
+    maps = [*builtin_maps().values(), *fuzz_corpus(FuzzSpec(count=48, degree=8, seed=42)),
+            *small_corpus]
+    held = 0
+    for f in maps:
+        for r1, r in THREE_CIRCLES_PAIRS:
+            rep = verify_three_circles(f, r1, r)
+            if rep.hypotheses["coefficient dominance"] and rep.hypotheses["S_f(1) <= 1"]:
+                held += 1
+                assert rep.hypotheses["m < 1"]
+                assert rep.details["m"] <= r1**2 * rep.details["S1"] * (1 + 1e-12)
+                assert rep.details["m"] <= 0.09 * (1 + 1e-12)
+    assert held > 300
+
+
 def test_three_circles_argument_validation():
     with pytest.raises(ValueError):
         verify_three_circles(IDENTITY, 0.0, 0.5)
